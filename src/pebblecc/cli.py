@@ -731,7 +731,7 @@ def _cmd_lp_gap(args) -> int:
             }
         )
     else:
-        kind = "exact" if gr.pcc_proven else "trivial bound"
+        kind = "exact" if gr.pcc_proven else "upper bound, unproven"
         print(
             f"n = {gr.n}: fractional objective {gr.fractional_objective}, "
             f"pcc {gr.pcc} ({kind}), ratio {gr.ratio}"

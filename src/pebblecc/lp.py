@@ -445,8 +445,9 @@ class GapReport:
 def gap_report(g: Dag, limits=None) -> GapReport:
     """Tabulate the staircase objective against exact (or fallback) pcc.
 
-    If the exact search exhausts its limits the trivial keep-everything
-    bound n(n+1)/2 stands in and the report is flagged unproven.
+    If the exact search exhausts its limits, its incumbent upper bound
+    stands in, or the trivial keep-everything bound n(n+1)/2 when it has
+    none, and the report is flagged unproven.
     """
     from .search import Exhausted, SearchLimits, exact_pcc
 
@@ -456,8 +457,9 @@ def gap_report(g: Dag, limits=None) -> GapReport:
     try:
         res = exact_pcc(g, limits=limits or SearchLimits())
         pcc, proven = res.optimum, True
-    except Exhausted:
-        pcc, proven = n * (n + 1) // 2, False
+    except Exhausted as exc:
+        pcc = exc.upper_bound if exc.upper_bound is not None else n * (n + 1) // 2
+        proven = False
     return GapReport(n, objective, pcc, proven, Fraction(pcc) / objective)
 
 

@@ -1,11 +1,12 @@
 """Exact optimal-pebbling search over pebble configurations.
 
-This is the brute-force oracle the rest of the package leans on: uniform-cost
-search for minimum cumulative cost, a round-indexed variant for
-fixed-horizon optima, and capped breadth-first sweeps for space-time and
-minimum-space optima. States are (pebble bitmask, satisfied-sink bitmask)
-pairs; every returned witness replays the predecessor chain as literal
-rounds, so it can be revalidated independently.
+This is the brute-force oracle the rest of the package leans on: A* search
+for minimum cumulative cost, a round-indexed variant for fixed-horizon
+optima, and capped breadth-first sweeps for space-time and minimum-space
+optima. All of them expand states through one successor generator. States
+are (pebble bitmask, satisfied-sink bitmask) pairs; every returned witness
+replays the predecessor chain as literal rounds, so it can be revalidated
+independently.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from itertools import chain, combinations, repeat
 
 from .graph import Dag, TooLarge
 from .pebbling import Pebbling
@@ -31,16 +33,36 @@ __all__ = [
 
 
 class Exhausted(RuntimeError):
-    """A search cap (states or wall clock) was hit before the proof finished."""
+    """A search cap (states or wall clock) was hit before the proof finished.
 
-    def __init__(self, message: str, expanded: int, limits: SearchLimits) -> None:
+    From exact_pcc, the optimum is proven to lie in [lower_bound,
+    upper_bound]; upper_bound is the incumbent (seed or dive cost), or None.
+    """
+
+    def __init__(
+        self,
+        message: str,
+        expanded: int,
+        limits: SearchLimits,
+        lower_bound: int | None = None,
+        upper_bound: int | None = None,
+    ) -> None:
+        if lower_bound is not None:
+            hi = "?" if upper_bound is None else upper_bound
+            message += f"; optimum in [{lower_bound}, {hi}]"
         super().__init__(message)
         self.expanded = expanded
         self.limits = limits
+        self.lower_bound = lower_bound
+        self.upper_bound = upper_bound
 
 
 class Infeasible(RuntimeError):
     """No legal pebbling exists within the stated limits (horizon or caps)."""
+
+
+class _Stop(Exception):
+    """A cap fired; each search turns it into Exhausted with its own counts."""
 
 
 @dataclass(frozen=True)
@@ -77,6 +99,21 @@ def _check_entry(g: Dag, mode: str, limits: SearchLimits) -> None:
         raise TooLarge(
             f"graph has {g.n} nodes, above the configured cap {limits.max_nodes}"
         )
+
+
+def _deadline(limits: SearchLimits) -> float | None:
+    """The monotonic instant at which a budgeted search gives up."""
+    if limits.time_budget is None:
+        return None
+    return time.monotonic() + limits.time_budget
+
+
+def _spend(expanded: int, limits: SearchLimits, deadline: float | None) -> None:
+    """Charge expansion number `expanded` against the state and time caps."""
+    if expanded > limits.max_states:
+        raise _Stop(f"state cap {limits.max_states} hit")
+    if deadline is not None and time.monotonic() > deadline:
+        raise _Stop("time budget hit")
 
 
 def _bit_tables(g: Dag) -> tuple[list[int], int]:
@@ -140,6 +177,68 @@ def _placeable(g: Dag, parent_masks: list[int], mask: int) -> int:
     return out
 
 
+def _submasks(mask: int):
+    """Every subset of mask, from mask itself down to 0."""
+    sub = mask
+    while True:
+        yield sub
+        if not sub:
+            return
+        sub = (sub - 1) & mask
+
+
+def _children(
+    g, parent_masks, sink_mask, mask, sat, gc, sequential, space_cap, ub, deadline,
+    widest=False,
+):
+    """Successors of state (mask, sat), reached at cost gc, as (t_mask, ns, need).
+
+    A round places a nonempty set of placeable nodes (one in sequential mode)
+    and retains a subset of the pebbles, at most space_cap in all; finished
+    sinks are never re-placed or held. Given ub, a new set whose closure
+    floor exceeds ub is skipped and the retained set is cut to the slack.
+    widest=True retains as many pebbles as fit: more pebbles, same sinks
+    done, never need more rounds, which is all the capped sweep asks. Sets
+    are enumerated lazily, and the clock is read every 1024 sets tried so
+    that one expansion cannot overrun the deadline.
+    """
+    n = g.n
+    avail = _placeable(g, parent_masks, mask) & ~sat
+    retainable = mask & ~sat
+    rbits = [1 << (v - 1) for v in _mask_nodes(retainable)]
+    tried = 0
+    probe = avail
+    while probe:
+        if sequential:
+            new = probe & -probe
+            probe ^= new
+        else:
+            new = probe
+            probe = (probe - 1) & avail
+        tried += 1
+        if not tried & 1023 and deadline is not None and time.monotonic() > deadline:
+            raise _Stop("time budget hit")
+        nsize = new.bit_count()
+        rcap = space_cap - nsize
+        if rcap < 0:
+            continue
+        ns = sat | (new & sink_mask)
+        need = sink_mask & ~ns
+        if ub is not None:
+            floor = gc + nsize + _future_need(parent_masks, n, mask | new, need).bit_count()
+            rcap = min(rcap, ub - floor)
+        if rcap >= len(rbits):
+            subs = (retainable,) if widest else _submasks(retainable)
+        else:
+            sizes = range(rcap, rcap + 1) if widest else range(rcap + 1)
+            subs = map(sum, chain.from_iterable(map(combinations, repeat(rbits), sizes)))
+        for sub in subs:
+            tried += 1
+            if not tried & 1023 and deadline is not None and time.monotonic() > deadline:
+                raise _Stop("time budget hit")
+            yield new | sub, ns, need
+
+
 def _mask_nodes(mask: int) -> tuple[int, ...]:
     out = []
     v = 1
@@ -169,16 +268,22 @@ def exact_pcc(
 ) -> SearchResult:
     """Minimum cumulative cost over all legal pebblings, with witness.
 
-    Least-total-weight-first search on the configuration graph. Pruning
-    (pure-discard elimination, incumbent cuts against the closure bound,
-    single-bit superset dominance) never excludes an optimal plan;
-    complete_enumeration=True disables all of it and enumerates every
-    transition, which the test suite uses to check the pruned search against
-    the unpruned one on small graphs.
+    A* on the configuration graph, keyed by (g + h, -g) with h the popcount
+    of the `_future_need` closure. h is consistent (a closure node is either
+    placed this round, paying for itself, or stays in the child's closure),
+    so the first goal popped is optimal and every popped key is a proven
+    lower bound. A greedy dive first walks from the empty state, always to
+    the child of least (g + h, -g); its cost is the incumbent that cuts
+    children with g + h above it. Pruning (pure-discard elimination,
+    incumbent cuts, single-bit superset dominance) never excludes an optimal
+    plan. complete_enumeration=True drops it all, with the heuristic and the
+    dive, for plain least-cost order over every transition; the test suite
+    checks the pruned search against it on small graphs.
 
     Raises:
         TooLarge: n exceeds limits.max_nodes.
-        Exhausted: a state or time cap was hit first.
+        Exhausted: a state or time cap was hit first (dive steps count);
+            it carries the proven interval [lower_bound, upper_bound].
         Infeasible: no pebbling within limits (only possible when max_space
             is set or upper_bound_seed was not actually achievable).
     """
@@ -187,116 +292,94 @@ def exact_pcc(
     n = g.n
     parent_masks, sink_mask = _bit_tables(g)
     space_cap = limits.max_space if limits.max_space is not None else n
-    if limits.upper_bound_seed is not None:
-        ub = limits.upper_bound_seed
-    else:
-        ub = n * (n + 1) // 2
-    deadline = (
-        time.monotonic() + limits.time_budget
-        if limits.time_budget is not None
-        else None
-    )
+    incumbent = limits.upper_bound_seed
+    ub = n * (n + 1) // 2 if incumbent is None else min(incumbent, n * (n + 1) // 2)
+    deadline = _deadline(limits)
     sequential = mode == "sequential"
-
-    start = (0, 0)
-    best: dict[tuple[int, int], int] = {start: 0}
-    pred: dict[tuple[int, int], tuple[int, int]] = {}
-    heap: list[tuple[int, int, int]] = [(0, 0, 0)]
+    h0 = _future_need(parent_masks, n, 0, sink_mask).bit_count()
+    lower = 0 if complete_enumeration else h0
     expanded = 0
-    best_get = best.get
 
-    while heap:
-        gc, mask, sat = heappop(heap)
-        state = (mask, sat)
-        if gc > best_get(state, gc):
-            continue
-        if sat == sink_mask:
-            return SearchResult(gc, _witness(pred, state, mode), True, expanded)
-        expanded += 1
-        if expanded > limits.max_states:
-            raise Exhausted(
-                f"state cap {limits.max_states} hit at cost {gc}", expanded, limits
-            )
-        if deadline is not None and expanded % 256 == 0:
-            if time.monotonic() > deadline:
-                raise Exhausted("time budget hit", expanded, limits)
-
+    try:
         if not complete_enumeration:
+            mask = sat = gc = 0
+            while sat != sink_mask:
+                expanded += 1
+                _spend(expanded, limits, deadline)
+                step = None
+                for t_mask, ns, need in _children(
+                    g, parent_masks, sink_mask, mask, sat, gc, sequential,
+                    space_cap, ub, deadline,
+                ):
+                    ng = gc + t_mask.bit_count()
+                    f = ng + _future_need(parent_masks, n, t_mask, need).bit_count()
+                    if f <= ub and (step is None or (f, -ng) < step[:2]):
+                        step = (f, -ng, t_mask, ns, ng)
+                if step is None:
+                    break  # dead end under the space cap or the bound
+                *_, mask, sat, gc = step
+            else:
+                ub = incumbent = gc
+
+        best: dict[tuple[int, int], int] = {(0, 0): 0}
+        pred: dict[tuple[int, int], tuple[int, int]] = {}
+        heap: list[tuple[int, int, int, int]] = [(lower, 0, 0, 0)]
+        best_get = best.get
+        while heap:
+            lower, gc, mask, sat = heappop(heap)
+            gc = -gc
+            state = (mask, sat)
+            if gc > best_get(state, gc):
+                continue
+            if sat == sink_mask:
+                return SearchResult(gc, _witness(pred, state, mode), True, expanded)
+            expanded += 1
+            _spend(expanded, limits, deadline)
+
+            if complete_enumeration:
+                pool = mask | _placeable(g, parent_masks, mask)
+                sub = pool
+                while sub:
+                    new = sub & ~mask
+                    if new or sub != mask:
+                        if not (sequential and new.bit_count() > 1):
+                            ns = sat | (sub & sink_mask)
+                            ng = gc + sub.bit_count()
+                            nstate = (sub, ns)
+                            if ng < best_get(nstate, ng + 1):
+                                best[nstate] = ng
+                                pred[nstate] = state
+                                heappush(heap, (ng, -ng, sub, ns))
+                    sub = (sub - 1) & pool
+                continue
+
             # single-bit superset dominance: a state with one extra pebble,
             # same sinks done, at no extra cost can do anything we can
-            rest = ((1 << n) - 1) & ~mask
-            dominated = False
-            probe = rest
+            probe = ((1 << n) - 1) & ~mask
             while probe:
                 low = probe & -probe
                 if best_get((mask | low, sat), gc + 1) <= gc:
-                    dominated = True
                     break
                 probe ^= low
-            if dominated:
+            if probe:
                 continue
 
-        avail = _placeable(g, parent_masks, mask)
-        if complete_enumeration:
-            pool = mask | avail
-            sub = pool
-            while sub:
-                new = sub & ~mask
-                if new or sub != mask:
-                    if not (sequential and new.bit_count() > 1):
-                        ns = sat | (sub & sink_mask)
-                        ng = gc + sub.bit_count()
-                        nstate = (sub, ns)
-                        if ng < best_get(nstate, ng + 1):
-                            best[nstate] = ng
-                            pred[nstate] = state
-                            heappush(heap, (ng, sub, ns))
-                sub = (sub - 1) & pool
-            continue
-
-        avail &= ~sat  # re-placing a finished sink never helps
-        retainable = mask & ~sat  # nor does holding one
-        if sequential:
-            new_sets = []
-            probe = avail
-            while probe:
-                low = probe & -probe
-                new_sets.append(low)
-                probe ^= low
-        else:
-            new_sets = []
-            sub = avail
-            while sub:
-                new_sets.append(sub)
-                sub = (sub - 1) & avail
-        for new in new_sets:
-            nsize = new.bit_count()
-            if nsize > space_cap:
-                continue
-            ns = sat | (new & sink_mask)
-            need = sink_mask & ~ns
-            generous = _future_need(parent_masks, n, mask | new, need)
-            floor = gc + nsize + generous.bit_count()
-            if floor > ub:
-                continue
-            rcap = min(ub - floor, space_cap - nsize)
-            if rcap < 0:
-                continue
-            sub = retainable
-            while True:
-                if sub.bit_count() <= rcap:
-                    t_mask = new | sub
-                    ng = gc + t_mask.bit_count()
-                    nstate = (t_mask, ns)
-                    if ng < best_get(nstate, ng + 1):
-                        exact = _future_need(parent_masks, n, t_mask, need)
-                        if ng + exact.bit_count() <= ub:
-                            best[nstate] = ng
-                            pred[nstate] = state
-                            heappush(heap, (ng, t_mask, ns))
-                if sub == 0:
-                    break
-                sub = (sub - 1) & retainable
+            for t_mask, ns, need in _children(
+                g, parent_masks, sink_mask, mask, sat, gc, sequential,
+                space_cap, ub, deadline,
+            ):
+                ng = gc + t_mask.bit_count()
+                nstate = (t_mask, ns)
+                if ng < best_get(nstate, ng + 1):
+                    f = ng + _future_need(parent_masks, n, t_mask, need).bit_count()
+                    if f <= ub:
+                        best[nstate] = ng
+                        pred[nstate] = state
+                        heappush(heap, (f, -ng, t_mask, ns))
+    except _Stop as stop:
+        raise Exhausted(
+            f"{stop} at bound {lower}", expanded, limits, lower, incumbent
+        ) from None
     raise Infeasible(
         "no legal pebbling within the given limits (space cap or a seed "
         "upper bound below the true optimum)"
@@ -330,91 +413,45 @@ def exact_pcc_bounded(
     parent_masks, sink_mask = _bit_tables(g)
     space_cap = limits.max_space if limits.max_space is not None else n
     ub = cost_cap if cost_cap is not None else n * t_max
-    deadline = (
-        time.monotonic() + limits.time_budget
-        if limits.time_budget is not None
-        else None
-    )
+    deadline = _deadline(limits)
     sequential = mode == "sequential"
 
     cur: dict[tuple[int, int], int] = {(0, 0): 0}
     pred: dict[tuple[int, int, int], tuple[int, int]] = {}
     goal: tuple[int, int, tuple[int, int]] | None = None  # (cost, round, state)
     expanded = 0
-    for r in range(1, t_max + 1):
-        nxt: dict[tuple[int, int], int] = {}
-        rounds_left = t_max - r
-        for (mask, sat), gc in cur.items():
-            if sat == sink_mask:
-                continue  # done; extending only adds cost
-            expanded += 1
-            if expanded > limits.max_states:
-                raise Exhausted(
-                    f"state cap {limits.max_states} hit in round {r}",
-                    expanded,
-                    limits,
-                )
-            if deadline is not None and expanded % 256 == 0:
-                if time.monotonic() > deadline:
-                    raise Exhausted("time budget hit", expanded, limits)
-            if _rounds_needed(parent_masks, n, mask, sink_mask & ~sat) > rounds_left + 1:
-                continue
-            avail = _placeable(g, parent_masks, mask) & ~sat
-            retainable = mask & ~sat
-            if sequential:
-                new_sets = []
-                probe = avail
-                while probe:
-                    low = probe & -probe
-                    new_sets.append(low)
-                    probe ^= low
-            else:
-                new_sets = []
-                sub = avail
-                while sub:
-                    new_sets.append(sub)
-                    sub = (sub - 1) & avail
-            for new in new_sets:
-                nsize = new.bit_count()
-                if nsize > space_cap:
+    try:
+        for r in range(1, t_max + 1):
+            nxt: dict[tuple[int, int], int] = {}
+            rounds_left = t_max - r
+            for (mask, sat), gc in cur.items():
+                if sat == sink_mask:
+                    continue  # done; extending only adds cost
+                expanded += 1
+                _spend(expanded, limits, deadline)
+                if _rounds_needed(parent_masks, n, mask, sink_mask & ~sat) > rounds_left + 1:
                     continue
-                ns = sat | (new & sink_mask)
-                need = sink_mask & ~ns
-                generous = _future_need(parent_masks, n, mask | new, need)
-                floor = gc + nsize + generous.bit_count()
-                if floor > ub:
-                    continue
-                rcap = min(ub - floor, space_cap - nsize)
-                if rcap < 0:
-                    continue
-                sub = retainable
-                while True:
-                    if sub.bit_count() <= rcap:
-                        t_mask = new | sub
-                        ng = gc + t_mask.bit_count()
-                        nstate = (t_mask, ns)
-                        old = nxt.get(nstate)
-                        if old is None or ng < old:
-                            keep = True
-                            if ns != sink_mask:
-                                if (
-                                    _rounds_needed(parent_masks, n, t_mask, need)
-                                    > rounds_left
-                                ):
-                                    keep = False
-                            if keep:
-                                nxt[nstate] = ng
-                                pred[(r, t_mask, ns)] = (mask, sat)
-                                if ns == sink_mask and (
-                                    goal is None or ng < goal[0]
-                                ):
-                                    goal = (ng, r, nstate)
-                    if sub == 0:
-                        break
-                    sub = (sub - 1) & retainable
-        cur = nxt
-        if not cur:
-            break
+                for t_mask, ns, need in _children(
+                    g, parent_masks, sink_mask, mask, sat, gc, sequential,
+                    space_cap, ub, deadline,
+                ):
+                    ng = gc + t_mask.bit_count()
+                    nstate = (t_mask, ns)
+                    old = nxt.get(nstate)
+                    if old is not None and ng >= old:
+                        continue
+                    if ns != sink_mask:
+                        if _rounds_needed(parent_masks, n, t_mask, need) > rounds_left:
+                            continue
+                    elif goal is None or ng < goal[0]:
+                        goal = (ng, r, nstate)
+                    nxt[nstate] = ng
+                    pred[(r, t_mask, ns)] = (mask, sat)
+            cur = nxt
+            if not cur:
+                break
+    except _Stop as stop:
+        raise Exhausted(f"{stop} in round {r}", expanded, limits) from None
     if goal is None:
         cap_note = f" under cost cap {cost_cap}" if cost_cap is not None else ""
         raise Infeasible(f"no legal pebbling within {t_max} rounds{cap_note}")
@@ -443,63 +480,30 @@ def _min_rounds_capped(
     Plain breadth-first search over the capped configuration graph; returns
     (witness, expanded) or (None, expanded) when the cap is infeasible.
     """
-    n = g.n
     parent_masks, sink_mask = _bit_tables(g)
     sequential = mode == "sequential"
-    start = (0, 0)
-    seen = {start}
     pred: dict[tuple[int, int], tuple[int, int]] = {}
-    frontier = [start]
+    frontier = [(0, 0)]
     expanded = expanded_so_far
-    while frontier:
-        nfront = []
-        for mask, sat in frontier:
-            expanded += 1
-            if expanded > limits.max_states:
-                raise Exhausted(
-                    f"state cap {limits.max_states} hit at space cap {cap}",
-                    expanded,
-                    limits,
-                )
-            if deadline is not None and expanded % 256 == 0:
-                if time.monotonic() > deadline:
-                    raise Exhausted("time budget hit", expanded, limits)
-            avail = _placeable(g, parent_masks, mask) & ~sat
-            retainable = mask & ~sat
-            if sequential:
-                new_sets = []
-                probe = avail
-                while probe:
-                    low = probe & -probe
-                    new_sets.append(low)
-                    probe ^= low
-            else:
-                new_sets = []
-                sub = avail
-                while sub:
-                    new_sets.append(sub)
-                    sub = (sub - 1) & avail
-            for new in new_sets:
-                nsize = new.bit_count()
-                if nsize > cap:
-                    continue
-                ns = sat | (new & sink_mask)
-                rcap = cap - nsize
-                sub = retainable
-                while True:
-                    if sub.bit_count() <= rcap:
-                        t_mask = new | sub
-                        nstate = (t_mask, ns)
-                        if nstate not in seen:
-                            seen.add(nstate)
-                            pred[nstate] = (mask, sat)
-                            if ns == sink_mask:
-                                return _witness(pred, nstate, mode), expanded
-                            nfront.append(nstate)
-                    if sub == 0:
-                        break
-                    sub = (sub - 1) & retainable
-        frontier = nfront
+    try:
+        while frontier:
+            nfront = []
+            for mask, sat in frontier:
+                expanded += 1
+                _spend(expanded, limits, deadline)
+                for t_mask, ns, _ in _children(
+                    g, parent_masks, sink_mask, mask, sat, 0, sequential,
+                    cap, None, deadline, widest=True,
+                ):
+                    nstate = (t_mask, ns)
+                    if nstate not in pred:  # the start is never a child
+                        pred[nstate] = (mask, sat)
+                        if ns == sink_mask:
+                            return _witness(pred, nstate, mode), expanded
+                        nfront.append(nstate)
+            frontier = nfront
+    except _Stop as stop:
+        raise Exhausted(f"{stop} at space cap {cap}", expanded, limits) from None
     return None, expanded
 
 
@@ -514,11 +518,7 @@ def exact_min_st(
     """
     limits = limits or SearchLimits()
     _check_entry(g, mode, limits)
-    deadline = (
-        time.monotonic() + limits.time_budget
-        if limits.time_budget is not None
-        else None
-    )
+    deadline = _deadline(limits)
     expanded = 0
     best: tuple[int, Pebbling] | None = None
     for s in range(1, g.n + 1):
@@ -540,11 +540,7 @@ def exact_min_space(
     """Smallest s such that some legal pebbling never holds more than s pebbles."""
     limits = limits or SearchLimits()
     _check_entry(g, mode, limits)
-    deadline = (
-        time.monotonic() + limits.time_budget
-        if limits.time_budget is not None
-        else None
-    )
+    deadline = _deadline(limits)
     expanded = 0
     for s in range(1, g.n + 1):
         witness, expanded = _min_rounds_capped(g, s, mode, limits, deadline, expanded)

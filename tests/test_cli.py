@@ -89,11 +89,16 @@ def test_pcc_node_cap_exit(tmp_path, capsys):
 
 
 def test_pcc_state_cap_exit(tmp_path, capsys):
-    from pebblecc.graph import pyramid
+    from pebblecc.reductions import counterexample_dag
 
-    gf = graph_file(tmp_path, pyramid(3))
+    gf = graph_file(tmp_path, counterexample_dag())
     assert main(["pcc", "--graph", gf, "--max-states", "3"]) == 3
     assert "limit hit" in capsys.readouterr().err
+    # past the dive the line carries the proven interval
+    assert main(["pcc", "--graph", gf, "--max-states", "50"]) == 3
+    err = capsys.readouterr().err
+    assert "limit hit: state cap 50 hit at bound" in err
+    assert "; optimum in [" in err
 
 
 def test_min_st_and_min_space(tmp_path, capsys):

@@ -359,3 +359,9 @@ def test_gap_report_falls_back_when_search_exhausts():
     gr = gap_report(chain(6), limits=SearchLimits(max_states=2))
     assert not gr.pcc_proven
     assert gr.pcc == 21  # trivial keep-everything bound
+
+
+def test_gap_report_uses_the_search_incumbent():
+    gr = gap_report(counterexample_dag(), limits=SearchLimits(max_states=50))
+    assert not gr.pcc_proven
+    assert 27 <= gr.pcc < 16 * 17 // 2  # the dive's cost, not n(n+1)/2

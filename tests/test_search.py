@@ -1,3 +1,6 @@
+import random
+import time
+
 import pytest
 
 from pebblecc.graph import (
@@ -66,6 +69,52 @@ def test_pruned_search_matches_complete_enumeration():
             assert fast.optimum == slow.optimum, (g, mode)
             assert_sound(g, fast, mode)
             assert_sound(g, slow, mode)
+
+
+def _random_corpus(count, seed=0):
+    rng = random.Random(seed)
+    return [layered_random(rng.randint(3, 9), rng.randrange(1 << 30)) for _ in range(count)]
+
+
+def test_astar_matches_complete_enumeration_on_random_graphs():
+    """A* with the greedy-dive incumbent against the plain least-cost search,
+    which uses neither the heuristic nor the dive."""
+    for g in _random_corpus(200):
+        for mode in ("parallel", "sequential"):
+            fast = exact_pcc(g, mode=mode)
+            slow = exact_pcc(g, mode=mode, complete_enumeration=True)
+            assert fast.optimum == slow.optimum, (g.edges, mode)
+            assert_sound(g, fast, mode)
+
+
+def test_bounded_at_the_optimum_matches_astar():
+    """With t_max = optimum the round DP cannot lose the optimal pebbling
+    (each useful round costs at least 1), and it keeps no heap."""
+    for g in _random_corpus(40):
+        opt = exact_pcc(g).optimum
+        r = exact_pcc_bounded(g, t_max=opt)
+        assert r.optimum == opt, g.edges
+        assert_sound(g, r)
+
+
+def test_min_space_and_min_st_match_the_round_dp():
+    """The capped sweep retains as many pebbles as fit; the round DP under
+    the same space cap keeps every retained subset."""
+    for g in _random_corpus(25, seed=1):
+        space = exact_min_space(g).optimum
+        if space > 1:
+            with pytest.raises(Infeasible):
+                exact_pcc_bounded(g, g.n * g.n, limits=SearchLimits(max_space=space - 1))
+        best_st = g.n * g.n
+        for s in range(space, g.n + 1):
+            for t in range(1, g.n * g.n + 1):
+                try:
+                    exact_pcc_bounded(g, t, limits=SearchLimits(max_space=s))
+                except Infeasible:
+                    continue
+                best_st = min(best_st, s * t)
+                break
+        assert exact_min_st(g).optimum == best_st, g.edges
 
 
 def test_multi_sink_graph():
@@ -179,8 +228,23 @@ def test_node_cap():
 
 def test_state_cap_exhausts():
     with pytest.raises(Exhausted) as info:
-        exact_pcc(pyramid(3), limits=SearchLimits(max_states=3))
+        exact_pcc(counterexample_dag(), limits=SearchLimits(max_states=3))
     assert info.value.expanded == 4
+
+
+def test_exhausted_carries_proven_bounds():
+    with pytest.raises(Exhausted) as info:
+        exact_pcc(counterexample_dag(), limits=SearchLimits(max_states=50))
+    exc = info.value
+    assert 16 <= exc.lower_bound <= 27 <= exc.upper_bound
+    assert f"optimum in [{exc.lower_bound}, {exc.upper_bound}]" in str(exc)
+    # stopped during the dive: the bound is h(start) and the seed the incumbent
+    with pytest.raises(Exhausted) as info:
+        exact_pcc(
+            counterexample_dag(),
+            limits=SearchLimits(max_states=3, upper_bound_seed=30),
+        )
+    assert (info.value.lower_bound, info.value.upper_bound) == (16, 30)
 
 
 def test_time_budget_exhausts():
@@ -189,6 +253,16 @@ def test_time_budget_exhausts():
             counterexample_dag(),
             limits=SearchLimits(time_budget=0.0, max_states=50_000_000),
         )
+
+
+def test_time_budget_holds_inside_one_expansion():
+    # the empty state of an 18-node edgeless graph has 2^18 - 1 children
+    start = time.monotonic()
+    try:
+        exact_pcc(build_dag(18, []), limits=SearchLimits(time_budget=0.2))
+    except Exhausted:
+        pass
+    assert time.monotonic() - start < 1.0
 
 
 def test_space_limit_infeasible():
