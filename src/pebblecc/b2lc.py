@@ -1,5 +1,5 @@
 """Bounded 2-linear covering: cover difference equations x_a + c = x_b with a
-budget of m variable assignments. Includes the exhaustive decision oracle and
+budget of m variable assignments. Includes the backtracking decision oracle and
 the 3-partition oracle used to cross-check the reduction pipeline.
 """
 
@@ -8,7 +8,6 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass
-from itertools import product
 
 from .graph import TooLarge
 
@@ -106,57 +105,41 @@ class ThreePartitionInstance:
         return all(4 * self.n * x > t and 2 * self.n * x < t for x in self.elements)
 
 
-class OffsetUnionFind:
-    """Union-find whose links carry integer offsets, for difference constraints.
+def _potentials(n_vars: int) -> tuple[list[tuple[int, int]], list[list[int]]]:
+    """An empty potential map over variables 1..n_vars: every variable is its
+    own root. pot[v] is (root, value(v) - value(root)); members[r] lists the
+    component of root r (index 0 is unused)."""
+    return [(v, 0) for v in range(n_vars + 1)], [[v] for v in range(n_vars + 1)]
 
-    Maintains x = root(x) + offset(x) for each tracked variable; merging two
-    variables under x_b = x_a + c either succeeds or reports a conflicting
-    cycle exactly.
+
+def _impose(pot, members, alpha: int, c: int, beta: int):
+    """Add x_beta = x_alpha + c to a potential map in place.
+
+    A merge relabels the smaller component under the other root, so a run
+    of merges over n variables relabels O(n log n) entries. Returns None on
+    a conflicting cycle (nothing changes), () when the equation is already
+    implied, or the record (root, old root, delta) that _undo takes.
     """
+    ra, oa = pot[alpha]
+    rb, ob = pot[beta]
+    if ra == rb:
+        return () if ob - oa == c else None
+    delta = oa + c - ob  # value(rb) - value(ra)
+    if len(members[ra]) < len(members[rb]):
+        ra, rb, delta = rb, ra, -delta
+    for v in members[rb]:
+        pot[v] = (ra, pot[v][1] + delta)
+    members[ra].extend(members[rb])
+    return ra, rb, delta
 
-    def __init__(self):
-        self.parent: dict[int, int] = {}
-        self.rank: dict[int, int] = {}
-        self.off: dict[int, int] = {}  # off[x] = value(x) - value(parent[x])
 
-    def add(self, x: int) -> None:
-        if x not in self.parent:
-            self.parent[x] = x
-            self.rank[x] = 0
-            self.off[x] = 0
-
-    def find(self, x: int) -> tuple[int, int]:
-        """Return (root, value(x) - value(root)), compressing the path."""
-        self.add(x)
-        path = []
-        r = x
-        while self.parent[r] != r:
-            path.append(r)
-            r = self.parent[r]
-        acc = 0
-        for node in reversed(path):
-            acc += self.off[node]
-            self.parent[node] = r
-            self.off[node] = acc
-        return r, self.off[x] if path else 0
-
-    def union(self, a: int, b: int, c: int) -> bool:
-        """Impose x_b = x_a + c; return False on a conflicting cycle."""
-        ra, oa = self.find(a)
-        rb, ob = self.find(b)
-        if ra == rb:
-            return ob - oa == c
-        # value(rb) relative to value(ra) if rb hangs under ra
-        delta = oa + c - ob
-        if self.rank[ra] < self.rank[rb]:
-            self.parent[ra] = rb
-            self.off[ra] = -delta
-        else:
-            self.parent[rb] = ra
-            self.off[rb] = delta
-            if self.rank[ra] == self.rank[rb]:
-                self.rank[ra] += 1
-        return True
+def _undo(pot, members, record) -> None:
+    """Reverse the merge _impose reported. members[rb] is never touched
+    while rb is not a root, so it still lists the variables to move back."""
+    ra, rb, delta = record
+    del members[ra][-len(members[rb]):]
+    for v in members[rb]:
+        pot[v] = (rb, pot[v][1] - delta)
 
 
 def group_consistent(inst: B2lcInstance, group) -> tuple[bool, tuple[int, ...] | None]:
@@ -172,21 +155,14 @@ def group_consistent(inst: B2lcInstance, group) -> tuple[bool, tuple[int, ...] |
         difference-constraint graph is shifted so its minimum is 0 and
         untouched variables are 0, which keeps all values nonnegative.
     """
-    uf = OffsetUnionFind()
-    for idx in sorted(group):
-        alpha, c, beta = inst.equations[idx]
-        if not uf.union(alpha, beta, c):
+    pot, members = _potentials(inst.n_vars)
+    for idx in group:
+        if _impose(pot, members, *inst.equations[idx]) is None:
             return False, None
-    by_root: dict[int, list[tuple[int, int]]] = {}
-    for var in uf.parent:
-        root, off = uf.find(var)
-        by_root.setdefault(root, []).append((var, off))
-    values = [0] * inst.n_vars
-    for members in by_root.values():
-        low = min(off for _, off in members)
-        for var, off in members:
-            values[var - 1] = off - low
-    return True, tuple(values)
+    low = {}
+    for root, off in pot[1:]:
+        low[root] = min(low.get(root, off), off)
+    return True, tuple(off - low[root] for root, off in pot[1:])
 
 
 def check_witness(inst: B2lcInstance, w: B2lcWitness) -> bool:
@@ -217,29 +193,51 @@ def _assemble_witness(inst: B2lcInstance, group_of: tuple[int, ...]) -> B2lcWitn
 
 
 def solve_b2lc(inst: B2lcInstance, cap: int = 2_000_000) -> tuple[bool, B2lcWitness | None]:
-    """Exhaustively decide the instance by enumerating equation-to-assignment maps.
+    """Decide the instance by depth-first search over equation-to-assignment maps.
 
-    Enumeration is lexicographic over the m^k maps, so the returned witness is
-    deterministic. With m >= k each equation simply gets its own assignment.
+    Equations are placed in index order. Equation i tries assignments
+    1..min(m, used + 1), where used counts the assignments opened by
+    equations 0..i-1, so maps that differ only by renaming assignments are
+    tried once. A branch is cut as soon as an equation contradicts the
+    equations its assignment already holds; a group stays consistent when
+    equations are removed, so no cut skips a valid map. The search visits
+    maps in lexicographic order, and relabelling assignments by first use
+    never makes a map larger, so the witness is the lexicographically first
+    valid map of all m^k. With m >= k each equation simply gets its own
+    assignment.
 
     Raises:
-        TooLarge: if m^k exceeds cap.
+        TooLarge: if m^k exceeds cap, a guard on the size of the search space.
     """
-    k = inst.k
-    if inst.m >= k:
+    k, m = inst.k, inst.m
+    if m >= k:
         return True, _assemble_witness(inst, tuple(range(1, k + 1)))
-    if inst.m**k > cap:
-        raise TooLarge(f"m^k = {inst.m}^{k} exceeds the enumeration cap {cap}")
-    for mapping in product(range(1, inst.m + 1), repeat=k):
-        ok = True
-        for y in range(1, inst.m + 1):
-            idxs = [i for i, g in enumerate(mapping) if g == y]
-            if idxs and not group_consistent(inst, idxs)[0]:
-                ok = False
-                break
-        if ok:
-            return True, _assemble_witness(inst, mapping)
-    return False, None
+    if m**k > cap:
+        raise TooLarge(f"m^k = {m}^{k} exceeds the enumeration cap {cap}")
+    groups = [_potentials(inst.n_vars) for _ in range(m)]
+    group_of: list[int] = []  # 0-based assignment of each placed equation
+    undo: list = []  # what placing it changed, for _undo
+    y = 0  # next assignment to try for equation len(group_of)
+    while len(group_of) < k:
+        # assignments open in order, so y <= used exactly when y == 0 or
+        # assignment y - 1 is in use
+        if y < m and (y == 0 or y - 1 in group_of):
+            record = _impose(*groups[y], *inst.equations[len(group_of)])
+            if record is None:
+                y += 1
+                continue
+            group_of.append(y)
+            undo.append(record)
+            y = 0
+        elif group_of:
+            y = group_of.pop()
+            record = undo.pop()
+            if record:
+                _undo(*groups[y], record)
+            y += 1
+        else:
+            return False, None
+    return True, _assemble_witness(inst, tuple(g + 1 for g in group_of))
 
 
 def solve_3partition(

@@ -277,8 +277,9 @@ def exact_pcc(
     children with g + h above it. Pruning (pure-discard elimination,
     incumbent cuts, single-bit superset dominance) never excludes an optimal
     plan. complete_enumeration=True drops it all, with the heuristic and the
-    dive, for plain least-cost order over every transition; the test suite
-    checks the pruned search against it on small graphs.
+    dive, for plain least-cost order over every transition that keeps
+    within max_space; the test suite checks the pruned search against it on
+    small graphs.
 
     Raises:
         TooLarge: n exceeds limits.max_nodes.
@@ -341,7 +342,7 @@ def exact_pcc(
                 sub = pool
                 while sub:
                     new = sub & ~mask
-                    if new or sub != mask:
+                    if (new or sub != mask) and sub.bit_count() <= space_cap:
                         if not (sequential and new.bit_count() > 1):
                             ns = sat | (sub & sink_mask)
                             ng = gc + sub.bit_count()

@@ -1,4 +1,6 @@
 import random
+import warnings
+from itertools import combinations_with_replacement, product
 
 import pytest
 
@@ -15,6 +17,7 @@ from pebblecc.b2lc import (
     solve_3partition,
     solve_b2lc,
 )
+from pebblecc.reductions import threepartition_to_b2lc
 
 
 def _inst(equations, m=1, n_vars=None):
@@ -48,6 +51,12 @@ def test_group_conflicting_cycle():
     assert not ok
     ok, values = group_consistent(inst, [0, 1])
     assert ok and values == (0, 1, 2)
+
+
+def test_group_merges_two_components():
+    # (1, 2) and (3, 4) are separate components until x3 = x2 + 5 joins them
+    inst = _inst([(1, 2, 2), (3, 1, 4), (2, 5, 3)])
+    assert group_consistent(inst, [0, 1, 2]) == (True, (0, 2, 7, 8))
 
 
 def test_canonical_values_satisfy_random_consistent_systems():
@@ -87,6 +96,15 @@ def test_solve_b2lc_single_assignment():
     assert check_witness(inst, w)
 
 
+def test_solve_b2lc_long_single_assignment_chain():
+    # m = 1 admits any k; x_i = x_{i+1} + 1 always merges a lone variable
+    # into the long component, whichever side of the equation it is on
+    n = 3000
+    inst = _inst([(i + 1, 1, i) for i in range(1, n)], m=1)
+    yes, w = solve_b2lc(inst)
+    assert yes and w.values == (tuple(range(n - 1, -1, -1)),)
+
+
 def test_solve_b2lc_budget_at_least_k_is_yes():
     rng = random.Random(7)
     for _ in range(20):
@@ -115,6 +133,87 @@ def test_solve_b2lc_monotone_in_m():
             answers.append(solve_b2lc(_inst(eqs, m=m))[0])
         # once yes, always yes
         assert answers == sorted(answers)
+
+
+def _reference_values(inst, idxs):
+    """Canonical values of one group by walking its constraint graph, or None.
+
+    Independent of group_consistent: each component is labelled outward from
+    its first variable, then shifted so its minimum is 0.
+    """
+    adj = {}
+    for i in idxs:
+        a, c, b = inst.equations[i]
+        adj.setdefault(a, []).append((b, c))
+        adj.setdefault(b, []).append((a, -c))
+    values = [0] * inst.n_vars
+    label = {}
+    for start in adj:
+        if start in label:
+            continue
+        label[start] = 0
+        comp = [start]
+        for v in comp:
+            for w, c in adj[v]:
+                if w not in label:
+                    label[w] = label[v] + c
+                    comp.append(w)
+                elif label[w] != label[v] + c:
+                    return None
+        low = min(label[v] for v in comp)
+        for v in comp:
+            values[v - 1] = label[v] - low
+    return tuple(values)
+
+
+def _reference_b2lc(inst):
+    """Plain enumeration of all m^k maps in lexicographic order (for m < k,
+    where solve_b2lc has no shortcut)."""
+    for mapping in product(range(1, inst.m + 1), repeat=inst.k):
+        rows = []
+        for y in range(1, inst.m + 1):
+            rows.append(_reference_values(inst, [i for i, g in enumerate(mapping) if g == y]))
+            if rows[-1] is None:
+                break
+        else:
+            return True, B2lcWitness(group_of=mapping, values=tuple(rows))
+    return False, None
+
+
+def _assert_matches_reference(inst):
+    got = solve_b2lc(inst, cap=20_000_000)
+    assert got == _reference_b2lc(inst), inst
+    if got[0]:
+        assert check_witness(inst, got[1])
+    return got[0]
+
+
+def test_solve_b2lc_matches_reference_on_3partition_ladders():
+    count = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for n in (1, 2):
+            for elems in combinations_with_replacement(range(1, 5), 3 * n):
+                _assert_matches_reference(
+                    threepartition_to_b2lc(ThreePartitionInstance(elements=elems, n=n))
+                )
+                count += 1
+    assert count == 104
+
+
+def test_solve_b2lc_matches_reference_on_random_instances():
+    rng = random.Random(20261018)
+    answers = {1: set(), 2: set(), 3: set()}
+    for _ in range(300):
+        n_vars = rng.randint(2, 5)
+        m = rng.randint(1, 3)
+        eqs = []
+        for _ in range(rng.randint(m + 1, 9)):
+            a, b = rng.sample(range(1, n_vars + 1), 2)
+            eqs.append((a, rng.randint(0, 4), b))
+        answers[m].add(_assert_matches_reference(_inst(eqs, m=m, n_vars=n_vars)))
+    # both answers occur for every budget, so neither branch goes untested
+    assert all(seen == {True, False} for seen in answers.values())
 
 
 def test_solve_b2lc_too_large():

@@ -272,6 +272,29 @@ def test_space_limit_infeasible():
     assert capped.optimum == 3
 
 
+def test_complete_enumeration_respects_space_cap():
+    with pytest.raises(Infeasible):
+        exact_pcc(pyramid(2), limits=SearchLimits(max_space=1), complete_enumeration=True)
+
+
+def test_space_capped_search_matches_complete_enumeration():
+    rng = random.Random(31)
+    for _ in range(30):
+        g = layered_random(rng.randint(3, 8), rng.randrange(1 << 30))
+        limits = SearchLimits(max_space=rng.randint(1, 3))
+        outcomes = []
+        for complete in (False, True):
+            try:
+                r = exact_pcc(g, limits=limits, complete_enumeration=complete)
+            except Infeasible:
+                outcomes.append(None)
+                continue
+            assert_sound(g, r)
+            assert cost(r.witness).max_space <= limits.max_space
+            outcomes.append(r.optimum)
+        assert outcomes[0] == outcomes[1], (g.edges, limits.max_space)
+
+
 def test_unachievable_seed_is_infeasible():
     # the seed contract requires an achievable bound; lying below the
     # optimum prunes everything rather than returning a wrong value
