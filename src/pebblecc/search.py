@@ -35,8 +35,9 @@ __all__ = [
 class Exhausted(RuntimeError):
     """A search cap (states or wall clock) was hit before the proof finished.
 
-    From exact_pcc, the optimum is proven to lie in [lower_bound,
-    upper_bound]; upper_bound is the incumbent (seed or dive cost), or None.
+    From exact_pcc and exact_pcc_bounded, the optimum is proven to lie in
+    [lower_bound, upper_bound]; upper_bound is the incumbent (seed, dive
+    cost or cheapest goal found), or None.
     """
 
     def __init__(
@@ -274,7 +275,8 @@ def exact_pcc(
     so the first goal popped is optimal and every popped key is a proven
     lower bound. A greedy dive first walks from the empty state, always to
     the child of least (g + h, -g); its cost is the incumbent that cuts
-    children with g + h above it. Pruning (pure-discard elimination,
+    children with g + h above it, and a dive that costs h(start) is returned
+    as proven without A*. Pruning (pure-discard elimination,
     incumbent cuts, single-bit superset dominance) never excludes an optimal
     plan. complete_enumeration=True drops it all, with the heuristic and the
     dive, for plain least-cost order over every transition that keeps
@@ -304,6 +306,7 @@ def exact_pcc(
     try:
         if not complete_enumeration:
             mask = sat = gc = 0
+            dive: list[int] = []
             while sat != sink_mask:
                 expanded += 1
                 _spend(expanded, limits, deadline)
@@ -319,7 +322,11 @@ def exact_pcc(
                 if step is None:
                     break  # dead end under the space cap or the bound
                 *_, mask, sat, gc = step
+                dive.append(mask)
             else:
+                if gc == h0:  # the dive meets the lower bound: proven
+                    rounds = tuple(map(_mask_nodes, dive))
+                    return SearchResult(gc, Pebbling(rounds, mode), True, expanded)
                 ub = incumbent = gc
 
         best: dict[tuple[int, int], int] = {(0, 0): 0}
@@ -396,15 +403,23 @@ def exact_pcc_bounded(
 ) -> SearchResult:
     """Minimum cumulative cost among pebblings with at most t_max rounds.
 
-    Round-indexed dynamic program; layer r holds the cheapest way to reach
-    each configuration in exactly r rounds. States whose remaining dependency
-    chain cannot fit in the rounds left are cut, as are partial costs above
-    cost_cap when one is given.
+    Round-indexed dynamic program; layer r holds the states first reached
+    at their least cost in round r. One `best` map spans all rounds: an
+    arrival is skipped if its state was already reached at no greater cost,
+    in this round or an earlier one, since that arrival holds the same
+    pebbles with at least as many rounds left. A child whose remaining
+    dependency chain cannot fit in the rounds left is stored at cost 0, so
+    the cut is remembered: rounds left only fall. Partial costs above
+    cost_cap are cut when one is given. Each goal found becomes the
+    incumbent, so later children must beat it, and a goal that costs
+    h(start) ends the search.
 
     Raises:
         Infeasible: nothing completes within t_max rounds (and under
             cost_cap, if set).
-        TooLarge / Exhausted: as exact_pcc.
+        TooLarge: as exact_pcc.
+        Exhausted: a state or time cap was hit first; it carries the
+            proven interval [h(start), cheapest goal found or None].
     """
     limits = limits or SearchLimits()
     _check_entry(g, mode, limits)
@@ -417,42 +432,46 @@ def exact_pcc_bounded(
     deadline = _deadline(limits)
     sequential = mode == "sequential"
 
-    cur: dict[tuple[int, int], int] = {(0, 0): 0}
+    h0 = _future_need(parent_masks, n, 0, sink_mask).bit_count()
+    fits = _rounds_needed(parent_masks, n, 0, sink_mask) <= t_max
+    cur: dict[tuple[int, int], int] = {(0, 0): 0} if fits else {}
+    best = dict(cur)
     pred: dict[tuple[int, int, int], tuple[int, int]] = {}
     goal: tuple[int, int, tuple[int, int]] | None = None  # (cost, round, state)
     expanded = 0
     try:
         for r in range(1, t_max + 1):
+            if not cur:
+                break
             nxt: dict[tuple[int, int], int] = {}
             rounds_left = t_max - r
             for (mask, sat), gc in cur.items():
-                if sat == sink_mask:
-                    continue  # done; extending only adds cost
+                if sat == sink_mask or ub < h0:
+                    continue  # done, or the incumbent meets h(start)
                 expanded += 1
                 _spend(expanded, limits, deadline)
-                if _rounds_needed(parent_masks, n, mask, sink_mask & ~sat) > rounds_left + 1:
-                    continue
                 for t_mask, ns, need in _children(
                     g, parent_masks, sink_mask, mask, sat, gc, sequential,
                     space_cap, ub, deadline,
                 ):
                     ng = gc + t_mask.bit_count()
                     nstate = (t_mask, ns)
-                    old = nxt.get(nstate)
-                    if old is not None and ng >= old:
+                    if best.get(nstate, ng + 1) <= ng:
                         continue
                     if ns != sink_mask:
                         if _rounds_needed(parent_masks, n, t_mask, need) > rounds_left:
+                            best[nstate] = 0  # rounds left only fall
                             continue
                     elif goal is None or ng < goal[0]:
                         goal = (ng, r, nstate)
-                    nxt[nstate] = ng
+                        ub = ng - 1
+                    best[nstate] = nxt[nstate] = ng
                     pred[(r, t_mask, ns)] = (mask, sat)
             cur = nxt
-            if not cur:
-                break
     except _Stop as stop:
-        raise Exhausted(f"{stop} in round {r}", expanded, limits) from None
+        raise Exhausted(
+            f"{stop} in round {r}", expanded, limits, h0, goal and goal[0]
+        ) from None
     if goal is None:
         cap_note = f" under cost cap {cost_cap}" if cost_cap is not None else ""
         raise Infeasible(f"no legal pebbling within {t_max} rounds{cap_note}")

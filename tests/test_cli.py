@@ -101,6 +101,16 @@ def test_pcc_state_cap_exit(tmp_path, capsys):
     assert "; optimum in [" in err
 
 
+def test_pcc_bounded_state_cap_exit(tmp_path, capsys):
+    from pebblecc.graph import pyramid
+
+    gf = graph_file(tmp_path, pyramid(4))
+    assert main(["pcc-bounded", "--graph", gf, "--horizon", "7", "--max-states", "200"]) == 3
+    err = capsys.readouterr().err
+    assert "limit hit: state cap 200 hit in round" in err
+    assert err.rstrip().endswith("optimum in [10, 11]")
+
+
 def test_min_st_and_min_space(tmp_path, capsys):
     from pebblecc.graph import pyramid
 

@@ -43,6 +43,14 @@ def test_pcc_small_values():
     assert exact_pcc(complete(4)).optimum == 7
 
 
+def test_dive_at_the_lower_bound_is_proven():
+    """A dive that costs h(start) is optimal, so A* never starts."""
+    for g, opt, expanded in ((build_dag(12, []), 12, 1), (chain(6), 6, 6), (pyramid(3), 6, 3)):
+        r = exact_pcc(g)
+        assert (r.optimum, r.expanded_states) == (opt, expanded)
+        assert_sound(g, r)
+
+
 def test_pcc_witnesses_sound():
     for g in (chain(4), pyramid(3), complete(4), layered_random(8, seed=2)):
         for mode in ("parallel", "sequential"):
@@ -95,6 +103,89 @@ def test_bounded_at_the_optimum_matches_astar():
         r = exact_pcc_bounded(g, t_max=opt)
         assert r.optimum == opt, g.edges
         assert_sound(g, r)
+
+
+def _layered_reference(g, horizon, mode, max_space):
+    """Least goal cost by each round count, from a plain layered enumeration.
+
+    Layer r maps each (pebbles, sinks done) state reached in exactly r
+    rounds to its least cost. Every legal round within max_space is tried:
+    any subset of the held pebbles plus the nodes whose parents are all
+    held, at most one new node in sequential mode. No closure cut, no rounds
+    cut, no dominance. Entry r of the result is the cheapest pebbling with
+    at most r rounds, or None.
+    """
+    space = g.n if max_space is None else max_space
+    sinks = sum(1 << (s - 1) for s in g.sinks)
+    parents = [sum(1 << (u - 1) for u in g.parent_sets[v]) for v in range(1, g.n + 1)]
+    layer = {(0, 0): 0}
+    by_rounds = [None]
+    for _ in range(horizon):
+        nxt = {}
+        for (held, done), c in layer.items():
+            pool = held
+            for v in range(g.n):
+                if parents[v] & held == parents[v]:
+                    pool |= 1 << v
+            peb = pool
+            while True:  # every subset of pool, the empty round included
+                cost_r = c + peb.bit_count()
+                if peb.bit_count() <= space and not (
+                    mode == "sequential" and (peb & ~held).bit_count() > 1
+                ):
+                    state = (peb, done | (peb & sinks))
+                    if cost_r < nxt.get(state, cost_r + 1):
+                        nxt[state] = cost_r
+                if not peb:
+                    break
+                peb = (peb - 1) & pool
+        layer = nxt
+        goals = [c for (_, done), c in layer.items() if done == sinks]
+        costs = [x for x in (by_rounds[-1], min(goals, default=None)) if x is not None]
+        by_rounds.append(min(costs, default=None))
+    return by_rounds
+
+
+def _forward_corpus(count, seed):
+    rng = random.Random(seed)
+    graphs = [pyramid(2), pyramid(3), chain(4)]
+    for _ in range(count):
+        n = rng.randint(4, 7)
+        p = rng.choice((0.25, 0.4, 0.6))
+        edges = [(u, v) for v in range(2, n + 1) for u in range(1, v) if rng.random() < p]
+        graphs.append(build_dag(n, edges))
+    return graphs
+
+
+def test_bounded_matches_layered_enumeration():
+    """The round DP's cuts (closure floor, rounds needed, cross-round
+    dominance, remembered depth cuts, incumbent) against an enumerator that
+    shares none of them, over horizons, cost caps, space caps and modes."""
+    cases = 0
+    for g in _forward_corpus(60, seed=5):
+        for mode in ("parallel", "sequential"):
+            for max_space in (None, 2, 3):
+                ref = _layered_reference(g, g.n + 2, mode, max_space)
+                opt = ref[-1]
+                caps = (None,) if opt is None else (None, opt, opt + 2)
+                limits = SearchLimits(max_space=max_space)
+                for t_max in range(depth(g, "nodes"), g.n + 3):
+                    for cap in caps:
+                        want = ref[t_max]
+                        if want is not None and cap is not None and want > cap:
+                            want = None
+                        try:
+                            r = exact_pcc_bounded(g, t_max, mode, limits, cost_cap=cap)
+                        except Infeasible:
+                            r = None
+                        cases += 1
+                        key = (g.n, g.edges, mode, max_space, t_max, cap)
+                        assert (None if r is None else r.optimum) == want, key
+                        if r is not None:
+                            assert_sound(g, r, mode)
+                            assert r.witness.t <= t_max, key
+                            assert max_space is None or cost(r.witness).max_space <= max_space
+    assert cases == 4802
 
 
 def test_min_space_and_min_st_match_the_round_dp():
@@ -245,6 +336,20 @@ def test_exhausted_carries_proven_bounds():
             limits=SearchLimits(max_states=3, upper_bound_seed=30),
         )
     assert (info.value.lower_bound, info.value.upper_bound) == (16, 30)
+
+
+def test_bounded_exhausted_carries_proven_bounds():
+    # pyramid(4) at t_max = 7: h(start) is 10, the optimum 10; by 200
+    # expansions the DP holds a goal of cost 11 but has not proven 10
+    with pytest.raises(Exhausted) as info:
+        exact_pcc_bounded(pyramid(4), t_max=7, limits=SearchLimits(max_states=200))
+    exc = info.value
+    assert (exc.lower_bound, exc.upper_bound) == (10, 11)
+    assert str(exc).endswith("optimum in [10, 11]")
+    with pytest.raises(Exhausted) as info:
+        exact_pcc_bounded(pyramid(4), t_max=7, limits=SearchLimits(max_states=10))
+    assert (info.value.lower_bound, info.value.upper_bound) == (10, None)
+    assert exact_pcc_bounded(pyramid(4), t_max=7).optimum == 10
 
 
 def test_time_budget_exhausts():
