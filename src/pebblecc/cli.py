@@ -36,6 +36,7 @@ from .lp import (
     gap_report,
     pebbling_to_solution,
     relax,
+    report_to_json,
     verify_solution,
     LpSolution,
 )
@@ -394,7 +395,9 @@ def _load_3part(path: str) -> ThreePartitionInstance:
 def _load_solution(path: str) -> LpSolution:
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
-    values = data["values"] if "values" in data else data
+    values = data.get("values", data) if isinstance(data, dict) else data
+    if not isinstance(values, dict):
+        raise ValueError("solution JSON must map variable names to values")
     return LpSolution({k: Fraction(str(v)) for k, v in values.items()})
 
 
@@ -656,13 +659,11 @@ def _cmd_lp_relax(args) -> int:
     return OK
 
 
-def _solution_payload(sol: LpSolution, rep=None) -> dict:
-    payload = {"values": {k: str(v) for k, v in sol.values.items()}}
-    if rep is not None:
-        payload["feasible"] = rep.feasible
-        payload["objective"] = str(rep.objective)
-        payload["violated"] = [[name, str(s)] for name, s in rep.violated]
-    return payload
+def _solution_payload(sol: LpSolution, rep) -> dict:
+    return {
+        "values": {k: str(v) for k, v in sol.values.items()},
+        **json.loads(report_to_json(rep)),
+    }
 
 
 def _cmd_lp_frac_pebbling(args) -> int:
@@ -703,13 +704,7 @@ def _cmd_lp_verify(args) -> int:
     m = relax(_lp_model(args, args.target))
     rep = verify_solution(m, _load_solution(args.solution))
     if args.json:
-        _emit_json(
-            {
-                "feasible": rep.feasible,
-                "objective": str(rep.objective),
-                "violated": [[name, str(s)] for name, s in rep.violated],
-            }
-        )
+        _emit_json(json.loads(report_to_json(rep)))
     else:
         print(f"feasible = {rep.feasible}, objective = {rep.objective}")
         for name, slack in rep.violated[:10]:

@@ -243,7 +243,11 @@ def dag_to_json(g: Dag) -> str:
 
 def dag_from_json(text: str) -> Dag:
     data = json.loads(text)
-    return build_dag(int(data["n"]), [(int(u), int(v)) for u, v in data["edges"]])
+    try:
+        n, edges = int(data["n"]), [(int(u), int(v)) for u, v in data["edges"]]
+    except TypeError as exc:
+        raise ValueError(f"graph JSON has the wrong shape: {exc}") from exc
+    return build_dag(n, edges)
 
 
 def dag_to_dot(g: Dag) -> str:

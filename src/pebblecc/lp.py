@@ -1,9 +1,13 @@
 """Pebbling and reducibility integer programs, their relaxations, analytic
-fractional points, and exact-rational verification.
+fractional points, and exact verification.
 
 There is deliberately no solver in here. Models are built and emitted in LP
 file format for external solvers; the fractional assignments we care about
-are closed-form, so checking them needs only exact Fraction arithmetic.
+are closed-form, so checking them needs only exact arithmetic. Every model
+row, bound and objective coefficient is an integer: a row whose source
+inequality has fractional coefficients is stored multiplied by a positive
+scale. Point values may be Fractions; reported objectives and slacks
+always are.
 """
 
 from __future__ import annotations
@@ -50,20 +54,23 @@ class MissingVariable(ValueError):
 @dataclass(frozen=True)
 class LpVariable:
     name: str
-    lower: Fraction
-    upper: Fraction
+    lower: int
+    upper: int
     integral: bool
 
 
 @dataclass(frozen=True)
 class LpConstraint:
-    """coeffs maps variable names to rational coefficients; the constraint
-    reads sum(coeff * var) <relation> rhs with relation in {<=, >=, =}."""
+    """The row sum(coeff * var) <relation> rhs, relation in {<=, >=, =},
+    with integer coeffs and rhs. It is the source inequality multiplied by
+    the positive integer scale, so a slack in source units is the row's
+    slack divided by scale."""
 
     name: str
-    coeffs: tuple[tuple[str, Fraction], ...]
+    coeffs: tuple[tuple[str, int], ...]
     relation: str
-    rhs: Fraction
+    rhs: int
+    scale: int = 1
 
 
 @dataclass(frozen=True)
@@ -72,7 +79,7 @@ class LpModel:
 
     variables: tuple[LpVariable, ...]
     constraints: tuple[LpConstraint, ...]
-    objective: tuple[tuple[str, Fraction], ...]
+    objective: tuple[tuple[str, int], ...]
 
     def __post_init__(self):
         names = [v.name for v in self.variables]
@@ -105,11 +112,6 @@ class FeasibilityReport:
     violated: tuple[tuple[str, Fraction], ...]
 
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
-MINUS_ONE = Fraction(-1)
-
-
 def _xname(v: int, t: int) -> str:
     return f"x_{v}_{t}"
 
@@ -119,9 +121,10 @@ def build_pebbling_ip(g: Dag, horizon: int | None = None) -> LpModel:
     and per-round transition bounds.
 
     x_v_0 is fixed to zero through its bounds. Non-source nodes get, for
-    each t < horizon, x_v_{t+1} <= x_v_t + (sum of parent x at t)/indeg;
-    sources move freely. The default horizon is n**2, generous enough for
-    any optimal pebbling; pass something smaller for compact emission.
+    each t < horizon, x_v_{t+1} <= x_v_t + (sum of parent x at t)/indeg,
+    stored times indeg as a row of scale indeg; sources move freely. The
+    default horizon is n**2, generous enough for any optimal pebbling; pass
+    something smaller for compact emission.
     """
     if horizon is None:
         horizon = g.n * g.n
@@ -132,30 +135,30 @@ def build_pebbling_ip(g: Dag, horizon: int | None = None) -> LpModel:
         for t in range(0, horizon + 1):
             fixed = t == 0
             variables.append(
-                LpVariable(_xname(v, t), ZERO, ZERO if fixed else ONE, True)
+                LpVariable(_xname(v, t), 0, 0 if fixed else 1, True)
             )
     constraints = []
     for v in sorted(g.sinks):
         constraints.append(
             LpConstraint(
                 f"sink_{v}",
-                tuple((_xname(v, t), ONE) for t in range(0, horizon + 1)),
+                tuple((_xname(v, t), 1) for t in range(0, horizon + 1)),
                 ">=",
-                ONE,
+                1,
             )
         )
     for v in range(1, g.n + 1):
         parents = sorted(g.parent_sets[v])
         if not parents:
             continue
-        share = Fraction(1, len(parents))
+        k = len(parents)
         for t in range(0, horizon):
-            coeffs = [(_xname(v, t + 1), ONE), (_xname(v, t), MINUS_ONE)]
-            coeffs.extend((_xname(u, t), -share) for u in parents)
+            coeffs = [(_xname(v, t + 1), k), (_xname(v, t), -k)]
+            coeffs.extend((_xname(u, t), -1) for u in parents)
             constraints.append(
-                LpConstraint(f"move_{v}_{t}", tuple(coeffs), "<=", ZERO)
+                LpConstraint(f"move_{v}_{t}", tuple(coeffs), "<=", 0, k)
             )
-    objective = tuple((var.name, ONE) for var in variables)
+    objective = tuple((var.name, 1) for var in variables)
     return LpModel(tuple(variables), tuple(constraints), objective)
 
 
@@ -171,26 +174,25 @@ def build_reducible_ip(g: Dag, d: int) -> LpModel:
     if d < 0:
         raise ValueError("d must be nonnegative")
     variables = [
-        LpVariable(f"s_{v}", ZERO, ONE, True) for v in range(1, g.n + 1)
+        LpVariable(f"s_{v}", 0, 1, True) for v in range(1, g.n + 1)
     ]
-    dmax = Fraction(d)
     for u in range(1, g.n + 1):
         for v in range(1, g.n + 1):
-            variables.append(LpVariable(f"d_{u}_{v}", ZERO, dmax, False))
-    big = Fraction(d + 1)
+            variables.append(LpVariable(f"d_{u}_{v}", 0, d, False))
+    big = d + 1
     constraints = []
     for w in range(1, g.n + 1):
         for u, v in g.edges:
             coeffs = (
-                (f"d_{w}_{v}", ONE),
-                (f"d_{w}_{u}", MINUS_ONE),
+                (f"d_{w}_{v}", 1),
+                (f"d_{w}_{u}", -1),
                 (f"s_{u}", big),
                 (f"s_{v}", big),
             )
             constraints.append(
-                LpConstraint(f"path_{w}_{u}_{v}", coeffs, ">=", ONE)
+                LpConstraint(f"path_{w}_{u}_{v}", coeffs, ">=", 1)
             )
-    objective = tuple((f"s_{v}", ONE) for v in range(1, g.n + 1))
+    objective = tuple((f"s_{v}", 1) for v in range(1, g.n + 1))
     return LpModel(tuple(variables), tuple(constraints), objective)
 
 
@@ -226,17 +228,17 @@ def fractional_pebbling_solution(g: Dag, horizon: int | None = None) -> LpSoluti
     values: dict[str, Fraction] = {}
     if n == 1:
         for t in range(0, horizon + 1):
-            values[_xname(1, t)] = ONE if t == 1 else ZERO
+            values[_xname(1, t)] = 1 if t == 1 else 0
         return LpSolution(values)
     trickle = Fraction(1, n)
     for v in range(1, n + 1):
         for t in range(0, horizon + 1):
             if t <= n:
-                val = trickle if v <= t else ZERO
+                val = trickle if v <= t else 0
             elif t <= n + ramp:
-                val = min(ONE, Fraction(2 ** (t - n), n))
+                val = min(1, Fraction(2 ** (t - n), n))
             else:
-                val = ZERO
+                val = 0
             values[_xname(v, t)] = val
     return LpSolution(values)
 
@@ -274,7 +276,7 @@ def fractional_timed_solution(g: Dag) -> tuple[LpSolution, FeasibilityReport]:
     for i in range(1, n + 1):
         for t in range(0, n + 1):
             if t == i:
-                values[_xname(i, t)] = ONE
+                values[_xname(i, t)] = 1
             elif i < t:
                 best = floor
                 for j in range(1, n - t + 1):
@@ -286,7 +288,7 @@ def fractional_timed_solution(g: Dag) -> tuple[LpSolution, FeasibilityReport]:
                         best = cand
                 values[_xname(i, t)] = best
             else:
-                values[_xname(i, t)] = ZERO
+                values[_xname(i, t)] = 0
     solution = LpSolution(values)
     report = verify_solution(relax(build_pebbling_ip(g, horizon=n)), solution)
     return solution, report
@@ -300,7 +302,7 @@ def fractional_reducible_solution(g: Dag, d: int) -> LpSolution:
     values = {f"s_{v}": share for v in range(1, g.n + 1)}
     for u in range(1, g.n + 1):
         for v in range(1, g.n + 1):
-            values[f"d_{u}_{v}"] = ZERO
+            values[f"d_{u}_{v}"] = 0
     return LpSolution(values)
 
 
@@ -319,11 +321,11 @@ def pebbling_to_solution(g: Dag, p: Pebbling, horizon: int | None = None) -> LpS
     if p.t > horizon:
         raise ValueError(f"pebbling has {p.t} rounds, horizon is {horizon}")
     values = {
-        _xname(v, t): ZERO for v in range(1, g.n + 1) for t in range(horizon + 1)
+        _xname(v, t): 0 for v in range(1, g.n + 1) for t in range(horizon + 1)
     }
     for t, rnd in enumerate(p.rounds, start=1):
         for v in rnd:
-            values[_xname(v, t)] = ONE
+            values[_xname(v, t)] = 1
     return LpSolution(values)
 
 
@@ -331,8 +333,9 @@ def verify_solution(m: LpModel, s: LpSolution) -> FeasibilityReport:
     """Exact evaluation of every bound, integrality flag, and constraint.
 
     Sums run over integers: each value is scaled by the values' least
-    common denominator and each row by its own (see _clear_denominators).
-    The objective and the slacks of violated rows are reported as Fractions.
+    common denominator, and the rows are integer already. The objective and
+    the slacks of violated rows are reported as Fractions, a row's slack in
+    the units of its source inequality (divided by the row's scale).
 
     Raises:
         MissingVariable: some model variable has no assigned value.
@@ -349,16 +352,15 @@ def verify_solution(m: LpModel, s: LpSolution) -> FeasibilityReport:
     violated: list[tuple[str, Fraction]] = []
     for var in m.variables:
         x, lo, hi = num[var.name], var.lower, var.upper
-        if x * lo.denominator < lo.numerator * den:
+        if x < lo * den:
             violated.append((f"bound:{var.name}", Fraction(x, den) - lo))
-        elif x * hi.denominator > hi.numerator * den:
+        elif x > hi * den:
             violated.append((f"bound:{var.name}", hi - Fraction(x, den)))
         if var.integral and x % den:
-            violated.append((f"integral:{var.name}", ZERO))
+            violated.append((f"integral:{var.name}", Fraction(0)))
     for c in m.constraints:
-        coeffs, rhs, scale = _clear_denominators(c.coeffs, c.rhs)
-        lhs = sum(num[name] * k for name, k in coeffs)
-        rhs *= den
+        lhs = sum(num[name] * k for name, k in c.coeffs)
+        rhs = c.rhs * den
         if c.relation == "<=":
             slack = rhs - lhs
         elif c.relation == ">=":
@@ -366,20 +368,9 @@ def verify_solution(m: LpModel, s: LpSolution) -> FeasibilityReport:
         else:
             slack = -abs(lhs - rhs)
         if slack < 0:
-            violated.append((c.name, Fraction(slack, den * scale)))
-    coeffs, _, scale = _clear_denominators(m.objective, ZERO)
-    objective = Fraction(sum(num[name] * k for name, k in coeffs), den * scale)
+            violated.append((c.name, Fraction(slack, den * c.scale)))
+    objective = Fraction(sum(num[name] * k for name, k in m.objective), den)
     return FeasibilityReport(not violated, objective, tuple(violated))
-
-
-def _clear_denominators(
-    coeffs: tuple[tuple[str, Fraction], ...], rhs: Fraction
-) -> tuple[list[tuple[str, int]], int, int]:
-    """Scale a row by the least common denominator of its coefficients and
-    right-hand side: (integer coefficients, integer rhs, scale)."""
-    scale = lcm(rhs.denominator, *(c.denominator for _, c in coeffs))
-    out = [(name, c.numerator * (scale // c.denominator)) for name, c in coeffs]
-    return out, rhs.numerator * (scale // rhs.denominator), scale
 
 
 def _terms(pairs) -> str:
@@ -400,20 +391,17 @@ def _terms(pairs) -> str:
 def emit(m: LpModel, format: str = "lp_file") -> str:
     """Render the model as CPLEX-style LP text.
 
-    Constraints are scaled by the least common denominator so every printed
-    coefficient is an integer; integral variables go in a Generals section.
-    Ordering follows the model, so output is deterministic.
+    Rows are printed as stored, so every coefficient is an integer (a scaled
+    row appears multiplied by its scale); integral variables go in a
+    Generals section. Ordering follows the model, so output is deterministic.
     """
     if format != "lp_file":
         raise ValueError(f"unsupported format {format!r}")
     lines = ["Minimize"]
-    obj_int, _, _ = _clear_denominators(m.objective, ZERO)
-    lines.append(f" obj: {_terms(obj_int)}")
+    lines.append(f" obj: {_terms(m.objective)}")
     lines.append("Subject To")
     for c in m.constraints:
-        coeffs, rhs, _ = _clear_denominators(c.coeffs, c.rhs)
-        rel = c.relation if c.relation != "=" else "="
-        lines.append(f" {c.name}: {_terms(coeffs)} {rel} {rhs}")
+        lines.append(f" {c.name}: {_terms(c.coeffs)} {c.relation} {c.rhs}")
     lines.append("Bounds")
     for v in m.variables:
         if v.lower == v.upper:
@@ -453,7 +441,7 @@ def gap_report(g: Dag, limits=None) -> GapReport:
 
     n = g.n
     frac = fractional_pebbling_solution(g, horizon=n + _ramp_length(n))
-    objective = sum(frac.values.values(), ZERO)
+    objective = sum(frac.values.values(), Fraction(0))
     try:
         res = exact_pcc(g, limits=limits or SearchLimits())
         pcc, proven = res.optimum, True

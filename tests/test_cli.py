@@ -241,6 +241,37 @@ def test_lp_verify(tmp_path, capsys):
     assert "sink_1" in capsys.readouterr().out
 
 
+def test_lp_json_report_shape(tmp_path, capsys):
+    # Every LP command that checks a point prints the same report fields in
+    # the same order; the point commands put the values first.
+    gf = graph_file(tmp_path, chain(1))
+    bad = write(tmp_path, "t.json", '{"x_1_0": 0, "x_1_1": "1/2"}')
+    assert main(["lp", "verify", "pebbling", "--graph", gf, bad, "--horizon", "1", "--json"]) == 1
+    assert capsys.readouterr().out == (
+        '{\n  "feasible": false,\n  "objective": "1/2",\n'
+        '  "violated": [\n    [\n      "sink_1",\n      "-1/2"\n    ]\n  ]\n}\n'
+    )
+    assert main(["lp", "frac-reducible", "--graph", gf, "1", "--json"]) == 0
+    assert capsys.readouterr().out == (
+        '{\n  "values": {\n    "s_1": "1",\n    "d_1_1": "0"\n  },\n'
+        '  "feasible": true,\n  "objective": "1",\n  "violated": []\n}\n'
+    )
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        (["depth", "--graph", "{input}"], "[[1, 2]]"),
+        (["lp", "verify", "pebbling", "--graph", "{graph}", "{input}"], "[0, 1]"),
+        (["lp", "verify", "pebbling", "--graph", "{graph}", "{input}"], '{"values": [0, 1]}'),
+    ],
+)
+def test_malformed_input_is_usage_error(tmp_path, capsys, command, text):
+    paths = {"{graph}": graph_file(tmp_path, chain(1)), "{input}": write(tmp_path, "in.json", text)}
+    assert main([paths.get(arg, arg) for arg in command]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_lp_gap(tmp_path, capsys):
     gf = graph_file(tmp_path, chain(8))
     assert main(["lp", "gap", "--graph", gf, "--json"]) == 0

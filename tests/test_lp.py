@@ -1,5 +1,6 @@
 """Model construction, fractional points, exact verification, and emission."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -90,6 +91,17 @@ def test_reducible_ip_tracker_bounds():
     m = build_reducible_ip(chain(3), 2)
     trackers = [v for v in m.variables if v.name.startswith("d_")]
     assert all(v.lower == 0 and v.upper == 2 and not v.integral for v in trackers)
+
+
+def test_model_numbers_are_integers():
+    models = [build_pebbling_ip(g, horizon=6) for g in (chain(3), pyramid(3), complete(4))]
+    models += [build_reducible_ip(pyramid(3), d) for d in (1, 2)]
+    for m in models:
+        assert all(type(v.lower) is int and type(v.upper) is int for v in m.variables)
+        assert all(type(k) is int for _, k in m.objective)
+        for c in m.constraints:
+            assert type(c.rhs) is int and type(c.scale) is int and c.scale > 0
+            assert all(type(k) is int for _, k in c.coeffs)
 
 
 def test_relax_clears_integrality_keeps_bounds():
@@ -287,6 +299,23 @@ def test_verify_flags_fractional_value_in_integer_model():
     )
 
 
+def test_verify_slack_is_in_source_units():
+    # move_3_1 reads 2 x_3_2 - 2 x_3_1 - x_1_1 - x_2_1 <= 0 at scale 2; its
+    # stored slack is -3/2, which is -3/4 for the unscaled inequality.
+    m = relax(build_pebbling_ip(pyramid(2), horizon=2))
+    row = next(c for c in m.constraints if c.name == "move_3_0")
+    assert row.coeffs == (("x_3_1", 2), ("x_3_0", -2), ("x_1_0", -1), ("x_2_0", -1))
+    assert (row.relation, row.rhs, row.scale) == ("<=", 0, 2)
+    assert all(c.scale == 1 for c in m.constraints if not c.name.startswith("move"))
+    vals = {v.name: 0 for v in m.variables}
+    vals["x_3_2"] = 1
+    vals["x_1_1"] = Fraction(1, 2)
+    rep = verify_solution(m, LpSolution(vals))
+    assert rep.violated == (("move_3_1", Fraction(-3, 4)),)
+    assert type(rep.violated[0][1]) is Fraction
+    assert rep.objective == Fraction(3, 2)
+
+
 def test_report_json_round_trips_rationals():
     import json
 
@@ -311,6 +340,20 @@ def test_emit_clears_denominators():
     txt = emit(build_pebbling_ip(pyramid(2), horizon=3))
     assert " move_3_0: 2 x_3_1 - 2 x_3_0 - x_1_0 - x_2_0 <= 0" in txt
     assert "/" not in txt.split("Bounds")[0]  # no fractions before Bounds
+
+
+def test_emit_text_is_pinned():
+    graphs = [chain(n) for n in range(1, 9)] + [pyramid(k) for k in range(2, 6)]
+    graphs += [counterexample_dag()] + [layered_random(9, s) for s in (1, 2, 3)]
+    parts = []
+    for g in graphs:
+        m = build_pebbling_ip(g, horizon=g.n + (g.n - 1).bit_length())
+        parts += [emit(m), emit(relax(m))]
+        for d in (1, 2, 3):
+            r = build_reducible_ip(g, d)
+            parts += [emit(r), emit(relax(r))]
+    digest = hashlib.sha256("".join(parts).encode()).hexdigest()
+    assert digest == "24566eb693e9b6da6f827df845c573f3411ead960edb3f6b9b9d2b2dc84a6cab"
 
 
 def test_emit_sections():
