@@ -303,8 +303,9 @@ def b2lc_to_json(inst: B2lcInstance) -> str:
 
 def b2lc_from_json(text: str) -> B2lcInstance:
     data = json.loads(text)
-    return B2lcInstance(
-        n_vars=int(data["n_vars"]),
-        m=int(data["m"]),
-        equations=tuple((int(a), int(c), int(b)) for a, c, b in data["equations"]),
-    )
+    try:
+        n_vars, m = int(data["n_vars"]), int(data["m"])
+        equations = tuple((int(a), int(c), int(b)) for a, c, b in data["equations"])
+    except TypeError as exc:
+        raise ValueError(f"b2lc JSON has the wrong shape: {exc}") from exc
+    return B2lcInstance(n_vars=n_vars, m=m, equations=equations)

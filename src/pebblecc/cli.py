@@ -387,9 +387,11 @@ def _load_b2lc(path: str) -> B2lcInstance:
 def _load_3part(path: str) -> ThreePartitionInstance:
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
-    return ThreePartitionInstance(
-        elements=tuple(int(x) for x in data["elements"]), n=int(data["n"])
-    )
+    try:
+        elements, n = tuple(int(x) for x in data["elements"]), int(data["n"])
+    except TypeError as exc:
+        raise ValueError(f"3-partition JSON has the wrong shape: {exc}") from exc
+    return ThreePartitionInstance(elements=elements, n=n)
 
 
 def _load_solution(path: str) -> LpSolution:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Dag, OutOfRange, TooLarge, depth
+from .graph import Dag, OutOfRange, TooLarge, depth, levels
 
 __all__ = [
     "ReducibilityResult",
@@ -45,47 +45,43 @@ def _allowed_nodes(d: int, convention: str) -> int:
     raise ValueError(f"unknown depth convention {convention!r}")
 
 
-def _longest_path(g: Dag, removed: set[int]) -> list[int]:
-    """One maximum-node-count path avoiding removed; deterministic."""
-    f = [0] * (g.n + 1)
-    pred = [0] * (g.n + 1)
-    for v in range(1, g.n + 1):
-        if v in removed:
-            continue
-        for u in sorted(g.parent_sets[v]):
-            if u not in removed and f[u] > f[v] - 1:
-                f[v] = f[u] + 1
-                pred[v] = u
-        if pred[v] == 0:
-            f[v] = 1
-    end = 0
-    for v in range(1, g.n + 1):
-        if v not in removed and f[v] > f[end]:
-            end = v
-    if end == 0:
-        return []
-    path = []
-    while end != 0:
-        path.append(end)
-        end = pred[end]
+def _longest_path(g: Dag, keep: int, lvl: list[int]) -> list[int]:
+    """One maximum-node-count path inside keep, read off lvl = levels(keep).
+
+    It ends at the smallest id of greatest level and steps back through the
+    smallest-id parent one level down, so it is deterministic.
+    """
+    v = lvl.index(max(lvl))
+    path = [v]
+    while lvl[v] > 1:
+        pm = g.parent_masks[v] & keep
+        u = (pm & -pm).bit_length()
+        while lvl[u] != lvl[v] - 1:
+            pm &= pm - 1
+            u = (pm & -pm).bit_length()
+        path.append(u)
+        v = u
     path.reverse()
     return path
 
 
-def _disjoint_violations(g: Dag, removed: set[int], allowed: int) -> int:
-    """Greedy count of vertex-disjoint paths longer than allowed nodes.
+def _node_mask(nodes) -> int:
+    return sum(1 << (v - 1) for v in nodes)
+
+
+def _disjoint_violations(g: Dag, keep: int, allowed: int) -> int:
+    """Greedy count of vertex-disjoint paths inside keep longer than allowed nodes.
 
     Every removal set must hit each of them, so the count lower-bounds the
     remaining budget needed.
     """
-    blocked = set(removed)
     count = 0
     while True:
-        path = _longest_path(g, blocked)
-        if len(path) <= allowed:
+        lvl = levels(g.parent_masks, g.n, keep)
+        if max(lvl) <= allowed:
             return count
         count += 1
-        blocked.update(path)
+        keep &= ~_node_mask(_longest_path(g, keep, lvl))
 
 
 class _Budget:
@@ -100,33 +96,35 @@ class _Budget:
 
 def _search(
     g: Dag,
-    removed: set[int],
-    banned: set[int],
+    removed: int,
+    banned: int,
     budget: int,
     allowed: int,
     visits: _Budget,
-) -> frozenset[int] | None:
+) -> int | None:
+    """A removal mask of at most budget more nodes that caps the depth, or None."""
     visits.tick()
-    path = _longest_path(g, removed)
-    if len(path) <= allowed:
-        return frozenset(removed)
+    keep = ((1 << g.n) - 1) & ~removed
+    lvl = levels(g.parent_masks, g.n, keep)
+    if max(lvl) <= allowed:
+        return removed
     if budget == 0:
         return None
-    if _disjoint_violations(g, removed, allowed) > budget:
+    # path is the first violation the greedy count would find; count the rest
+    path = _longest_path(g, keep, lvl)
+    if _disjoint_violations(g, keep & ~_node_mask(path), allowed) >= budget:
         return None
     # The window is itself a violating path, so any valid set hits it. Nodes
     # banned by an earlier sibling branch cannot be chosen again; if the
     # whole window is banned this subtree is infeasible.
-    window = path[: allowed + 1]
-    candidates = [v for v in window if v not in banned]
-    for i, v in enumerate(candidates):
-        removed.add(v)
-        banned.update(candidates[:i])
-        found = _search(g, removed, banned, budget - 1, allowed, visits)
-        banned.difference_update(candidates[:i])
-        removed.discard(v)
+    for v in path[: allowed + 1]:
+        bit = 1 << (v - 1)
+        if banned & bit:
+            continue
+        found = _search(g, removed | bit, banned, budget - 1, allowed, visits)
         if found is not None:
             return found
+        banned |= bit
     return None
 
 
@@ -143,12 +141,13 @@ def is_reducible(
     allowed = _allowed_nodes(d, convention)
     visits = _Budget(max_visits)
     for size in range(0, min(e, g.n) + 1):
-        found = _search(g, set(), set(), size, allowed, visits)
+        found = _search(g, 0, 0, size, allowed, visits)
         if found is not None:
+            witness = frozenset(v for v in range(1, g.n + 1) if found >> (v - 1) & 1)
             return ReducibilityResult(
                 reducible=True,
-                witness_set=found,
-                residual_depth=depth(g, convention, excluding=found),
+                witness_set=witness,
+                residual_depth=depth(g, convention, excluding=witness),
                 convention=convention,
             )
     return ReducibilityResult(
@@ -166,13 +165,8 @@ def min_reducing_set(
 
     Always terminates: removing every node leaves depth 0.
     """
-    allowed = _allowed_nodes(d, convention)
-    visits = _Budget(max_visits)
-    for size in range(0, g.n + 1):
-        found = _search(g, set(), set(), size, allowed, visits)
-        if found is not None:
-            return len(found), found
-    raise AssertionError("unreachable: the full node set always works")
+    witness = is_reducible(g, g.n, d, convention, max_visits).witness_set
+    return len(witness), witness
 
 
 def greedy_reduce(g: Dag, d: int, convention: str) -> frozenset[int]:

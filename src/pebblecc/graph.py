@@ -1,7 +1,8 @@
 """Immutable DAGs in topological label order, generators, and JSON/DOT I/O.
 
 Nodes are labelled 1..n and every edge (u, v) has u < v, so a plain ascending
-loop over labels is a topological sweep. All other modules build on this.
+loop over labels is a topological sweep. Node bitmasks put node v at bit
+v-1. All other modules build on this.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ __all__ = [
     "Dag",
     "build_dag",
     "depth",
+    "levels",
     "chain",
     "pyramid",
     "complete",
@@ -78,6 +80,19 @@ class Dag:
             cs[u].add(v)
         return tuple(frozenset(s) for s in cs)
 
+    @cached_property
+    def parent_masks(self) -> tuple[int, ...]:
+        """parent_masks[v] has bit u-1 set for each parent u; index 0 is 0."""
+        pm = [0] * (self.n + 1)
+        for u, v in self.edges:
+            pm[v] |= 1 << (u - 1)
+        return tuple(pm)
+
+    @cached_property
+    def sink_mask(self) -> int:
+        """The sinks as a bitmask."""
+        return sum(1 << (s - 1) for s in self.sinks)
+
     def parents(self, v: int) -> frozenset[int]:
         if not 1 <= v <= self.n:
             raise OutOfRange(v, self.n)
@@ -125,6 +140,27 @@ def build_dag(n: int, edges) -> Dag:
     return Dag(n=n, edges=tuple(sorted(seen)))
 
 
+def levels(parent_masks, n: int, keep: int) -> list[int]:
+    """Longest-path DP over the label order, inside the node mask keep.
+
+    lvl[v] is the node count of the longest path inside keep that ends at v,
+    and 0 for v outside keep; lvl[0] is an unused 0.
+    """
+    lvl = [0] * (n + 1)
+    for v in range(1, n + 1):
+        if keep >> (v - 1) & 1:
+            pm = parent_masks[v] & keep
+            best = 0
+            while pm:
+                low = pm & -pm
+                u = low.bit_length()
+                if lvl[u] > best:
+                    best = lvl[u]
+                pm ^= low
+            lvl[v] = best + 1
+    return lvl
+
+
 def depth(g: Dag, convention: str = "nodes", excluding=frozenset()) -> int:
     """Length of the longest directed path, by DP over the label order.
 
@@ -133,26 +169,19 @@ def depth(g: Dag, convention: str = "nodes", excluding=frozenset()) -> int:
         convention: "nodes" counts nodes on the path, "edges" counts edges.
             A single node has depth 1 under "nodes" and 0 under "edges".
         excluding: node ids treated as deleted (used by the reducibility
-            module to measure induced subgraphs without rebuilding).
+            module to measure induced subgraphs without rebuilding). Ids
+            outside [1, n] are ignored.
 
     Returns:
         The longest-path length; 0 if every node is excluded.
     """
     if convention not in ("nodes", "edges"):
         raise ValueError(f"unknown depth convention {convention!r}")
-    removed = frozenset(excluding)
-    best = 0
-    f = [0] * (g.n + 1)  # f[v] = longest path ending at v, in nodes
-    for v in range(1, g.n + 1):
-        if v in removed:
-            continue
-        longest_in = 0
-        for u in g.parent_sets[v]:
-            if u not in removed and f[u] > longest_in:
-                longest_in = f[u]
-        f[v] = longest_in + 1
-        if f[v] > best:
-            best = f[v]
+    keep = (1 << g.n) - 1
+    for v in excluding:
+        if 1 <= v <= g.n:
+            keep &= ~(1 << (v - 1))
+    best = max(levels(g.parent_masks, g.n, keep))
     if convention == "edges":
         return max(best - 1, 0)
     return best

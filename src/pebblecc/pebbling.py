@@ -354,7 +354,8 @@ def pebbling_to_json(p: Pebbling) -> str:
 
 def pebbling_from_json(text: str) -> Pebbling:
     data = json.loads(text)
-    return Pebbling(
-        rounds=tuple(tuple(int(v) for v in r) for r in data["rounds"]),
-        mode=data.get("mode", "parallel"),
-    )
+    try:
+        rounds = tuple(tuple(int(v) for v in r) for r in data["rounds"])
+    except TypeError as exc:
+        raise ValueError(f"pebbling JSON has the wrong shape: {exc}") from exc
+    return Pebbling(rounds=rounds, mode=data.get("mode", "parallel"))

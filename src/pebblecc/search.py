@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import chain, combinations, repeat
 
-from .graph import Dag, TooLarge
+from .graph import Dag, TooLarge, levels
 from .pebbling import Pebbling
 from .pebbling import cost as pebbling_cost
 
@@ -117,21 +117,7 @@ def _spend(expanded: int, limits: SearchLimits, deadline: float | None) -> None:
         raise _Stop("time budget hit")
 
 
-def _bit_tables(g: Dag) -> tuple[list[int], int]:
-    """Parent sets and the sink set as bitmasks (bit v-1 is node v)."""
-    parent_masks = [0] * (g.n + 1)
-    for v in range(1, g.n + 1):
-        m = 0
-        for u in g.parent_sets[v]:
-            m |= 1 << (u - 1)
-        parent_masks[v] = m
-    sink_mask = 0
-    for s in g.sinks:
-        sink_mask |= 1 << (s - 1)
-    return parent_masks, sink_mask
-
-
-def _future_need(parent_masks: list[int], n: int, pebbles: int, need: int) -> int:
+def _future_need(parent_masks: tuple[int, ...], n: int, pebbles: int, need: int) -> int:
     """Backward closure of `need` through unpebbled nodes.
 
     Every node in the closure must occupy at least one future round, so its
@@ -146,30 +132,12 @@ def _future_need(parent_masks: list[int], n: int, pebbles: int, need: int) -> in
     return closure
 
 
-def _rounds_needed(parent_masks: list[int], n: int, pebbles: int, need: int) -> int:
+def _rounds_needed(parent_masks: tuple[int, ...], n: int, pebbles: int, need: int) -> int:
     """Longest dependency chain in the closure: a floor on remaining rounds."""
-    closure = _future_need(parent_masks, n, pebbles, need)
-    if closure == 0:
-        return 0
-    lvl = [0] * (n + 1)
-    deepest = 0
-    for v in range(1, n + 1):
-        if closure >> (v - 1) & 1:
-            pm = parent_masks[v] & closure
-            best = 0
-            while pm:
-                low = pm & -pm
-                u = low.bit_length()
-                if lvl[u] > best:
-                    best = lvl[u]
-                pm ^= low
-            lvl[v] = best + 1
-            if lvl[v] > deepest:
-                deepest = lvl[v]
-    return deepest
+    return max(levels(parent_masks, n, _future_need(parent_masks, n, pebbles, need)))
 
 
-def _placeable(g: Dag, parent_masks: list[int], mask: int) -> int:
+def _placeable(g: Dag, parent_masks: tuple[int, ...], mask: int) -> int:
     out = 0
     for v in range(1, g.n + 1):
         bit = 1 << (v - 1)
@@ -293,7 +261,7 @@ def exact_pcc(
     limits = limits or SearchLimits()
     _check_entry(g, mode, limits)
     n = g.n
-    parent_masks, sink_mask = _bit_tables(g)
+    parent_masks, sink_mask = g.parent_masks, g.sink_mask
     space_cap = limits.max_space if limits.max_space is not None else n
     incumbent = limits.upper_bound_seed
     ub = n * (n + 1) // 2 if incumbent is None else min(incumbent, n * (n + 1) // 2)
@@ -426,7 +394,7 @@ def exact_pcc_bounded(
     if t_max < 0:
         raise ValueError("t_max must be nonnegative")
     n = g.n
-    parent_masks, sink_mask = _bit_tables(g)
+    parent_masks, sink_mask = g.parent_masks, g.sink_mask
     space_cap = limits.max_space if limits.max_space is not None else n
     ub = cost_cap if cost_cap is not None else n * t_max
     deadline = _deadline(limits)
@@ -500,7 +468,7 @@ def _min_rounds_capped(
     Plain breadth-first search over the capped configuration graph; returns
     (witness, expanded) or (None, expanded) when the cap is infeasible.
     """
-    parent_masks, sink_mask = _bit_tables(g)
+    parent_masks, sink_mask = g.parent_masks, g.sink_mask
     sequential = mode == "sequential"
     pred: dict[tuple[int, int], tuple[int, int]] = {}
     frontier = [(0, 0)]

@@ -264,6 +264,10 @@ def test_lp_json_report_shape(tmp_path, capsys):
         (["depth", "--graph", "{input}"], "[[1, 2]]"),
         (["lp", "verify", "pebbling", "--graph", "{graph}", "{input}"], "[0, 1]"),
         (["lp", "verify", "pebbling", "--graph", "{graph}", "{input}"], '{"values": [0, 1]}'),
+        (["pebble-check", "--graph", "{graph}", "{input}"], "[0, 1]"),
+        (["cost", "{input}"], "[0, 1]"),
+        (["b2lc-solve", "{input}"], "[0, 1]"),
+        (["3part-solve", "{input}"], "[0, 1]"),
     ],
 )
 def test_malformed_input_is_usage_error(tmp_path, capsys, command, text):

@@ -17,6 +17,21 @@ from pebblecc.graph import (
     layered_random,
     pyramid,
 )
+from pebblecc.reductions import vc_to_reducible
+
+
+def edge_list_depth(g, removed, convention):
+    """Longest path of g - removed, read straight off the edge list.
+
+    Independent of the package's depth DP: edges are relaxed in order of
+    their head, which is topological because every edge goes label-forward.
+    """
+    f = {v: 1 for v in range(1, g.n + 1) if v not in removed}
+    for u, v in sorted(g.edges, key=lambda e: (e[1], e[0])):
+        if u in f and v in f:
+            f[v] = max(f[v], f[u] + 1)
+    nodes = max(f.values(), default=0)
+    return max(nodes - 1, 0) if convention == "edges" else nodes
 
 
 def brute_min(g, d, convention):
@@ -24,7 +39,15 @@ def brute_min(g, d, convention):
     nodes = range(1, g.n + 1)
     for size in range(0, g.n + 1):
         for s in combinations(nodes, size):
-            if depth(g, convention, excluding=frozenset(s)) <= d:
+            if edge_list_depth(g, set(s), convention) <= d:
+                return size
+    raise AssertionError
+
+
+def min_vertex_cover(n, edges):
+    for size in range(n + 1):
+        for s in combinations(range(1, n + 1), size):
+            if all(a in s or b in s for a, b in edges):
                 return size
     raise AssertionError
 
@@ -81,6 +104,9 @@ def test_edge_convention():
 def test_unknown_convention_rejected():
     with pytest.raises(ValueError):
         is_reducible(chain(3), e=1, d=1, convention="vertices")
+    # a negative depth bound is rejected, not searched for ever
+    with pytest.raises(ValueError):
+        min_reducing_set(chain(3), d=-1, convention="nodes")
 
 
 def test_exact_matches_brute_force():
@@ -98,6 +124,30 @@ def test_exact_matches_brute_force():
                 assert is_reducible(g, e_min, d, convention).reducible
                 if e_min > 0:
                     assert not is_reducible(g, e_min - 1, d, convention).reducible
+
+
+def test_vc_gadgets_match_brute_force():
+    # every vc_to_reducible gadget on at most 4 vertices, at the docstring's
+    # two thresholds per convention: 75 edge sets, 300 cases
+    cases = 0
+    for v in range(1, 5):
+        pairs = list(combinations(range(1, v + 1), 2))
+        for r in range(len(pairs) + 1):
+            for es in combinations(pairs, r):
+                cover = min_vertex_cover(v, es)
+                for convention, ds in (("nodes", (v, v + 1)), ("edges", (v + 1, v + 2))):
+                    g, _ = vc_to_reducible(v, es, convention)
+                    for d in ds:
+                        e_min, s = min_reducing_set(g, d, convention)
+                        assert e_min == len(s) == brute_min(g, d, convention) == cover
+                        assert edge_list_depth(g, s, convention) <= d
+                        r_at = is_reducible(g, e_min, d, convention)
+                        assert r_at.reducible and r_at.witness_set == s
+                        assert r_at.residual_depth == edge_list_depth(g, s, convention)
+                        if e_min > 0:
+                            assert not is_reducible(g, e_min - 1, d, convention).reducible
+                        cases += 1
+    assert cases == 300
 
 
 def test_monotonicity():

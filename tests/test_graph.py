@@ -156,3 +156,16 @@ def test_depth_matches_networkx():
         h.add_nodes_from(range(1, g.n + 1))
         h.add_edges_from(g.edges)
         assert depth(g, "edges") == nx.dag_longest_path_length(h)
+        # the bit tables mirror the sets, bit v-1 for node v
+        for v in range(1, g.n + 1):
+            assert g.parent_masks[v] == sum(1 << (u - 1) for u in g.parent_sets[v])
+        assert g.parent_masks[0] == 0
+        assert g.sink_mask == sum(1 << (s - 1) for s in g.sinks)
+        # depth of an induced subgraph; ids outside [1, n] are ignored
+        rng = random.Random(seed)
+        for _ in range(5):
+            s = {v for v in range(-1, g.n + 3) if rng.random() < 0.3}
+            sub = h.subgraph(set(h) - s)
+            expect = nx.dag_longest_path_length(sub) + 1 if len(sub) else 0
+            assert depth(g, "nodes", excluding=s) == expect
+            assert depth(g, "edges", excluding=s) == max(expect - 1, 0)
