@@ -179,44 +179,34 @@ def greedy_reduce(g: Dag, d: int, convention: str) -> frozenset[int]:
     critical path is cut near its middle rather than nibbled from one end),
     then to the smallest id.
     """
-    _allowed_nodes(d, convention)  # validates the convention
-    removed: set[int] = set()
-    while depth(g, convention, excluding=removed) > d:
-        f = [0] * (g.n + 1)
+    if d < 0:
+        raise ValueError("d must be nonnegative")
+    allowed = _allowed_nodes(d, convention)
+    keep = (1 << g.n) - 1
+    while True:
+        # f[v] is the forward reach of v inside keep, 0 for a removed node;
+        # removed nodes keep nf, b and nb at 0, so the sums below skip them.
+        f = levels(g.parent_masks, g.n, keep)
+        span = max(f)
+        if span <= allowed:
+            return frozenset(v for v in range(1, g.n + 1) if not keep >> (v - 1) & 1)
         nf = [0] * (g.n + 1)
         b = [0] * (g.n + 1)
         nb = [0] * (g.n + 1)
         for v in range(1, g.n + 1):
-            if v in removed:
-                continue
-            f[v] = 1 + max(
-                (f[u] for u in g.parent_sets[v] if u not in removed), default=0
-            )
-            nf[v] = sum(
-                nf[u]
-                for u in g.parent_sets[v]
-                if u not in removed and f[u] == f[v] - 1
-            ) or 1
+            if f[v]:
+                nf[v] = sum(nf[u] for u in g.parent_sets[v] if f[u] == f[v] - 1) or 1
         for v in range(g.n, 0, -1):
-            if v in removed:
-                continue
-            b[v] = 1 + max(
-                (b[w] for w in g.child_sets[v] if w not in removed), default=0
-            )
-            nb[v] = sum(
-                nb[w]
-                for w in g.child_sets[v]
-                if w not in removed and b[w] == b[v] - 1
-            ) or 1
-        span = max(f[v] for v in range(1, g.n + 1) if v not in removed)
+            if f[v]:
+                b[v] = 1 + max((b[w] for w in g.child_sets[v]), default=0)
+                nb[v] = sum(nb[w] for w in g.child_sets[v] if b[w] == b[v] - 1) or 1
         busiest, key = 0, (0, 0)
         for v in range(1, g.n + 1):
-            if v not in removed and f[v] + b[v] - 1 == span:
+            if f[v] and f[v] + b[v] - 1 == span:
                 cand = (nf[v] * nb[v], min(f[v], b[v]))
                 if cand > key:
                     busiest, key = v, cand
-        removed.add(busiest)
-    return frozenset(removed)
+        keep &= ~(1 << (busiest - 1))
 
 
 def verify_set(g: Dag, s, d: int, convention: str) -> bool:

@@ -226,7 +226,7 @@ def complete(n: int) -> Dag:
     return build_dag(n, [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)])
 
 
-def layered_random(n: int, seed: int, extra_edge_rule: str = "uniform") -> Dag:
+def layered_random(n: int, seed: int) -> Dag:
     """Chain 1..n plus one random extra parent per node, deterministic in seed.
 
     Node i > 1 always has parent i-1; the extra parent is drawn uniformly from
@@ -235,8 +235,6 @@ def layered_random(n: int, seed: int, extra_edge_rule: str = "uniform") -> Dag:
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    if extra_edge_rule != "uniform":
-        raise ValueError(f"unknown extra edge rule {extra_edge_rule!r}")
     rng = random.Random(seed)
     edges = []
     for i in range(2, n + 1):

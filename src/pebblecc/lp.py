@@ -388,15 +388,13 @@ def _terms(pairs) -> str:
     return " ".join(parts) if parts else "0"
 
 
-def emit(m: LpModel, format: str = "lp_file") -> str:
+def emit(m: LpModel) -> str:
     """Render the model as CPLEX-style LP text.
 
     Rows are printed as stored, so every coefficient is an integer (a scaled
     row appears multiplied by its scale); integral variables go in a
     Generals section. Ordering follows the model, so output is deterministic.
     """
-    if format != "lp_file":
-        raise ValueError(f"unsupported format {format!r}")
     lines = ["Minimize"]
     lines.append(f" obj: {_terms(m.objective)}")
     lines.append("Subject To")

@@ -6,7 +6,7 @@ Each test runs the same check as `pebblecc verify-paper <name>`, so a
 failure's detail names what went wrong.
 """
 
-from pebblecc.cli import run_acceptance
+from pebblecc.acceptance import run_acceptance
 
 
 def _run(name: str) -> None:

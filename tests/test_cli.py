@@ -1,14 +1,16 @@
 """End-to-end command checks, run in process through main()."""
 
+import hashlib
 import json
 import subprocess
 import sys
 
 import pytest
 
-from pebblecc import cli
+from pebblecc import acceptance
 from pebblecc.cli import main
-from pebblecc.graph import chain, dag_to_json, layered_random
+from pebblecc.graph import chain, dag_to_json, layered_random, pyramid
+from pebblecc.reductions import counterexample_dag
 
 
 def write(tmp_path, name, text):
@@ -268,6 +270,10 @@ def test_lp_json_report_shape(tmp_path, capsys):
         (["cost", "{input}"], "[0, 1]"),
         (["b2lc-solve", "{input}"], "[0, 1]"),
         (["3part-solve", "{input}"], "[0, 1]"),
+        (["reduce", "vc", "{input}"], "[1, 2]"),
+        (["reduce", "vc", "{input}"], '{"n": 3, "edges": 5}'),
+        (["gen", "complete", "1", "2"], ""),
+        (["gen", "pyramid", "2", "3"], ""),
     ],
 )
 def test_malformed_input_is_usage_error(tmp_path, capsys, command, text):
@@ -289,12 +295,13 @@ def test_verify_paper_subset_passes(capsys):
     assert rc == 0
     data = json.loads(capsys.readouterr().out)
     assert [d["name"] for d in data] == ["counterexample-upper", "space-bounds"]
+    assert [d["budget"] for d in data] == [1.0, 120.0]
     assert all(d["passed"] for d in data)
 
 
 def test_verify_paper_reports_failing_check(monkeypatch, capsys):
     failing = ("always-fails", 1.0, lambda: (False, "deliberate failure detail"))
-    monkeypatch.setattr(cli, "ACCEPTANCE_CHECKS", cli.ACCEPTANCE_CHECKS + (failing,))
+    monkeypatch.setattr(acceptance, "ACCEPTANCE_CHECKS", acceptance.ACCEPTANCE_CHECKS + (failing,))
     assert main(["verify-paper", "always-fails"]) == 1
     out = capsys.readouterr().out
     assert out.startswith("FAIL")
@@ -309,6 +316,97 @@ def test_verify_paper_unknown_check_is_usage_error(capsys):
 def test_missing_file_is_usage_error(tmp_path, capsys):
     assert main(["depth", "--graph", str(tmp_path / "nope.json")]) == 2
     assert "error" in capsys.readouterr().err
+
+
+# Every subcommand but verify-paper (its output carries elapsed times), over
+# fixed inputs. Placeholders in braces name the input files below; True marks
+# commands that also run with --json.
+PINNED_COMMANDS = [
+    (["gen", "chain", "4"], False),
+    (["gen", "pyramid", "3"], False),
+    (["gen", "complete", "3"], False),
+    (["gen", "layered_random", "6", "--seed", "2"], False),
+    (["gen", "chain", "x"], False),
+    (["depth", "--graph", "{pyr3}"], True),
+    (["depth", "--graph", "{lr7}", "--convention", "edges"], True),
+    (["depth", "--graph", "{bad}"], True),
+    (["pebble-check", "--graph", "{chain3}", "{legal}"], True),
+    (["pebble-check", "--graph", "{chain3}", "{illegal}"], True),
+    (["cost", "{legal}"], True),
+    (["pcc", "--graph", "{pyr3}"], True),
+    (["pcc", "--graph", "{lr7}", "--mode", "sequential"], True),
+    (["pcc", "--graph", "{ce16}", "--max-states", "50"], True),
+    (["pcc-bounded", "--graph", "{pyr3}", "--horizon", "4"], True),
+    (["pcc-bounded", "--graph", "{chain3}", "--horizon", "2"], True),
+    (["min-st", "--graph", "{pyr2}"], True),
+    (["min-space", "--graph", "{pyr2}", "--mode", "sequential"], True),
+    (["b2lc-solve", "{b2lc_yes}"], True),
+    (["b2lc-solve", "{b2lc_no}"], True),
+    (["3part-solve", "{tp_yes}"], True),
+    (["3part-solve", "{tp_no}"], True),
+    (["reduce", "3part-to-b2lc", "{tp_yes}"], False),
+    (["reduce", "b2lc-to-graph", "--tau", "2", "{b2lc_yes}"], False),
+    (["reduce", "vc", "{vc}"], False),
+    (["reduce", "vc", "{vc}", "--convention", "edges"], False),
+    (["reduce", "indeg", "--graph", "{lr7}"], False),
+    (["reduce", "append-chain", "--graph", "{chain3}", "2"], False),
+    (["reduce", "append-chain", "--graph", "{chain3}"], False),
+    (["reduce", "counterexample"], False),
+    (["depth-check", "--graph", "{chain5}", "2"], True),
+    (["depth-check", "--graph", "{chain5}", "2", "1"], True),
+    (["depth-check", "--graph", "{chain5}", "1", "1"], True),
+    (["depth-check", "--graph", "{pyr3}", "1", "--convention", "edges"], True),
+    (["lp", "build-pebbling", "--graph", "{chain3}", "--horizon", "4"], True),
+    (["lp", "build-pebbling", "--graph", "{pyr2}"], True),
+    (["lp", "build-reducible", "--graph", "{pyr3}", "2"], True),
+    (["lp", "emit", "pebbling", "--graph", "{chain3}", "--horizon", "3"], False),
+    (["lp", "emit", "reducible", "--graph", "{pyr2}", "--d", "1"], False),
+    (["lp", "emit", "reducible", "--graph", "{pyr2}"], False),
+    (["lp", "relax", "pebbling", "--graph", "{pyr2}", "--horizon", "3"], False),
+    (["lp", "frac-pebbling", "--graph", "{chain5}"], True),
+    (["lp", "frac-pebbling", "--graph", "{pyr3}", "--horizon", "10"], True),
+    (["lp", "frac-timed", "--graph", "{chain3}"], True),
+    (["lp", "frac-timed", "--graph", "{ce16}"], True),
+    (["lp", "frac-reducible", "--graph", "{chain5}", "2"], True),
+    (["lp", "verify", "pebbling", "--graph", "{chain1}", "{sol_good}", "--horizon", "1"], True),
+    (["lp", "verify", "pebbling", "--graph", "{chain1}", "{sol_bad}", "--horizon", "1"], True),
+    (["lp", "gap", "--graph", "{chain5}"], True),
+    (["lp", "gap", "--graph", "{lr7}", "--seed", "40"], True),
+]
+
+
+def test_cli_output_is_pinned(tmp_path, capsys):
+    graphs = {
+        "chain1": chain(1),
+        "chain3": chain(3),
+        "chain5": chain(5),
+        "pyr2": pyramid(2),
+        "pyr3": pyramid(3),
+        "lr7": layered_random(7, 2),
+        "ce16": counterexample_dag(),
+    }
+    texts = {
+        "bad": "[[1, 2]]",
+        "legal": '{"mode": "parallel", "rounds": [[1], [2], [3]]}',
+        "illegal": '{"mode": "parallel", "rounds": [[1], [3]]}',
+        "b2lc_yes": '{"n_vars": 2, "m": 2, "equations": [[1, 1, 2], [1, 2, 2]]}',
+        "b2lc_no": '{"n_vars": 2, "m": 1, "equations": [[1, 1, 2], [2, 1, 1]]}',
+        "tp_yes": '{"n": 2, "elements": [1, 2, 3, 1, 1, 4]}',
+        "tp_no": '{"n": 2, "elements": [1, 1, 1, 1, 1, 7]}',
+        "vc": '{"n": 3, "edges": [[1, 2], [2, 3]]}',
+        "sol_good": '{"values": {"x_1_0": 0, "x_1_1": 1}}',
+        "sol_bad": '{"x_1_0": 0, "x_1_1": "1/2"}',
+    }
+    files = {f"{{{k}}}": graph_file(tmp_path, g, f"{k}.json") for k, g in graphs.items()}
+    files.update({f"{{{k}}}": write(tmp_path, f"{k}.json", t) for k, t in texts.items()})
+    record = []
+    for command, has_json in PINNED_COMMANDS:
+        for argv in (command, command + ["--json"]) if has_json else (command,):
+            rc = main([files.get(arg, arg) for arg in argv])
+            out, err = capsys.readouterr()
+            record.append(f"{argv}\n{rc}\n{out}\0{err}\0")
+    digest = hashlib.sha256("".join(record).encode()).hexdigest()
+    assert digest == "eae4f70da11066af961ab888237b7619b9ddc419076dd6c42a6ce7beadc699c0"
 
 
 def test_module_entry_point():

@@ -165,6 +165,9 @@ def test_greedy_reduce_examples():
     assert s == frozenset({3})
     assert verify_set(chain(5), s, 2, "nodes")
     assert greedy_reduce(chain(4), d=4, convention="nodes") == frozenset()
+    assert greedy_reduce(chain(3), d=0, convention="nodes") == frozenset({1, 2, 3})
+    with pytest.raises(ValueError, match="nonnegative"):
+        greedy_reduce(chain(3), d=-1, convention="nodes")
 
 
 def test_greedy_sandwich():

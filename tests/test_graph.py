@@ -116,8 +116,6 @@ def test_generate_dispatch():
     assert generate("chain", 4) == chain(4)
     with pytest.raises(ValueError):
         generate("torus", 4)
-    with pytest.raises(ValueError):
-        layered_random(5, seed=0, extra_edge_rule="dense")
 
 
 def test_json_export_round_trip():

@@ -374,11 +374,6 @@ def test_emit_reducible_model():
     assert "s_1" in generals and "d_1_1" not in generals
 
 
-def test_emit_unknown_format():
-    with pytest.raises(ValueError):
-        emit(build_pebbling_ip(chain(2), horizon=2), format="mps")
-
-
 # -------------------------------------------------------------- gap report
 
 
