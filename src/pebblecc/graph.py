@@ -89,6 +89,14 @@ class Dag:
         return tuple(pm)
 
     @cached_property
+    def child_masks(self) -> tuple[int, ...]:
+        """child_masks[u] has bit v-1 set for each child v; index 0 is 0."""
+        cm = [0] * (self.n + 1)
+        for u, v in self.edges:
+            cm[u] |= 1 << (v - 1)
+        return tuple(cm)
+
+    @cached_property
     def sink_mask(self) -> int:
         """The sinks as a bitmask."""
         return sum(1 << (s - 1) for s in self.sinks)

@@ -4,9 +4,10 @@ This is the brute-force oracle the rest of the package leans on: A* search
 for minimum cumulative cost, a round-indexed variant for fixed-horizon
 optima, and capped breadth-first sweeps for space-time and minimum-space
 optima. All of them expand states through one successor generator. States
-are (pebble bitmask, satisfied-sink bitmask) pairs; every returned witness
-replays the predecessor chain as literal rounds, so it can be revalidated
-independently.
+are (pebble bitmask, satisfied-sink bitmask) pairs, which the A* search and
+the capped sweep store packed into one int, mask | sat << n; every returned
+witness replays the predecessor chain as literal rounds, so it can be
+revalidated independently.
 """
 
 from __future__ import annotations
@@ -72,7 +73,8 @@ class SearchLimits:
 
     upper_bound_seed must be achievable (the cost of some known legal
     pebbling); it seeds incumbent pruning without excluding the optimum.
-    time_budget is in seconds of wall clock.
+    time_budget is in seconds of wall clock; 0.0 stops at the first check.
+    A negative or NaN cap raises ValueError.
     """
 
     max_nodes: int = 24
@@ -80,6 +82,12 @@ class SearchLimits:
     max_space: int | None = None
     upper_bound_seed: int | None = None
     time_budget: float | None = None
+
+    def __post_init__(self) -> None:
+        for name in ("max_nodes", "max_states", "max_space", "time_budget"):
+            value = getattr(self, name)
+            if value is not None and not value >= 0:  # NaN fails too
+                raise ValueError(f"{name} must be nonnegative, got {value}")
 
 
 @dataclass(frozen=True)
@@ -164,17 +172,26 @@ def _children(
 
     A round places a nonempty set of placeable nodes (one in sequential mode)
     and retains a subset of the pebbles, at most space_cap in all; finished
-    sinks are never re-placed or held. Given ub, a new set whose closure
-    floor exceeds ub is skipped and the retained set is cut to the slack.
-    widest=True retains as many pebbles as fit: more pebbles, same sinks
-    done, never need more rounds, which is all the capped sweep asks. Sets
-    are enumerated lazily, and the clock is read every 1024 sets tried so
-    that one expansion cannot overrun the deadline.
+    sinks are never re-placed or held. A pebble is dropped only in a round
+    that places one of its children. If a round drops a non-sink pebble and
+    places none of its children, taking that pebble out of the round before
+    keeps the pebbling legal and costs one less (and a round left with no
+    placement can go too), so every min-cost pebbling follows the rule,
+    under any horizon, space cap or cost cap. The pebbles that feed no node
+    of the new set are therefore forced: always kept, with only subsets of
+    the rest enumerated. Given ub, a new set whose closure floor exceeds ub
+    is skipped and the retained set is cut to the slack. widest=True serves
+    the capped sweep, which minimises rounds, not cost: it forces nothing
+    and retains as many pebbles as fit (more pebbles, same sinks done, never
+    need more rounds). Sets are enumerated lazily, and the clock is read
+    every 1024 sets tried so that one expansion cannot overrun the deadline.
     """
     n = g.n
     avail = _placeable(g, parent_masks, mask) & ~sat
     retainable = mask & ~sat
     rbits = [1 << (v - 1) for v in _mask_nodes(retainable)]
+    # each retainable pebble with its children that could be placed now
+    rkids = [(b, g.child_masks[b.bit_length()] & avail) for b in rbits]
     tried = 0
     probe = avail
     while probe:
@@ -189,23 +206,31 @@ def _children(
             raise _Stop("time budget hit")
         nsize = new.bit_count()
         rcap = space_cap - nsize
-        if rcap < 0:
-            continue
+        if widest:
+            free, forced, fbits = retainable, 0, rbits
+        else:
+            fbits = [b for b, kids in rkids if kids & new]
+            free = sum(fbits)
+            forced = retainable ^ free
         ns = sat | (new & sink_mask)
         need = sink_mask & ~ns
         if ub is not None:
             floor = gc + nsize + _future_need(parent_masks, n, mask | new, need).bit_count()
             rcap = min(rcap, ub - floor)
-        if rcap >= len(rbits):
-            subs = (retainable,) if widest else _submasks(retainable)
+        rcap -= forced.bit_count()
+        if rcap < 0:
+            continue
+        base = new | forced
+        if rcap >= len(fbits):
+            subs = (free,) if widest else _submasks(free)
         else:
             sizes = range(rcap, rcap + 1) if widest else range(rcap + 1)
-            subs = map(sum, chain.from_iterable(map(combinations, repeat(rbits), sizes)))
+            subs = map(sum, chain.from_iterable(map(combinations, repeat(fbits), sizes)))
         for sub in subs:
             tried += 1
             if not tried & 1023 and deadline is not None and time.monotonic() > deadline:
                 raise _Stop("time budget hit")
-            yield new | sub, ns, need
+            yield base | sub, ns, need
 
 
 def _mask_nodes(mask: int) -> tuple[int, ...]:
@@ -219,11 +244,13 @@ def _mask_nodes(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _witness(pred, goal, mode: str) -> Pebbling:
+def _witness(pred, goal: int, n: int, mode: str) -> Pebbling:
+    """Replay the chain of packed keys (mask | sat << n) back to the start, 0."""
+    full = (1 << n) - 1
     rounds = []
     cur = goal
-    while cur != (0, 0):
-        rounds.append(_mask_nodes(cur[0]))
+    while cur:
+        rounds.append(_mask_nodes(cur & full))
         cur = pred[cur]
     rounds.reverse()
     return Pebbling(rounds=tuple(rounds), mode=mode)
@@ -244,12 +271,13 @@ def exact_pcc(
     lower bound. A greedy dive first walks from the empty state, always to
     the child of least (g + h, -g); its cost is the incumbent that cuts
     children with g + h above it, and a dive that costs h(start) is returned
-    as proven without A*. Pruning (pure-discard elimination,
-    incumbent cuts, single-bit superset dominance) never excludes an optimal
-    plan. complete_enumeration=True drops it all, with the heuristic and the
-    dive, for plain least-cost order over every transition that keeps
-    within max_space; the test suite checks the pruned search against it on
-    small graphs.
+    as proven without A*. Pruning (pure-discard elimination, a pebble
+    dropped only in a round that places one of its children, incumbent
+    cuts, single-bit superset dominance) never excludes an optimal plan.
+    complete_enumeration=True drops it all, with the heuristic and the dive,
+    for plain least-cost order over every transition that keeps within
+    max_space; the test suite checks the pruned search against it on small
+    graphs.
 
     Raises:
         TooLarge: n exceeds limits.max_nodes.
@@ -297,18 +325,25 @@ def exact_pcc(
                     return SearchResult(gc, Pebbling(rounds, mode), True, expanded)
                 ub = incumbent = gc
 
-        best: dict[tuple[int, int], int] = {(0, 0): 0}
-        pred: dict[tuple[int, int], tuple[int, int]] = {}
-        heap: list[tuple[int, int, int, int]] = [(lower, 0, 0, 0)]
+        # States are keyed by one int, mask | sat << n. Heap items are ints
+        # too, (f << hbits | h) << kbits | key with h = f - g <= n, so they
+        # sort as (f, -g, key) tuples would.
+        full = (1 << n) - 1
+        kbits, hbits = 2 * n, n.bit_length()
+        best: dict[int, int] = {0: 0}
+        pred: dict[int, int] = {}
+        heap: list[int] = [(lower << hbits | lower) << kbits]
         best_get = best.get
         while heap:
-            lower, gc, mask, sat = heappop(heap)
-            gc = -gc
-            state = (mask, sat)
+            item = heappop(heap)
+            state = item & ((1 << kbits) - 1)
+            lower, h = divmod(item >> kbits, 1 << hbits)
+            gc = lower - h
             if gc > best_get(state, gc):
                 continue
+            mask, sat = state & full, state >> n
             if sat == sink_mask:
-                return SearchResult(gc, _witness(pred, state, mode), True, expanded)
+                return SearchResult(gc, _witness(pred, state, n, mode), True, expanded)
             expanded += 1
             _spend(expanded, limits, deadline)
 
@@ -319,22 +354,21 @@ def exact_pcc(
                     new = sub & ~mask
                     if (new or sub != mask) and sub.bit_count() <= space_cap:
                         if not (sequential and new.bit_count() > 1):
-                            ns = sat | (sub & sink_mask)
+                            nstate = sub | (sat | (sub & sink_mask)) << n
                             ng = gc + sub.bit_count()
-                            nstate = (sub, ns)
                             if ng < best_get(nstate, ng + 1):
                                 best[nstate] = ng
                                 pred[nstate] = state
-                                heappush(heap, (ng, -ng, sub, ns))
+                                heappush(heap, ng << hbits + kbits | nstate)
                     sub = (sub - 1) & pool
                 continue
 
             # single-bit superset dominance: a state with one extra pebble,
             # same sinks done, at no extra cost can do anything we can
-            probe = ((1 << n) - 1) & ~mask
+            probe = full & ~mask
             while probe:
                 low = probe & -probe
-                if best_get((mask | low, sat), gc + 1) <= gc:
+                if best_get(state | low, gc + 1) <= gc:
                     break
                 probe ^= low
             if probe:
@@ -345,13 +379,13 @@ def exact_pcc(
                 space_cap, ub, deadline,
             ):
                 ng = gc + t_mask.bit_count()
-                nstate = (t_mask, ns)
+                nstate = t_mask | ns << n
                 if ng < best_get(nstate, ng + 1):
                     f = ng + _future_need(parent_masks, n, t_mask, need).bit_count()
                     if f <= ub:
                         best[nstate] = ng
                         pred[nstate] = state
-                        heappush(heap, (f, -ng, t_mask, ns))
+                        heappush(heap, (f << hbits | f - ng) << kbits | nstate)
     except _Stop as stop:
         raise Exhausted(
             f"{stop} at bound {lower}", expanded, limits, lower, incumbent
@@ -379,8 +413,10 @@ def exact_pcc_bounded(
     dependency chain cannot fit in the rounds left is stored at cost 0, so
     the cut is remembered: rounds left only fall. Partial costs above
     cost_cap are cut when one is given. Each goal found becomes the
-    incumbent, so later children must beat it, and a goal that costs
-    h(start) ends the search.
+    incumbent, so later children must beat it; a state whose closure floor
+    is above it counts as expanded but generates no children; and a goal
+    that costs h(start) ends the search. Rounds follow the successor
+    generator's drop rule, which every min-cost pebbling keeps.
 
     Raises:
         Infeasible: nothing completes within t_max rounds (and under
@@ -418,6 +454,8 @@ def exact_pcc_bounded(
                     continue  # done, or the incumbent meets h(start)
                 expanded += 1
                 _spend(expanded, limits, deadline)
+                if gc + _future_need(parent_masks, n, mask, sink_mask & ~sat).bit_count() > ub:
+                    continue  # every child's closure floor is above ub too
                 for t_mask, ns, need in _children(
                     g, parent_masks, sink_mask, mask, sat, gc, sequential,
                     space_cap, ub, deadline,
@@ -468,26 +506,28 @@ def _min_rounds_capped(
     Plain breadth-first search over the capped configuration graph; returns
     (witness, expanded) or (None, expanded) when the cap is infeasible.
     """
+    n = g.n
+    full = (1 << n) - 1
     parent_masks, sink_mask = g.parent_masks, g.sink_mask
     sequential = mode == "sequential"
-    pred: dict[tuple[int, int], tuple[int, int]] = {}
-    frontier = [(0, 0)]
+    pred: dict[int, int] = {}  # keyed by mask | sat << n, as in exact_pcc
+    frontier = [0]
     expanded = expanded_so_far
     try:
         while frontier:
             nfront = []
-            for mask, sat in frontier:
+            for state in frontier:
                 expanded += 1
                 _spend(expanded, limits, deadline)
                 for t_mask, ns, _ in _children(
-                    g, parent_masks, sink_mask, mask, sat, 0, sequential,
+                    g, parent_masks, sink_mask, state & full, state >> n, 0, sequential,
                     cap, None, deadline, widest=True,
                 ):
-                    nstate = (t_mask, ns)
+                    nstate = t_mask | ns << n
                     if nstate not in pred:  # the start is never a child
-                        pred[nstate] = (mask, sat)
+                        pred[nstate] = state
                         if ns == sink_mask:
-                            return _witness(pred, nstate, mode), expanded
+                            return _witness(pred, nstate, n, mode), expanded
                         nfront.append(nstate)
             frontier = nfront
     except _Stop as stop:

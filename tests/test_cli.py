@@ -107,10 +107,10 @@ def test_pcc_bounded_state_cap_exit(tmp_path, capsys):
     from pebblecc.graph import pyramid
 
     gf = graph_file(tmp_path, pyramid(4))
-    assert main(["pcc-bounded", "--graph", gf, "--horizon", "7", "--max-states", "200"]) == 3
+    assert main(["pcc-bounded", "--graph", gf, "--horizon", "7", "--max-states", "250"]) == 3
     err = capsys.readouterr().err
-    assert "limit hit: state cap 200 hit in round" in err
-    assert err.rstrip().endswith("optimum in [10, 11]")
+    assert "limit hit: state cap 250 hit in round" in err
+    assert err.rstrip().endswith("optimum in [10, 12]")
 
 
 def test_min_st_and_min_space(tmp_path, capsys):
@@ -274,6 +274,8 @@ def test_lp_json_report_shape(tmp_path, capsys):
         (["reduce", "vc", "{input}"], '{"n": 3, "edges": 5}'),
         (["gen", "complete", "1", "2"], ""),
         (["gen", "pyramid", "2", "3"], ""),
+        (["pcc", "--graph", "{graph}", "--max-states", "-5"], ""),
+        (["lp", "gap", "--graph", "{graph}", "--time-budget", "-1"], ""),
     ],
 )
 def test_malformed_input_is_usage_error(tmp_path, capsys, command, text):

@@ -12,7 +12,7 @@ from pebblecc.graph import (
     layered_random,
     pyramid,
 )
-from pebblecc.pebbling import cost, validate
+from pebblecc.pebbling import Pebbling, cost, validate
 from pebblecc.reductions import counterexample_dag
 from pebblecc.search import (
     Exhausted,
@@ -188,6 +188,56 @@ def test_bounded_matches_layered_enumeration():
     assert cases == 4802
 
 
+def _unfed_drops(g, pebbling):
+    """Every (round index, node) where a non-sink pebble of the previous
+    round is dropped and no child of it is placed in this round.
+
+    Reads only the witness's rounds and g.parent_sets, none of the search's
+    tables.
+    """
+    children = {v: set() for v in range(1, g.n + 1)}
+    for w in range(1, g.n + 1):
+        for u in g.parent_sets[w]:
+            children[u].add(w)
+    out = []
+    held = set()
+    for i, rnd in enumerate(pebbling.rounds):
+        now = set(rnd)
+        placed = now - held
+        out += [(i, v) for v in sorted(held - now) if children[v] and not children[v] & placed]
+        held = now
+    return out
+
+
+def test_witnesses_drop_only_pebbles_that_feed_the_next_round():
+    """Every witness of exact_pcc and exact_pcc_bounded drops a non-sink
+    pebble only in a round that places one of its children; a pebbling that
+    breaks this rule costs more than the same one without the idle pebble."""
+    # holding node 1 through round 2 feeds nothing placed in round 3
+    assert _unfed_drops(chain(3), Pebbling(((1,), (1, 2), (2, 3)), "parallel")) == [(2, 1)]
+    witnesses = 0
+    for max_space in (None, 2, 3):
+        limits = SearchLimits(max_space=max_space)
+        for mode in ("parallel", "sequential"):
+            for g in _random_corpus(200):
+                try:
+                    r = exact_pcc(g, mode=mode, limits=limits)
+                except Infeasible:
+                    continue
+                assert _unfed_drops(g, r.witness) == [], (g.edges, mode, max_space)
+                witnesses += 1
+            for g in _forward_corpus(60, seed=5):
+                for t_max in range(depth(g, "nodes"), g.n + 3):
+                    try:
+                        r = exact_pcc_bounded(g, t_max, mode, limits)
+                    except Infeasible:
+                        continue
+                    key = (g.edges, mode, max_space, t_max)
+                    assert _unfed_drops(g, r.witness) == [], key
+                    witnesses += 1
+    assert witnesses == 2273
+
+
 def test_min_space_and_min_st_match_the_round_dp():
     """The capped sweep retains as many pebbles as fit; the round DP under
     the same space cap keeps every retained subset."""
@@ -339,13 +389,13 @@ def test_exhausted_carries_proven_bounds():
 
 
 def test_bounded_exhausted_carries_proven_bounds():
-    # pyramid(4) at t_max = 7: h(start) is 10, the optimum 10; by 200
-    # expansions the DP holds a goal of cost 11 but has not proven 10
+    # pyramid(4) at t_max = 7: h(start) is 10, the optimum 10; the proof
+    # takes 376 expansions, and by 250 the DP holds a goal of cost 12
     with pytest.raises(Exhausted) as info:
-        exact_pcc_bounded(pyramid(4), t_max=7, limits=SearchLimits(max_states=200))
+        exact_pcc_bounded(pyramid(4), t_max=7, limits=SearchLimits(max_states=250))
     exc = info.value
-    assert (exc.lower_bound, exc.upper_bound) == (10, 11)
-    assert str(exc).endswith("optimum in [10, 11]")
+    assert (exc.lower_bound, exc.upper_bound) == (10, 12)
+    assert str(exc).endswith("optimum in [10, 12]")
     with pytest.raises(Exhausted) as info:
         exact_pcc_bounded(pyramid(4), t_max=7, limits=SearchLimits(max_states=10))
     assert (info.value.lower_bound, info.value.upper_bound) == (10, None)
@@ -405,6 +455,15 @@ def test_unachievable_seed_is_infeasible():
     # optimum prunes everything rather than returning a wrong value
     with pytest.raises(Infeasible):
         exact_pcc(pyramid(2), limits=SearchLimits(upper_bound_seed=2))
+
+
+def test_negative_limits_rejected():
+    for field in ("max_nodes", "max_states", "max_space", "time_budget"):
+        with pytest.raises(ValueError, match=field):
+            SearchLimits(**{field: -1})
+    with pytest.raises(ValueError, match="time_budget"):
+        SearchLimits(time_budget=float("nan"))  # would never expire
+    assert SearchLimits(time_budget=0.0).time_budget == 0.0
 
 
 def test_bad_mode():
