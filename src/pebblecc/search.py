@@ -125,24 +125,37 @@ def _spend(expanded: int, limits: SearchLimits, deadline: float | None) -> None:
         raise _Stop("time budget hit")
 
 
-def _future_need(parent_masks: tuple[int, ...], n: int, pebbles: int, need: int) -> int:
+def _future_need(parent_masks: tuple[int, ...], pebbles: int, need: int) -> int:
     """Backward closure of `need` through unpebbled nodes.
 
     Every node in the closure must occupy at least one future round, so its
-    popcount lower-bounds the remaining cumulative cost. Ids are
-    topological, so one descending sweep settles the closure.
+    popcount lower-bounds the remaining cumulative cost. The walk visits only
+    the closure's own nodes, highest id first; ids are topological, so every
+    node is settled before its parents and visited once.
     """
-    closure = need
+    closure = todo = need
     unpebbled = ~pebbles
-    for v in range(n, 0, -1):
-        if closure >> (v - 1) & 1:
-            closure |= parent_masks[v] & unpebbled
+    while todo:
+        v = todo.bit_length()
+        add = parent_masks[v] & unpebbled
+        closure |= add
+        todo = (todo ^ 1 << (v - 1)) | add
     return closure
 
 
-def _rounds_needed(parent_masks: tuple[int, ...], n: int, pebbles: int, need: int) -> int:
-    """Longest dependency chain in the closure: a floor on remaining rounds."""
-    return max(levels(parent_masks, n, _future_need(parent_masks, n, pebbles, need)))
+def _child_closure(parent_masks: tuple[int, ...], closure: int, t_mask: int, feed: int) -> int:
+    """The closure of child t_mask, from its parent's closure and the `feed`
+    that `_children` yields with it.
+
+    No closure path runs through a placed node, so closure & ~t_mask is
+    closed but for the paths through dropped pebbles that feed it (seeds);
+    only their walk is new, and it stops at the nodes already known.
+    """
+    known = closure & ~t_mask
+    seeds = feed & ~t_mask
+    if not seeds:
+        return known
+    return known | _future_need(parent_masks, t_mask | known, seeds)
 
 
 def _placeable(g: Dag, parent_masks: tuple[int, ...], mask: int) -> int:
@@ -166,9 +179,9 @@ def _submasks(mask: int):
 
 def _children(
     g, parent_masks, sink_mask, mask, sat, gc, sequential, space_cap, ub, deadline,
-    widest=False,
+    closure=None, widest=False,
 ):
-    """Successors of state (mask, sat), reached at cost gc, as (t_mask, ns, need).
+    """Successors of state (mask, sat), reached at cost gc, as (t_mask, ns, feed).
 
     A round places a nonempty set of placeable nodes (one in sequential mode)
     and retains a subset of the pebbles, at most space_cap in all; finished
@@ -179,19 +192,29 @@ def _children(
     placement can go too), so every min-cost pebbling follows the rule,
     under any horizon, space cap or cost cap. The pebbles that feed no node
     of the new set are therefore forced: always kept, with only subsets of
-    the rest enumerated. Given ub, a new set whose closure floor exceeds ub
-    is skipped and the retained set is cut to the slack. widest=True serves
-    the capped sweep, which minimises rounds, not cost: it forces nothing
-    and retains as many pebbles as fit (more pebbles, same sinks done, never
-    need more rounds). Sets are enumerated lazily, and the clock is read
-    every 1024 sets tried so that one expansion cannot overrun the deadline.
+    the rest enumerated.
+
+    The cost searches pass ub and the state's closure, `_future_need` of
+    its unfinished sinks. A placed node has all its parents pebbled, so no
+    closure path runs through a new set: known = closure & ~new is the
+    closure of (mask | new), with no walk. A new set whose floor
+    gc + |new| + |known| exceeds ub is skipped, and the retained set is cut
+    to the slack. feed holds the free pebbles with a child in known; those
+    a child drops are the only new starts of its closure, which
+    `_child_closure` completes when a caller reads it. widest=True serves
+    the capped sweep, which minimises rounds, not cost: it takes no ub or
+    closure, forces nothing and retains as many pebbles as fit (more
+    pebbles, same sinks done, never need more rounds); its feed is 0. Sets
+    are enumerated lazily, and the clock is read every 1024 sets tried so
+    that one expansion cannot overrun the deadline.
     """
-    n = g.n
     avail = _placeable(g, parent_masks, mask) & ~sat
     retainable = mask & ~sat
     rbits = [1 << (v - 1) for v in _mask_nodes(retainable)]
-    # each retainable pebble with its children that could be placed now
-    rkids = [(b, g.child_masks[b.bit_length()] & avail) for b in rbits]
+    # each retainable pebble with its children, and with those in the closure
+    rkids = [(b, g.child_masks[b.bit_length()]) for b in rbits]
+    ckids = [(b, kids & closure) for b, kids in rkids if kids & closure] if closure else []
+    feed = 0
     tried = 0
     probe = avail
     while probe:
@@ -212,14 +235,14 @@ def _children(
             fbits = [b for b, kids in rkids if kids & new]
             free = sum(fbits)
             forced = retainable ^ free
-        ns = sat | (new & sink_mask)
-        need = sink_mask & ~ns
-        if ub is not None:
-            floor = gc + nsize + _future_need(parent_masks, n, mask | new, need).bit_count()
-            rcap = min(rcap, ub - floor)
+            known = closure & ~new
+            rcap = min(rcap, ub - gc - nsize - known.bit_count())
         rcap -= forced.bit_count()
         if rcap < 0:
             continue
+        if ckids:
+            feed = sum(b for b, kids in ckids if kids & known) & free
+        ns = sat | (new & sink_mask)
         base = new | forced
         if rcap >= len(fbits):
             subs = (free,) if widest else _submasks(free)
@@ -230,7 +253,7 @@ def _children(
             tried += 1
             if not tried & 1023 and deadline is not None and time.monotonic() > deadline:
                 raise _Stop("time budget hit")
-            yield base | sub, ns, need
+            yield base | sub, ns, feed
 
 
 def _mask_nodes(mask: int) -> tuple[int, ...]:
@@ -295,7 +318,8 @@ def exact_pcc(
     ub = n * (n + 1) // 2 if incumbent is None else min(incumbent, n * (n + 1) // 2)
     deadline = _deadline(limits)
     sequential = mode == "sequential"
-    h0 = _future_need(parent_masks, n, 0, sink_mask).bit_count()
+    closure = _future_need(parent_masks, 0, sink_mask)
+    h0 = closure.bit_count()
     lower = 0 if complete_enumeration else h0
     expanded = 0
 
@@ -306,18 +330,24 @@ def exact_pcc(
             while sat != sink_mask:
                 expanded += 1
                 _spend(expanded, limits, deadline)
+                # h is consistent, so no child has f below the state's own
+                # g + h, and a goal child at that f has the largest g too
+                floor = gc + closure.bit_count()
                 step = None
-                for t_mask, ns, need in _children(
+                for t_mask, ns, feed in _children(
                     g, parent_masks, sink_mask, mask, sat, gc, sequential,
-                    space_cap, ub, deadline,
+                    space_cap, ub, deadline, closure,
                 ):
                     ng = gc + t_mask.bit_count()
-                    f = ng + _future_need(parent_masks, n, t_mask, need).bit_count()
+                    child = _child_closure(parent_masks, closure, t_mask, feed)
+                    f = ng + child.bit_count()
                     if f <= ub and (step is None or (f, -ng) < step[:2]):
-                        step = (f, -ng, t_mask, ns, ng)
+                        step = (f, -ng, t_mask, ns, ng, child)
+                        if f == ng == floor:
+                            break  # no later child can beat it
                 if step is None:
                     break  # dead end under the space cap or the bound
-                *_, mask, sat, gc = step
+                *_, mask, sat, gc, closure = step
                 dive.append(mask)
             else:
                 if gc == h0:  # the dive meets the lower bound: proven
@@ -374,14 +404,15 @@ def exact_pcc(
             if probe:
                 continue
 
-            for t_mask, ns, need in _children(
+            closure = _future_need(parent_masks, mask, sink_mask & ~sat)
+            for t_mask, ns, feed in _children(
                 g, parent_masks, sink_mask, mask, sat, gc, sequential,
-                space_cap, ub, deadline,
+                space_cap, ub, deadline, closure,
             ):
                 ng = gc + t_mask.bit_count()
                 nstate = t_mask | ns << n
                 if ng < best_get(nstate, ng + 1):
-                    f = ng + _future_need(parent_masks, n, t_mask, need).bit_count()
+                    f = ng + _child_closure(parent_masks, closure, t_mask, feed).bit_count()
                     if f <= ub:
                         best[nstate] = ng
                         pred[nstate] = state
@@ -436,8 +467,10 @@ def exact_pcc_bounded(
     deadline = _deadline(limits)
     sequential = mode == "sequential"
 
-    h0 = _future_need(parent_masks, n, 0, sink_mask).bit_count()
-    fits = _rounds_needed(parent_masks, n, 0, sink_mask) <= t_max
+    closure = _future_need(parent_masks, 0, sink_mask)
+    h0 = closure.bit_count()
+    # the longest dependency chain in the closure floors the rounds left
+    fits = max(levels(parent_masks, n, closure)) <= t_max
     cur: dict[tuple[int, int], int] = {(0, 0): 0} if fits else {}
     best = dict(cur)
     pred: dict[tuple[int, int, int], tuple[int, int]] = {}
@@ -454,18 +487,20 @@ def exact_pcc_bounded(
                     continue  # done, or the incumbent meets h(start)
                 expanded += 1
                 _spend(expanded, limits, deadline)
-                if gc + _future_need(parent_masks, n, mask, sink_mask & ~sat).bit_count() > ub:
+                closure = _future_need(parent_masks, mask, sink_mask & ~sat)
+                if gc + closure.bit_count() > ub:
                     continue  # every child's closure floor is above ub too
-                for t_mask, ns, need in _children(
+                for t_mask, ns, feed in _children(
                     g, parent_masks, sink_mask, mask, sat, gc, sequential,
-                    space_cap, ub, deadline,
+                    space_cap, ub, deadline, closure,
                 ):
                     ng = gc + t_mask.bit_count()
                     nstate = (t_mask, ns)
                     if best.get(nstate, ng + 1) <= ng:
                         continue
                     if ns != sink_mask:
-                        if _rounds_needed(parent_masks, n, t_mask, need) > rounds_left:
+                        child = _child_closure(parent_masks, closure, t_mask, feed)
+                        if max(levels(parent_masks, n, child)) > rounds_left:
                             best[nstate] = 0  # rounds left only fall
                             continue
                     elif goal is None or ng < goal[0]:

@@ -1,8 +1,10 @@
+import inspect
 import random
 import time
 
 import pytest
 
+from pebblecc import search
 from pebblecc.graph import (
     TooLarge,
     build_dag,
@@ -49,6 +51,25 @@ def test_dive_at_the_lower_bound_is_proven():
         r = exact_pcc(g)
         assert (r.optimum, r.expanded_states) == (opt, expanded)
         assert_sound(g, r)
+
+
+def test_dive_stops_at_a_goal_on_the_state_floor(monkeypatch):
+    """With a consistent h no child beats a goal at f = g + h(state), so the
+    dive takes it without scanning the rest: on 14 isolated nodes the first
+    new set places all of them, and the other 16,382 are never evaluated."""
+    real = search._children
+    yields = 0
+
+    def counted(*args, **kwargs):
+        nonlocal yields
+        for child in real(*args, **kwargs):
+            yields += 1
+            yield child
+
+    monkeypatch.setattr(search, "_children", counted)
+    r = exact_pcc(build_dag(14, []))
+    assert (r.optimum, r.expanded_states) == (14, 1)
+    assert yields <= 1
 
 
 def test_pcc_witnesses_sound():
@@ -236,6 +257,68 @@ def test_witnesses_drop_only_pebbles_that_feed_the_next_round():
                     assert _unfed_drops(g, r.witness) == [], key
                     witnesses += 1
     assert witnesses == 2273
+
+
+def _closure_by_bfs(g, pebbles, done):
+    """Every node a pebbling must still place: the sinks not in `done` and,
+    walking g.edges backwards, each ancestor reached through nodes not in
+    `pebbles`. Reads only g.n and g.edges."""
+    parents = {v: [] for v in range(1, g.n + 1)}
+    for u, v in g.edges:
+        parents[v].append(u)
+    sources = {u for u, _ in g.edges}
+    queue = [v for v in range(1, g.n + 1) if v not in sources and not done >> (v - 1) & 1]
+    seen = set(queue)
+    while queue:
+        for u in parents[queue.pop()]:
+            if u not in seen and not pebbles >> (u - 1) & 1:
+                seen.add(u)
+                queue.append(u)
+    return sum(1 << (v - 1) for v in seen)
+
+
+def test_inherited_closures_match_a_backward_bfs(monkeypatch):
+    """Each child's closure is its parent's less the new set, plus a walk
+    from the dropped pebbles that feed it. Checked, for every child the
+    generator yields inside exact_pcc and exact_pcc_bounded, against a plain
+    backward BFS over the edge list: the state's closure, the floor identity
+    closure(mask | new) == closure & ~new, and the completed child closure."""
+    real = search._children
+    counts = {"states": 0, "children": 0, "seeded": 0}
+
+    def checked(*args, **kwargs):
+        a = inspect.signature(real).bind(*args, **kwargs).arguments
+        g, mask, sat, closure = a["g"], a["mask"], a["sat"], a["closure"]
+        assert closure == _closure_by_bfs(g, mask, sat), (g.edges, mask, sat)
+        counts["states"] += 1
+        for t_mask, ns, feed in real(*args, **kwargs):
+            key = (g.edges, mask, sat, t_mask)
+            new = t_mask & ~mask
+            assert closure & ~new == _closure_by_bfs(g, mask | new, ns), key
+            child = search._child_closure(g.parent_masks, closure, t_mask, feed)
+            assert child == _closure_by_bfs(g, t_mask, ns), key
+            counts["children"] += 1
+            counts["seeded"] += feed & ~t_mask != 0
+            yield t_mask, ns, feed
+
+    monkeypatch.setattr(search, "_children", checked)
+    rng = random.Random(10)
+    for _ in range(12):
+        n = rng.randint(3, 10)
+        p = rng.choice((0.2, 0.35, 0.5))
+        g = build_dag(n, [(u, v) for v in range(2, n + 1) for u in range(1, v) if rng.random() < p])
+        for max_space in (None, 2, 3):
+            limits = SearchLimits(max_space=max_space)
+            for mode in ("parallel", "sequential"):
+                for run in (
+                    lambda: exact_pcc(g, mode, limits),
+                    lambda: exact_pcc_bounded(g, g.n + 1, mode, limits),
+                ):
+                    try:
+                        run()
+                    except Infeasible:
+                        pass
+    assert counts["children"] > counts["seeded"] > 0, counts
 
 
 def test_min_space_and_min_st_match_the_round_dp():
