@@ -71,8 +71,10 @@ class _Stop(Exception):
 class SearchLimits:
     """Caps for the exact searches.
 
-    upper_bound_seed must be achievable (the cost of some known legal
-    pebbling); it seeds incumbent pruning without excluding the optimum.
+    max_states caps the states taken off the frontier: expansions, and
+    exact_pcc's lazy push-backs. upper_bound_seed must be achievable (the
+    cost of some known legal pebbling); it seeds incumbent pruning without
+    excluding the optimum.
     time_budget is in seconds of wall clock; 0.0 stops at the first check.
     A negative or NaN cap raises ValueError.
     """
@@ -156,6 +158,42 @@ def _child_closure(parent_masks: tuple[int, ...], closure: int, t_mask: int, fee
     if not seeds:
         return known
     return known | _future_need(parent_masks, t_mask | known, seeds)
+
+
+def _hold_bound(parent_masks: tuple[int, ...], mask: int, closure: int) -> int:
+    """h2 = |U| + |A| + |B|, a lower bound on the remaining cumulative cost
+    of a state holding `mask`, whose `_future_need` closure is U.
+
+    A holds each v in U with a child c in U whose other parent u, also in
+    U, descends from v through nodes of U: v is first placed before u, and
+    is pebbled again in the round before c, so it fills two future rounds.
+    (Through a pebbled node the descent proves nothing: u could be placed
+    in v's first round.) B is mask & late, late the OR of the parents of
+    every c in U that has a parent in U: such a c is not placeable next
+    round, so each pebble feeding it fills one more round. A lies in U and
+    B in mask, so the terms count distinct pebble-rounds. One pass over U
+    from low ids to high keeps, for each node of U, its ancestors within U;
+    ids are topological, so a node's parents are settled first.
+    """
+    anc: dict[int, int] = {}
+    twice = late = 0
+    todo = closure
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        parents = parent_masks[low.bit_length()]
+        inner = parents & closure
+        if inner:
+            late |= parents
+            up = 0
+            rest = inner
+            while rest:
+                p = rest & -rest
+                rest ^= p
+                up |= anc.get(p, 0)
+            twice |= inner & up
+            anc[low] = inner | up
+    return closure.bit_count() + twice.bit_count() + (mask & late).bit_count()
 
 
 def _placeable(g: Dag, parent_masks: tuple[int, ...], mask: int) -> int:
@@ -283,29 +321,54 @@ def exact_pcc(
     g: Dag,
     mode: str = "parallel",
     limits: SearchLimits | None = None,
-    complete_enumeration: bool = False,
 ) -> SearchResult:
     """Minimum cumulative cost over all legal pebblings, with witness.
 
-    A* on the configuration graph, keyed by (g + h, -g) with h the popcount
-    of the `_future_need` closure. h is consistent (a closure node is either
-    placed this round, paying for itself, or stays in the child's closure),
+    A* on the configuration graph, keyed by (g + h, -g). Two lower bounds on
+    the cost still to pay serve as h, and both are consistent: a round that
+    places the set N and keeps R out of the state's pebbles pays |N| + |R|,
+    and each term of the state's bound is paid by a distinct pebble of the
+    round or carried into a distinct term of the child's bound.
+
+    - h1 = |U|, U the `_future_need` closure: a node of U is placed in this
+      round and pays for itself, or stays in the child's closure U'.
+    - h2 = |U| + |A| + |B|, from `_hold_bound`. The U terms go as for h1.
+      A node v of A is in U, with witnesses c and u in U (u a parent of c,
+      descending from v through U). Neither c nor u is placeable, since
+      each has a parent in U. If v is placed now, it is held in the child,
+      below the unplaced c, whose parent u is in U': v is in B'. Otherwise
+      the path from v to u keeps all its nodes in U' (each but v has an
+      unpebbled parent on it, so none was placed), and v is in A'. A pebble
+      p of B feeds a c in U that has a parent in U, so c is not placed now.
+      If p is kept, it pays; if dropped, p is an unpebbled parent of c in
+      U', so p is in U' but not in U, and no other term maps there.
+      At a goal U, A and B are empty, so h2 is 0.
+
+    Children are pushed with h1, inherited from their parent's closure at
+    little cost. In parallel mode a state gets h2 the first time it is
+    popped (Lazy A*, Tolpin, Beja, Shimony, Felner and Karpas, IJCAI 2013):
+    if h2 > h1 it goes back on the heap, flagged, at key g + h2, or is
+    dropped if that key is above the incumbent, instead of being expanded.
+    Sequential states keep h1: each has few children, so h2 costs more time
+    than the expansions it saves. Every key is g plus an admissible bound,
     so the first goal popped is optimal and every popped key is a proven
-    lower bound. A greedy dive first walks from the empty state, always to
-    the child of least (g + h, -g); its cost is the incumbent that cuts
-    children with g + h above it, and a dive that costs h(start) is returned
-    as proven without A*. Pruning (pure-discard elimination, a pebble
-    dropped only in a round that places one of its children, incumbent
-    cuts, single-bit superset dominance) never excludes an optimal plan.
-    complete_enumeration=True drops it all, with the heuristic and the dive,
-    for plain least-cost order over every transition that keeps within
-    max_space; the test suite checks the pruned search against it on small
+    lower bound; keys no longer pop in rising order, so the bound reported
+    is the largest popped.
+
+    A greedy dive first walks from the empty state, always to the child of
+    least (g + h1, -g); its cost is the incumbent that cuts children with
+    g + h1 above it, and a dive that costs h2(start) is returned as proven
+    without A*. Pruning (pure-discard elimination, a pebble dropped only in
+    a round that places one of its children, incumbent cuts, single-bit
+    superset dominance) never excludes an optimal plan; the test suite
+    checks the search against a plain least-cost enumeration on small
     graphs.
 
     Raises:
         TooLarge: n exceeds limits.max_nodes.
-        Exhausted: a state or time cap was hit first (dive steps count);
-            it carries the proven interval [lower_bound, upper_bound].
+        Exhausted: a state or time cap was hit first (dive steps and lazy
+            push-backs count); it carries the proven interval
+            [lower_bound, upper_bound].
         Infeasible: no pebbling within limits (only possible when max_space
             is set or upper_bound_seed was not actually achievable).
     """
@@ -318,80 +381,68 @@ def exact_pcc(
     ub = n * (n + 1) // 2 if incumbent is None else min(incumbent, n * (n + 1) // 2)
     deadline = _deadline(limits)
     sequential = mode == "sequential"
-    closure = _future_need(parent_masks, 0, sink_mask)
-    h0 = closure.bit_count()
-    lower = 0 if complete_enumeration else h0
-    expanded = 0
+    start = closure = _future_need(parent_masks, 0, sink_mask)
+    lower = _hold_bound(parent_masks, 0, closure)
+    expanded = pushed = 0
 
     try:
-        if not complete_enumeration:
-            mask = sat = gc = 0
-            dive: list[int] = []
-            while sat != sink_mask:
-                expanded += 1
-                _spend(expanded, limits, deadline)
-                # h is consistent, so no child has f below the state's own
-                # g + h, and a goal child at that f has the largest g too
-                floor = gc + closure.bit_count()
-                step = None
-                for t_mask, ns, feed in _children(
-                    g, parent_masks, sink_mask, mask, sat, gc, sequential,
-                    space_cap, ub, deadline, closure,
-                ):
-                    ng = gc + t_mask.bit_count()
-                    child = _child_closure(parent_masks, closure, t_mask, feed)
-                    f = ng + child.bit_count()
-                    if f <= ub and (step is None or (f, -ng) < step[:2]):
-                        step = (f, -ng, t_mask, ns, ng, child)
-                        if f == ng == floor:
-                            break  # no later child can beat it
-                if step is None:
-                    break  # dead end under the space cap or the bound
-                *_, mask, sat, gc, closure = step
-                dive.append(mask)
-            else:
-                if gc == h0:  # the dive meets the lower bound: proven
-                    rounds = tuple(map(_mask_nodes, dive))
-                    return SearchResult(gc, Pebbling(rounds, mode), True, expanded)
-                ub = incumbent = gc
+        mask = sat = gc = 0
+        dive: list[int] = []
+        while sat != sink_mask:
+            expanded += 1
+            _spend(expanded, limits, deadline)
+            # h1 is consistent, so no child has f below the state's own
+            # g + h1, and a goal child at that f has the largest g too
+            floor = gc + closure.bit_count()
+            step = None
+            for t_mask, ns, feed in _children(
+                g, parent_masks, sink_mask, mask, sat, gc, sequential,
+                space_cap, ub, deadline, closure,
+            ):
+                ng = gc + t_mask.bit_count()
+                child = _child_closure(parent_masks, closure, t_mask, feed)
+                f = ng + child.bit_count()
+                if f <= ub and (step is None or (f, -ng) < step[:2]):
+                    step = (f, -ng, t_mask, ns, ng, child)
+                    if f == ng == floor:
+                        break  # no later child can beat it
+            if step is None:
+                break  # dead end under the space cap or the bound
+            *_, mask, sat, gc, closure = step
+            dive.append(mask)
+        else:
+            if gc == lower:  # the dive meets the lower bound: proven
+                rounds = tuple(map(_mask_nodes, dive))
+                return SearchResult(gc, Pebbling(rounds, mode), True, expanded)
+            ub = incumbent = gc
 
-        # States are keyed by one int, mask | sat << n. Heap items are ints
-        # too, (f << hbits | h) << kbits | key with h = f - g <= n, so they
-        # sort as (f, -g, key) tuples would.
+        # States are keyed by one int, mask | sat << n, and the bit above
+        # them, `lazy`, flags a key whose h is already h2 (lazy is 0 in
+        # sequential mode, which keeps h1). Heap items are ints too,
+        # ((f << hbits | h) << kbits | key) << n | closure with h = f - g
+        # <= 2n, so they sort as (f, -g, key) tuples would, and a popped
+        # state comes with the closure its pusher already computed.
         full = (1 << n) - 1
-        kbits, hbits = 2 * n, n.bit_length()
+        states = (1 << 2 * n) - 1
+        lazy = 0 if sequential else 1 << 2 * n
+        kbits, hbits = 2 * n + 1, (2 * n).bit_length()
         best: dict[int, int] = {0: 0}
         pred: dict[int, int] = {}
-        heap: list[int] = [(lower << hbits | lower) << kbits]
+        heap: list[int] = [((lower << hbits | lower) << kbits | lazy) << n | start]
         best_get = best.get
         while heap:
             item = heappop(heap)
-            state = item & ((1 << kbits) - 1)
-            lower, h = divmod(item >> kbits, 1 << hbits)
-            gc = lower - h
+            closure = item & full
+            key = item >> n
+            state = key & states
+            f, h = divmod(key >> kbits, 1 << hbits)
+            gc = f - h
             if gc > best_get(state, gc):
                 continue
+            lower = max(lower, f)
             mask, sat = state & full, state >> n
             if sat == sink_mask:
                 return SearchResult(gc, _witness(pred, state, n, mode), True, expanded)
-            expanded += 1
-            _spend(expanded, limits, deadline)
-
-            if complete_enumeration:
-                pool = mask | _placeable(g, parent_masks, mask)
-                sub = pool
-                while sub:
-                    new = sub & ~mask
-                    if (new or sub != mask) and sub.bit_count() <= space_cap:
-                        if not (sequential and new.bit_count() > 1):
-                            nstate = sub | (sat | (sub & sink_mask)) << n
-                            ng = gc + sub.bit_count()
-                            if ng < best_get(nstate, ng + 1):
-                                best[nstate] = ng
-                                pred[nstate] = state
-                                heappush(heap, ng << hbits + kbits | nstate)
-                    sub = (sub - 1) & pool
-                continue
 
             # single-bit superset dominance: a state with one extra pebble,
             # same sinks done, at no extra cost can do anything we can
@@ -404,7 +455,17 @@ def exact_pcc(
             if probe:
                 continue
 
-            closure = _future_need(parent_masks, mask, sink_mask & ~sat)
+            if lazy and not key & lazy:
+                h2 = _hold_bound(parent_masks, mask, closure)
+                if h2 > h:
+                    pushed += 1
+                    _spend(expanded + pushed, limits, deadline)
+                    f = gc + h2
+                    if f <= ub:
+                        heappush(heap, ((f << hbits | h2) << kbits | lazy | state) << n | closure)
+                    continue
+            expanded += 1
+            _spend(expanded + pushed, limits, deadline)
             for t_mask, ns, feed in _children(
                 g, parent_masks, sink_mask, mask, sat, gc, sequential,
                 space_cap, ub, deadline, closure,
@@ -412,11 +473,12 @@ def exact_pcc(
                 ng = gc + t_mask.bit_count()
                 nstate = t_mask | ns << n
                 if ng < best_get(nstate, ng + 1):
-                    f = ng + _child_closure(parent_masks, closure, t_mask, feed).bit_count()
+                    child = _child_closure(parent_masks, closure, t_mask, feed)
+                    f = ng + child.bit_count()
                     if f <= ub:
                         best[nstate] = ng
                         pred[nstate] = state
-                        heappush(heap, (f << hbits | f - ng) << kbits | nstate)
+                        heappush(heap, ((f << hbits | f - ng) << kbits | nstate) << n | child)
     except _Stop as stop:
         raise Exhausted(
             f"{stop} at bound {lower}", expanded, limits, lower, incumbent
@@ -444,17 +506,18 @@ def exact_pcc_bounded(
     dependency chain cannot fit in the rounds left is stored at cost 0, so
     the cut is remembered: rounds left only fall. Partial costs above
     cost_cap are cut when one is given. Each goal found becomes the
-    incumbent, so later children must beat it; a state whose closure floor
-    is above it counts as expanded but generates no children; and a goal
-    that costs h(start) ends the search. Rounds follow the successor
-    generator's drop rule, which every min-cost pebbling keeps.
+    incumbent, so later children must beat it; a state whose floor g + h2
+    (`_hold_bound`, consistent, see exact_pcc) is above it counts as
+    expanded but generates no children; and a goal that costs h2(start)
+    ends the search. Rounds follow the successor generator's drop rule,
+    which every min-cost pebbling keeps.
 
     Raises:
         Infeasible: nothing completes within t_max rounds (and under
             cost_cap, if set).
         TooLarge: as exact_pcc.
         Exhausted: a state or time cap was hit first; it carries the
-            proven interval [h(start), cheapest goal found or None].
+            proven interval [h2(start), cheapest goal found or None].
     """
     limits = limits or SearchLimits()
     _check_entry(g, mode, limits)
@@ -468,7 +531,7 @@ def exact_pcc_bounded(
     sequential = mode == "sequential"
 
     closure = _future_need(parent_masks, 0, sink_mask)
-    h0 = closure.bit_count()
+    h0 = _hold_bound(parent_masks, 0, closure)
     # the longest dependency chain in the closure floors the rounds left
     fits = max(levels(parent_masks, n, closure)) <= t_max
     cur: dict[tuple[int, int], int] = {(0, 0): 0} if fits else {}
@@ -484,12 +547,17 @@ def exact_pcc_bounded(
             rounds_left = t_max - r
             for (mask, sat), gc in cur.items():
                 if sat == sink_mask or ub < h0:
-                    continue  # done, or the incumbent meets h(start)
+                    continue  # done, or the incumbent meets h2(start)
                 expanded += 1
                 _spend(expanded, limits, deadline)
                 closure = _future_need(parent_masks, mask, sink_mask & ~sat)
-                if gc + closure.bit_count() > ub:
-                    continue  # every child's closure floor is above ub too
+                h1 = closure.bit_count()
+                # h2 <= 2 h1 + |mask|, so it can cut only a state this close to ub
+                if gc + h1 > ub or (
+                    gc + 2 * h1 + mask.bit_count() > ub
+                    and gc + _hold_bound(parent_masks, mask, closure) > ub
+                ):
+                    continue  # h2 is consistent: every child's floor is above ub too
                 for t_mask, ns, feed in _children(
                     g, parent_masks, sink_mask, mask, sat, gc, sequential,
                     space_cap, ub, deadline, closure,

@@ -408,7 +408,7 @@ def test_cli_output_is_pinned(tmp_path, capsys):
             out, err = capsys.readouterr()
             record.append(f"{argv}\n{rc}\n{out}\0{err}\0")
     digest = hashlib.sha256("".join(record).encode()).hexdigest()
-    assert digest == "eae4f70da11066af961ab888237b7619b9ddc419076dd6c42a6ce7beadc699c0"
+    assert digest == "23253d2e47edfd3418ff4b4f6673adb1f53a82d7e1af5c44521faf7b83c62acb"
 
 
 def test_module_entry_point():

@@ -1,6 +1,7 @@
 import inspect
 import random
 import time
+from heapq import heappop, heappush
 
 import pytest
 
@@ -20,6 +21,7 @@ from pebblecc.search import (
     Exhausted,
     Infeasible,
     SearchLimits,
+    SearchResult,
     exact_min_space,
     exact_min_st,
     exact_pcc,
@@ -78,9 +80,70 @@ def test_pcc_witnesses_sound():
             assert_sound(g, exact_pcc(g, mode=mode), mode)
 
 
+def _bit_tables(g):
+    """The sink mask and each node's parent mask (index v - 1), built from
+    g.sinks and g.parent_sets only."""
+    sinks = sum(1 << (s - 1) for s in g.sinks)
+    parents = [sum(1 << (u - 1) for u in g.parent_sets[v]) for v in range(1, g.n + 1)]
+    return sinks, parents
+
+
+def _pool(parents, held):
+    """The nodes a round may hold after `held`: those pebbles plus every
+    node whose parents are all held."""
+    pool = held
+    for v, ps in enumerate(parents):
+        if ps & held == ps:
+            pool |= 1 << v
+    return pool
+
+
+def _least_cost_reference(g, mode="parallel", max_space=None):
+    """Least-cost pebbling by plain Dijkstra over (pebbles, sinks done) states.
+
+    Every legal round within max_space is a transition: any nonempty subset
+    of the held pebbles plus the nodes whose parents are all held, at most
+    one new node in sequential mode. No heuristic, dive, drop rule,
+    dominance or packed keys: it shares nothing with exact_pcc but the
+    graph's parent sets. The witness replays the chain of rounds; no
+    reachable goal raises Infeasible.
+    """
+    space = g.n if max_space is None else max_space
+    sinks, parents = _bit_tables(g)
+    start = (0, 0)
+    dist = {start: 0}
+    pred = {}
+    heap = [(0, start)]
+    while heap:
+        c, state = heappop(heap)
+        if c > dist[state]:
+            continue
+        held, done = state
+        if done == sinks:
+            rounds = []
+            while state != start:
+                rounds.append(tuple(v + 1 for v in range(g.n) if state[0] >> v & 1))
+                state = pred[state]
+            return SearchResult(c, Pebbling(tuple(reversed(rounds)), mode), True, len(dist))
+        pool = _pool(parents, held)
+        peb = pool
+        while peb:  # every nonempty subset of pool
+            if peb.bit_count() <= space and not (
+                mode == "sequential" and (peb & ~held).bit_count() > 1
+            ):
+                nxt = (peb, done | (peb & sinks))
+                cost_r = c + peb.bit_count()
+                if cost_r < dist.get(nxt, cost_r + 1):
+                    dist[nxt] = cost_r
+                    pred[nxt] = state
+                    heappush(heap, (cost_r, nxt))
+            peb = (peb - 1) & pool
+    raise Infeasible("no goal reachable")
+
+
 def test_pruned_search_matches_complete_enumeration():
     """The pruning rules (pure-discard elimination, dominance, incumbent cuts)
-    are exactness-preserving: checked against the unpruned search."""
+    are exactness-preserving: checked against the test-side enumerator."""
     graphs = [
         chain(4),
         pyramid(2),
@@ -94,7 +157,7 @@ def test_pruned_search_matches_complete_enumeration():
     for g in graphs:
         for mode in ("parallel", "sequential"):
             fast = exact_pcc(g, mode=mode)
-            slow = exact_pcc(g, mode=mode, complete_enumeration=True)
+            slow = _least_cost_reference(g, mode)
             assert fast.optimum == slow.optimum, (g, mode)
             assert_sound(g, fast, mode)
             assert_sound(g, slow, mode)
@@ -111,7 +174,7 @@ def test_astar_matches_complete_enumeration_on_random_graphs():
     for g in _random_corpus(200):
         for mode in ("parallel", "sequential"):
             fast = exact_pcc(g, mode=mode)
-            slow = exact_pcc(g, mode=mode, complete_enumeration=True)
+            slow = _least_cost_reference(g, mode)
             assert fast.optimum == slow.optimum, (g.edges, mode)
             assert_sound(g, fast, mode)
 
@@ -137,17 +200,13 @@ def _layered_reference(g, horizon, mode, max_space):
     at most r rounds, or None.
     """
     space = g.n if max_space is None else max_space
-    sinks = sum(1 << (s - 1) for s in g.sinks)
-    parents = [sum(1 << (u - 1) for u in g.parent_sets[v]) for v in range(1, g.n + 1)]
+    sinks, parents = _bit_tables(g)
     layer = {(0, 0): 0}
     by_rounds = [None]
     for _ in range(horizon):
         nxt = {}
         for (held, done), c in layer.items():
-            pool = held
-            for v in range(g.n):
-                if parents[v] & held == parents[v]:
-                    pool |= 1 << v
+            pool = _pool(parents, held)
             peb = pool
             while True:  # every subset of pool, the empty round included
                 cost_r = c + peb.bit_count()
@@ -321,6 +380,79 @@ def test_inherited_closures_match_a_backward_bfs(monkeypatch):
     assert counts["children"] > counts["seeded"] > 0, counts
 
 
+def _state_graph(g):
+    """Every (pebbles, sinks done) state reachable from the empty state by
+    legal rounds, each mapped to its successors; goals are not expanded."""
+    sinks, parents = _bit_tables(g)
+    succ = {}
+    todo = [(0, 0)]
+    while todo:
+        state = todo.pop()
+        if state in succ:
+            continue
+        held, done = state
+        succ[state] = []
+        if done == sinks:
+            continue
+        pool = _pool(parents, held)
+        peb = pool
+        while peb:  # every nonempty subset of pool
+            succ[state].append((peb, done | (peb & sinks)))
+            peb = (peb - 1) & pool
+        todo += succ[state]
+    return succ, sinks
+
+
+def _remaining_costs(succ, sinks):
+    """Least cost from each state to a goal: Dijkstra backwards from the goals."""
+    back = {s: [] for s in succ}
+    for s, ts in succ.items():
+        for t in ts:
+            back[t].append(s)
+    rem = {s: 0 for s in succ if s[1] == sinks}
+    heap = [(0, s) for s in rem]
+    while heap:
+        c, t = heappop(heap)
+        if c > rem[t]:
+            continue
+        for s in back[t]:
+            cs = c + t[0].bit_count()
+            if cs < rem.get(s, cs + 1):
+                rem[s] = cs
+                heappush(heap, (cs, s))
+    return rem
+
+
+def test_hold_bound_is_admissible_and_consistent():
+    """h2 = `_hold_bound` on every state reachable from the empty state of
+    small random DAGs, with the closure from a backward BFS: never above the
+    exact remaining cost, and never above a round's cost plus the h2 of the
+    state it leads to. The first graph is v->w->u, v->c, u->c: with w
+    pebbled, v and u can both be placed next round and c the round after,
+    so a descent through the pebbled w must not count v twice."""
+    rng = random.Random(12)
+    graphs = [build_dag(4, [(1, 2), (2, 3), (1, 4), (3, 4)])]
+    for _ in range(200):
+        n = rng.randint(3, 7)
+        p = rng.choice((0.3, 0.45, 0.6))
+        edges = [(u, v) for v in range(2, n + 1) for u in range(1, v) if rng.random() < p]
+        graphs.append(build_dag(n, edges))
+    states = transitions = raised = 0
+    for g in graphs:
+        succ, sinks = _state_graph(g)
+        rem = _remaining_costs(succ, sinks)
+        h1 = {s: _closure_by_bfs(g, *s) for s in succ}
+        h2 = {s: search._hold_bound(g.parent_masks, s[0], c) for s, c in h1.items()}
+        for s, ts in succ.items():
+            assert h1[s].bit_count() <= h2[s] <= rem[s], (g.edges, s)
+            raised += h2[s] > h1[s].bit_count()
+            for t in ts:
+                assert h2[s] <= t[0].bit_count() + h2[t], (g.edges, s, t)
+            transitions += len(ts)
+        states += len(succ)
+    assert (states, transitions, raised) == (23016, 619038, 6972)
+
+
 def test_min_space_and_min_st_match_the_round_dp():
     """The capped sweep retains as many pebbles as fit; the round DP under
     the same space cap keeps every retained subset."""
@@ -462,13 +594,13 @@ def test_exhausted_carries_proven_bounds():
     exc = info.value
     assert 16 <= exc.lower_bound <= 27 <= exc.upper_bound
     assert f"optimum in [{exc.lower_bound}, {exc.upper_bound}]" in str(exc)
-    # stopped during the dive: the bound is h(start) and the seed the incumbent
+    # stopped during the dive: the bound is h2(start) and the seed the incumbent
     with pytest.raises(Exhausted) as info:
         exact_pcc(
             counterexample_dag(),
             limits=SearchLimits(max_states=3, upper_bound_seed=30),
         )
-    assert (info.value.lower_bound, info.value.upper_bound) == (16, 30)
+    assert (info.value.lower_bound, info.value.upper_bound) == (23, 30)
 
 
 def test_bounded_exhausted_carries_proven_bounds():
@@ -512,7 +644,7 @@ def test_space_limit_infeasible():
 
 def test_complete_enumeration_respects_space_cap():
     with pytest.raises(Infeasible):
-        exact_pcc(pyramid(2), limits=SearchLimits(max_space=1), complete_enumeration=True)
+        _least_cost_reference(pyramid(2), max_space=1)
 
 
 def test_space_capped_search_matches_complete_enumeration():
@@ -523,7 +655,10 @@ def test_space_capped_search_matches_complete_enumeration():
         outcomes = []
         for complete in (False, True):
             try:
-                r = exact_pcc(g, limits=limits, complete_enumeration=complete)
+                if complete:
+                    r = _least_cost_reference(g, max_space=limits.max_space)
+                else:
+                    r = exact_pcc(g, limits=limits)
             except Infeasible:
                 outcomes.append(None)
                 continue
