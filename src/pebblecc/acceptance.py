@@ -23,6 +23,7 @@ from .lp import (
     fractional_reducible_solution,
     pebbling_to_solution,
     relax,
+    staircase_horizon,
     verify_solution,
 )
 from .pebbling import (
@@ -90,7 +91,7 @@ def _check_staircase_corpus() -> tuple[bool, str]:
         for seed in (1, 2, 3)
     ]
     for g in corpus:
-        h = g.n + (g.n - 1).bit_length()
+        h = staircase_horizon(g.n)
         sol = fractional_pebbling_solution(g, horizon=h)
         rep = verify_solution(relax(build_pebbling_ip(g, horizon=h)), sol)
         if not rep.feasible:
@@ -197,10 +198,10 @@ def _check_vc_threshold() -> tuple[bool, str]:
                     k = _min_vertex_cover(v, list(es))
                     g, _ = vc_to_reducible(v, es, conv)
                     for d in sorted(live):
-                        ok = is_reducible(g, k, d, conv).reducible
-                        if ok and k > 0:
-                            ok = not is_reducible(g, k - 1, d, conv).reducible
-                        if not ok:
+                        # is_reducible tries sizes in increasing order, so its
+                        # witness has k nodes iff k suffice and k - 1 do not
+                        res = is_reducible(g, k, d, conv)
+                        if not (res.reducible and len(res.witness_set) == k):
                             live.discard(d)
             per_v[v] = sorted(live)
             if not live:

@@ -33,6 +33,7 @@ from .lp import (
     gap_report,
     relax,
     report_to_json,
+    staircase_horizon,
     verify_solution,
     LpSolution,
 )
@@ -315,7 +316,7 @@ def _point_output(sol: LpSolution, rep, text: str):
 
 def _cmd_lp_frac_pebbling(args):
     g = _load_graph(args.graph)
-    h = args.horizon if args.horizon is not None else g.n + (g.n - 1).bit_length()
+    h = args.horizon if args.horizon is not None else staircase_horizon(g.n)
     sol = fractional_pebbling_solution(g, horizon=h)
     rep = verify_solution(relax(build_pebbling_ip(g, horizon=h)), sol)
     return _point_output(sol, rep, f"objective = {rep.objective} (feasible={rep.feasible}, horizon={h})")

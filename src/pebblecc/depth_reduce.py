@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Dag, OutOfRange, TooLarge, depth, levels
+from .graph import Dag, OutOfRange, TooLarge, depth, levels, mask_of, nodes_of
 
 __all__ = [
     "ReducibilityResult",
@@ -65,10 +65,6 @@ def _longest_path(g: Dag, keep: int, lvl: list[int]) -> list[int]:
     return path
 
 
-def _node_mask(nodes) -> int:
-    return sum(1 << (v - 1) for v in nodes)
-
-
 def _disjoint_violations(g: Dag, keep: int, allowed: int) -> int:
     """Greedy count of vertex-disjoint paths inside keep longer than allowed nodes.
 
@@ -81,7 +77,7 @@ def _disjoint_violations(g: Dag, keep: int, allowed: int) -> int:
         if max(lvl) <= allowed:
             return count
         count += 1
-        keep &= ~_node_mask(_longest_path(g, keep, lvl))
+        keep &= ~mask_of(_longest_path(g, keep, lvl))
 
 
 class _Budget:
@@ -112,7 +108,7 @@ def _search(
         return None
     # path is the first violation the greedy count would find; count the rest
     path = _longest_path(g, keep, lvl)
-    if _disjoint_violations(g, keep & ~_node_mask(path), allowed) >= budget:
+    if _disjoint_violations(g, keep & ~mask_of(path), allowed) >= budget:
         return None
     # The window is itself a violating path, so any valid set hits it. Nodes
     # banned by an earlier sibling branch cannot be chosen again; if the
@@ -143,7 +139,7 @@ def is_reducible(
     for size in range(0, min(e, g.n) + 1):
         found = _search(g, 0, 0, size, allowed, visits)
         if found is not None:
-            witness = frozenset(v for v in range(1, g.n + 1) if found >> (v - 1) & 1)
+            witness = frozenset(nodes_of(found))
             return ReducibilityResult(
                 reducible=True,
                 witness_set=witness,
@@ -189,7 +185,7 @@ def greedy_reduce(g: Dag, d: int, convention: str) -> frozenset[int]:
         f = levels(g.parent_masks, g.n, keep)
         span = max(f)
         if span <= allowed:
-            return frozenset(v for v in range(1, g.n + 1) if not keep >> (v - 1) & 1)
+            return frozenset(nodes_of(((1 << g.n) - 1) & ~keep))
         nf = [0] * (g.n + 1)
         b = [0] * (g.n + 1)
         nb = [0] * (g.n + 1)

@@ -20,6 +20,8 @@ __all__ = [
     "build_dag",
     "depth",
     "levels",
+    "mask_of",
+    "nodes_of",
     "chain",
     "pyramid",
     "complete",
@@ -99,7 +101,7 @@ class Dag:
     @cached_property
     def sink_mask(self) -> int:
         """The sinks as a bitmask."""
-        return sum(1 << (s - 1) for s in self.sinks)
+        return mask_of(self.sinks)
 
     def parents(self, v: int) -> frozenset[int]:
         if not 1 <= v <= self.n:
@@ -120,6 +122,21 @@ class Dag:
     @cached_property
     def sources(self) -> tuple[int, ...]:
         return tuple(v for v in range(1, self.n + 1) if not self.parent_sets[v])
+
+
+def mask_of(nodes) -> int:
+    """The bitmask of node ids `nodes`: bit v-1 for node v."""
+    return sum(1 << (v - 1) for v in nodes)
+
+
+def nodes_of(mask: int) -> tuple[int, ...]:
+    """The node ids in `mask`, ascending; the inverse of mask_of."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length())
+        mask ^= low
+    return tuple(out)
 
 
 def build_dag(n: int, edges) -> Dag:

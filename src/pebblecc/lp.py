@@ -32,6 +32,7 @@ __all__ = [
     "build_pebbling_ip",
     "build_reducible_ip",
     "relax",
+    "staircase_horizon",
     "fractional_pebbling_solution",
     "fractional_timed_solution",
     "fractional_reducible_solution",
@@ -207,9 +208,10 @@ def relax(m: LpModel) -> LpModel:
     )
 
 
-def _ramp_length(n: int) -> int:
-    """ceil(lg n), computed exactly."""
-    return (n - 1).bit_length()
+def staircase_horizon(n: int) -> int:
+    """n + ceil(lg n), computed exactly: the fewest rounds the staircase
+    point of an n-node DAG needs."""
+    return n + (n - 1).bit_length()
 
 
 def fractional_pebbling_solution(g: Dag, horizon: int | None = None) -> LpSolution:
@@ -222,9 +224,9 @@ def fractional_pebbling_solution(g: Dag, horizon: int | None = None) -> LpSoluti
     n = g.n
     if horizon is None:
         horizon = n * n
-    ramp = _ramp_length(n)
-    if horizon < n + ramp:
-        raise ValueError(f"horizon {horizon} below n + ceil(lg n) = {n + ramp}")
+    top = staircase_horizon(n)
+    if horizon < top:
+        raise ValueError(f"horizon {horizon} below n + ceil(lg n) = {top}")
     values: dict[str, Fraction] = {}
     if n == 1:
         for t in range(0, horizon + 1):
@@ -235,7 +237,7 @@ def fractional_pebbling_solution(g: Dag, horizon: int | None = None) -> LpSoluti
         for t in range(0, horizon + 1):
             if t <= n:
                 val = trickle if v <= t else 0
-            elif t <= n + ramp:
+            elif t <= top:
                 val = min(1, Fraction(2 ** (t - n), n))
             else:
                 val = 0
@@ -438,7 +440,7 @@ def gap_report(g: Dag, limits=None) -> GapReport:
     from .search import Exhausted, SearchLimits, exact_pcc
 
     n = g.n
-    frac = fractional_pebbling_solution(g, horizon=n + _ramp_length(n))
+    frac = fractional_pebbling_solution(g, horizon=staircase_horizon(n))
     objective = sum(frac.values.values(), Fraction(0))
     try:
         res = exact_pcc(g, limits=limits or SearchLimits())

@@ -312,18 +312,15 @@ def sync_normalize(layout: ReductionLayout, p: Pebbling) -> Pebbling:
     return Pebbling(rounds=tuple(new_rounds), mode=p.mode)
 
 
-def random_legal_pebbling(
-    g: Dag, seed: int, mode: str = "parallel", scramble_rounds: int | None = None
-) -> Pebbling:
+def random_legal_pebbling(g: Dag, seed: int, mode: str = "parallel") -> Pebbling:
     """A legal pebbling with randomized placements and drops, seeded.
 
-    Runs a random phase for about scramble_rounds rounds (default 3n),
-    placing a random nonempty subset of the available nodes and keeping each
-    held pebble with probability 0.7, then switches to a keep-everything
-    completion phase, which terminates within depth(g) further rounds.
+    Runs a random phase for 3n rounds, placing a random nonempty subset of
+    the available nodes and keeping each held pebble with probability 0.7,
+    then switches to a keep-everything completion phase, which terminates
+    within depth(g) further rounds.
     """
     rng = random.Random(seed)
-    limit = 3 * g.n if scramble_rounds is None else scramble_rounds
     sinks = set(g.sinks)
     satisfied: set[int] = set()
     cur: set[int] = set()
@@ -332,7 +329,7 @@ def random_legal_pebbling(
         avail = [
             v for v in range(1, g.n + 1) if v not in cur and g.parent_sets[v] <= cur
         ]
-        if len(rounds) < limit:
+        if len(rounds) < 3 * g.n:
             if mode == "sequential":
                 place = {rng.choice(avail)}
             else:

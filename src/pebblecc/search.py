@@ -4,10 +4,10 @@ This is the brute-force oracle the rest of the package leans on: A* search
 for minimum cumulative cost, a round-indexed variant for fixed-horizon
 optima, and capped breadth-first sweeps for space-time and minimum-space
 optima. All of them expand states through one successor generator. States
-are (pebble bitmask, satisfied-sink bitmask) pairs, which the A* search and
-the capped sweep store packed into one int, mask | sat << n; every returned
-witness replays the predecessor chain as literal rounds, so it can be
-revalidated independently.
+are (pebble bitmask, satisfied-sink bitmask) pairs, and every search stores
+them packed into one int, mask | sat << n; every returned witness replays
+the predecessor chain as literal rounds, so it can be revalidated
+independently.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import chain, combinations, repeat
 
-from .graph import Dag, TooLarge, levels
+from .graph import Dag, TooLarge, levels, nodes_of
 from .pebbling import Pebbling
 from .pebbling import cost as pebbling_cost
 
@@ -103,20 +103,21 @@ class SearchResult:
     expanded_states: int
 
 
-def _check_entry(g: Dag, mode: str, limits: SearchLimits) -> None:
+def _check_entry(
+    g: Dag, mode: str, limits: SearchLimits | None
+) -> tuple[SearchLimits, float | None]:
+    """Validate a search's arguments; return its limits (the defaults for
+    None) and the monotonic instant at which a budgeted search gives up."""
+    limits = limits or SearchLimits()
     if mode not in ("parallel", "sequential"):
         raise ValueError(f"mode must be parallel or sequential, got {mode!r}")
     if g.n > limits.max_nodes:
         raise TooLarge(
             f"graph has {g.n} nodes, above the configured cap {limits.max_nodes}"
         )
-
-
-def _deadline(limits: SearchLimits) -> float | None:
-    """The monotonic instant at which a budgeted search gives up."""
     if limits.time_budget is None:
-        return None
-    return time.monotonic() + limits.time_budget
+        return limits, None
+    return limits, time.monotonic() + limits.time_budget
 
 
 def _spend(expanded: int, limits: SearchLimits, deadline: float | None) -> None:
@@ -196,7 +197,8 @@ def _hold_bound(parent_masks: tuple[int, ...], mask: int, closure: int) -> int:
     return closure.bit_count() + twice.bit_count() + (mask & late).bit_count()
 
 
-def _placeable(g: Dag, parent_masks: tuple[int, ...], mask: int) -> int:
+def _placeable(g: Dag, mask: int) -> int:
+    parent_masks = g.parent_masks
     out = 0
     for v in range(1, g.n + 1):
         bit = 1 << (v - 1)
@@ -216,8 +218,7 @@ def _submasks(mask: int):
 
 
 def _children(
-    g, parent_masks, sink_mask, mask, sat, gc, sequential, space_cap, ub, deadline,
-    closure=None, widest=False,
+    g, mask, sat, gc, sequential, space_cap, ub, deadline, closure=None, widest=False,
 ):
     """Successors of state (mask, sat), reached at cost gc, as (t_mask, ns, feed).
 
@@ -246,9 +247,10 @@ def _children(
     are enumerated lazily, and the clock is read every 1024 sets tried so
     that one expansion cannot overrun the deadline.
     """
-    avail = _placeable(g, parent_masks, mask) & ~sat
+    avail = _placeable(g, mask) & ~sat
+    sink_mask = g.sink_mask
     retainable = mask & ~sat
-    rbits = [1 << (v - 1) for v in _mask_nodes(retainable)]
+    rbits = [1 << (v - 1) for v in nodes_of(retainable)]
     # each retainable pebble with its children, and with those in the closure
     rkids = [(b, g.child_masks[b.bit_length()]) for b in rbits]
     ckids = [(b, kids & closure) for b, kids in rkids if kids & closure] if closure else []
@@ -294,24 +296,14 @@ def _children(
             yield base | sub, ns, feed
 
 
-def _mask_nodes(mask: int) -> tuple[int, ...]:
-    out = []
-    v = 1
-    while mask:
-        if mask & 1:
-            out.append(v)
-        mask >>= 1
-        v += 1
-    return tuple(out)
-
-
 def _witness(pred, goal: int, n: int, mode: str) -> Pebbling:
-    """Replay the chain of packed keys (mask | sat << n) back to the start, 0."""
+    """Replay the chain of packed keys (mask | sat << n, with any tag above
+    bit 2n) back to the start, 0."""
     full = (1 << n) - 1
     rounds = []
     cur = goal
     while cur:
-        rounds.append(_mask_nodes(cur & full))
+        rounds.append(nodes_of(cur & full))
         cur = pred[cur]
     rounds.reverse()
     return Pebbling(rounds=tuple(rounds), mode=mode)
@@ -372,14 +364,12 @@ def exact_pcc(
         Infeasible: no pebbling within limits (only possible when max_space
             is set or upper_bound_seed was not actually achievable).
     """
-    limits = limits or SearchLimits()
-    _check_entry(g, mode, limits)
+    limits, deadline = _check_entry(g, mode, limits)
     n = g.n
     parent_masks, sink_mask = g.parent_masks, g.sink_mask
     space_cap = limits.max_space if limits.max_space is not None else n
     incumbent = limits.upper_bound_seed
     ub = n * (n + 1) // 2 if incumbent is None else min(incumbent, n * (n + 1) // 2)
-    deadline = _deadline(limits)
     sequential = mode == "sequential"
     start = closure = _future_need(parent_masks, 0, sink_mask)
     lower = _hold_bound(parent_masks, 0, closure)
@@ -396,8 +386,7 @@ def exact_pcc(
             floor = gc + closure.bit_count()
             step = None
             for t_mask, ns, feed in _children(
-                g, parent_masks, sink_mask, mask, sat, gc, sequential,
-                space_cap, ub, deadline, closure,
+                g, mask, sat, gc, sequential, space_cap, ub, deadline, closure
             ):
                 ng = gc + t_mask.bit_count()
                 child = _child_closure(parent_masks, closure, t_mask, feed)
@@ -412,7 +401,7 @@ def exact_pcc(
             dive.append(mask)
         else:
             if gc == lower:  # the dive meets the lower bound: proven
-                rounds = tuple(map(_mask_nodes, dive))
+                rounds = tuple(map(nodes_of, dive))
                 return SearchResult(gc, Pebbling(rounds, mode), True, expanded)
             ub = incumbent = gc
 
@@ -467,8 +456,7 @@ def exact_pcc(
             expanded += 1
             _spend(expanded + pushed, limits, deadline)
             for t_mask, ns, feed in _children(
-                g, parent_masks, sink_mask, mask, sat, gc, sequential,
-                space_cap, ub, deadline, closure,
+                g, mask, sat, gc, sequential, space_cap, ub, deadline, closure
             ):
                 ng = gc + t_mask.bit_count()
                 nstate = t_mask | ns << n
@@ -519,38 +507,43 @@ def exact_pcc_bounded(
         Exhausted: a state or time cap was hit first; it carries the
             proven interval [h2(start), cheapest goal found or None].
     """
-    limits = limits or SearchLimits()
-    _check_entry(g, mode, limits)
+    limits, deadline = _check_entry(g, mode, limits)
     if t_max < 0:
         raise ValueError("t_max must be nonnegative")
     n = g.n
     parent_masks, sink_mask = g.parent_masks, g.sink_mask
     space_cap = limits.max_space if limits.max_space is not None else n
     ub = cost_cap if cost_cap is not None else n * t_max
-    deadline = _deadline(limits)
     sequential = mode == "sequential"
 
     closure = _future_need(parent_masks, 0, sink_mask)
     h0 = _hold_bound(parent_masks, 0, closure)
+    # States are keyed mask | sat << n, as in exact_pcc. A layer maps each
+    # to gc << n | closure, the closure `_child_closure` computed when the
+    # state was stored; pred tags a key with its round, state | r << 2n, so
+    # that _witness replays the chain back to round 0's empty state, key 0.
+    full = (1 << n) - 1
     # the longest dependency chain in the closure floors the rounds left
     fits = max(levels(parent_masks, n, closure)) <= t_max
-    cur: dict[tuple[int, int], int] = {(0, 0): 0} if fits else {}
-    best = dict(cur)
-    pred: dict[tuple[int, int, int], tuple[int, int]] = {}
-    goal: tuple[int, int, tuple[int, int]] | None = None  # (cost, round, state)
+    cur: dict[int, int] = {0: closure} if fits else {}
+    best: dict[int, int] = {0: 0}
+    pred: dict[int, int] = {}
+    goal: tuple[int, int] | None = None  # (cost, round-tagged key)
     expanded = 0
     try:
         for r in range(1, t_max + 1):
             if not cur:
                 break
-            nxt: dict[tuple[int, int], int] = {}
+            nxt: dict[int, int] = {}
             rounds_left = t_max - r
-            for (mask, sat), gc in cur.items():
+            tag, ptag = r << 2 * n, (r - 1) << 2 * n
+            for state, entry in cur.items():
+                mask, sat = state & full, state >> n
                 if sat == sink_mask or ub < h0:
                     continue  # done, or the incumbent meets h2(start)
                 expanded += 1
                 _spend(expanded, limits, deadline)
-                closure = _future_need(parent_masks, mask, sink_mask & ~sat)
+                gc, closure = entry >> n, entry & full
                 h1 = closure.bit_count()
                 # h2 <= 2 h1 + |mask|, so it can cut only a state this close to ub
                 if gc + h1 > ub or (
@@ -559,23 +552,25 @@ def exact_pcc_bounded(
                 ):
                     continue  # h2 is consistent: every child's floor is above ub too
                 for t_mask, ns, feed in _children(
-                    g, parent_masks, sink_mask, mask, sat, gc, sequential,
-                    space_cap, ub, deadline, closure,
+                    g, mask, sat, gc, sequential, space_cap, ub, deadline, closure
                 ):
                     ng = gc + t_mask.bit_count()
-                    nstate = (t_mask, ns)
+                    nstate = t_mask | ns << n
                     if best.get(nstate, ng + 1) <= ng:
                         continue
-                    if ns != sink_mask:
-                        child = _child_closure(parent_masks, closure, t_mask, feed)
-                        if max(levels(parent_masks, n, child)) > rounds_left:
-                            best[nstate] = 0  # rounds left only fall
-                            continue
-                    elif goal is None or ng < goal[0]:
-                        goal = (ng, r, nstate)
+                    # a goal's closure is empty, so it always fits
+                    child = _child_closure(parent_masks, closure, t_mask, feed)
+                    if max(levels(parent_masks, n, child)) > rounds_left:
+                        best[nstate] = 0  # rounds left only fall
+                        continue
+                    # _children keeps the ub it started with, so a goal it
+                    # yields after a cheaper one is no new incumbent
+                    if ns == sink_mask and (goal is None or ng < goal[0]):
+                        goal = (ng, nstate | tag)
                         ub = ng - 1
-                    best[nstate] = nxt[nstate] = ng
-                    pred[(r, t_mask, ns)] = (mask, sat)
+                    best[nstate] = ng
+                    nxt[nstate] = ng << n | child
+                    pred[nstate | tag] = state | ptag
             cur = nxt
     except _Stop as stop:
         raise Exhausted(
@@ -584,16 +579,7 @@ def exact_pcc_bounded(
     if goal is None:
         cap_note = f" under cost cap {cost_cap}" if cost_cap is not None else ""
         raise Infeasible(f"no legal pebbling within {t_max} rounds{cap_note}")
-    gcost, r, state = goal
-    rounds = []
-    cur_state = state
-    while r > 0:
-        rounds.append(_mask_nodes(cur_state[0]))
-        cur_state = pred[(r, cur_state[0], cur_state[1])]
-        r -= 1
-    rounds.reverse()
-    witness = Pebbling(rounds=tuple(rounds), mode=mode)
-    return SearchResult(gcost, witness, True, expanded)
+    return SearchResult(goal[0], _witness(pred, goal[1], n, mode), True, expanded)
 
 
 def _min_rounds_capped(
@@ -611,7 +597,7 @@ def _min_rounds_capped(
     """
     n = g.n
     full = (1 << n) - 1
-    parent_masks, sink_mask = g.parent_masks, g.sink_mask
+    sink_mask = g.sink_mask
     sequential = mode == "sequential"
     pred: dict[int, int] = {}  # keyed by mask | sat << n, as in exact_pcc
     frontier = [0]
@@ -623,8 +609,8 @@ def _min_rounds_capped(
                 expanded += 1
                 _spend(expanded, limits, deadline)
                 for t_mask, ns, _ in _children(
-                    g, parent_masks, sink_mask, state & full, state >> n, 0, sequential,
-                    cap, None, deadline, widest=True,
+                    g, state & full, state >> n, 0, sequential, cap, None, deadline,
+                    widest=True,
                 ):
                     nstate = t_mask | ns << n
                     if nstate not in pred:  # the start is never a child
@@ -647,9 +633,7 @@ def exact_min_st(
     rounds t(s); the best witness over s is exact. Caps at or above the
     current best product cannot improve it (t >= 1), so the sweep stops there.
     """
-    limits = limits or SearchLimits()
-    _check_entry(g, mode, limits)
-    deadline = _deadline(limits)
+    limits, deadline = _check_entry(g, mode, limits)
     expanded = 0
     best: tuple[int, Pebbling] | None = None
     for s in range(1, g.n + 1):
@@ -669,9 +653,7 @@ def exact_min_space(
     g: Dag, mode: str = "parallel", limits: SearchLimits | None = None
 ) -> SearchResult:
     """Smallest s such that some legal pebbling never holds more than s pebbles."""
-    limits = limits or SearchLimits()
-    _check_entry(g, mode, limits)
-    deadline = _deadline(limits)
+    limits, deadline = _check_entry(g, mode, limits)
     expanded = 0
     for s in range(1, g.n + 1):
         witness, expanded = _min_rounds_capped(g, s, mode, limits, deadline, expanded)

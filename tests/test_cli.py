@@ -2,8 +2,10 @@
 
 import hashlib
 import json
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -409,6 +411,35 @@ def test_cli_output_is_pinned(tmp_path, capsys):
             record.append(f"{argv}\n{rc}\n{out}\0{err}\0")
     digest = hashlib.sha256("".join(record).encode()).hexdigest()
     assert digest == "23253d2e47edfd3418ff4b4f6673adb1f53a82d7e1af5c44521faf7b83c62acb"
+
+
+def _readme_examples():
+    """Each `$ pebblecc ...` line in README.md, as argv, with the text the
+    README shows under it, up to the next prompt or the end of the block."""
+    examples = []
+    current = None
+    for line in (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines():
+        if line.startswith("```"):
+            current = None
+        elif line.startswith("$ pebblecc "):
+            current = (shlex.split(line)[2:], [])
+            examples.append(current)
+        elif current is not None:
+            current[1].append(line)
+    return [(argv, "\n".join(shown)) for argv, shown in examples]
+
+
+def test_readme_examples_print_what_the_readme_shows(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    graph_file(tmp_path, counterexample_dag(), "ce16.json")
+    graph_file(tmp_path, pyramid(4), "pyr4.json")
+    graph_file(tmp_path, chain(4), "c4.json")
+    examples = _readme_examples()
+    assert len(examples) >= 3
+    for argv, shown in examples:
+        main(argv)
+        out, err = capsys.readouterr()
+        assert (out + err).strip() == shown, argv
 
 
 def test_module_entry_point():

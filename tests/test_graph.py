@@ -15,9 +15,22 @@ from pebblecc.graph import (
     export,
     generate,
     layered_random,
+    mask_of,
+    nodes_of,
     pyramid,
 )
 from pebblecc.reductions import counterexample_dag
+
+
+def test_mask_codec_round_trips():
+    assert (mask_of(()), nodes_of(0)) == (0, ())
+    assert (mask_of((1, 3, 4)), nodes_of(0b1101)) == (0b1101, (1, 3, 4))
+    rng = random.Random(5)
+    for _ in range(200):
+        nodes = tuple(sorted(rng.sample(range(1, 40), rng.randint(0, 10))))
+        assert nodes_of(mask_of(nodes)) == nodes
+    g = counterexample_dag()
+    assert nodes_of(g.sink_mask) == g.sinks
 
 
 def test_build_chain_of_three():

@@ -21,6 +21,7 @@ from pebblecc.lp import (
     pebbling_to_solution,
     relax,
     report_to_json,
+    staircase_horizon,
     verify_solution,
 )
 from pebblecc.pebbling import Pebbling, claim_c1_pebbling, trivial_pebbling
@@ -159,6 +160,12 @@ def test_staircase_feasible_on_random_layered():
 def test_staircase_rejects_short_horizon():
     with pytest.raises(ValueError):
         fractional_pebbling_solution(chain(8), horizon=10)  # needs 8 + 3
+    for n in range(1, 20):
+        h = staircase_horizon(n)
+        assert h == n + (n - 1).bit_length()
+        fractional_pebbling_solution(chain(n), horizon=h)
+        with pytest.raises(ValueError):
+            fractional_pebbling_solution(chain(n), horizon=h - 1)
 
 
 # -------------------------------------------------------------- timed point

@@ -497,6 +497,41 @@ def test_counterexample_16_rounds_needs_28():
     assert_sound(g, r)
 
 
+CE16_PREFIX = ((1,), (2,), (3,), (4,), (5,), (6,), (7,), (8,))
+
+# The bounded jobs of perfbench's search-rounds workload: (graph, t_max,
+# cost_cap) and either (optimum, expanded_states, witness rounds) or the
+# Infeasible message.
+BOUNDED_JOBS = [
+    ("ce16", 16, 27, "no legal pebbling within 16 rounds under cost cap 27"),
+    ("ce16", 17, 27, "no legal pebbling within 17 rounds under cost cap 27"),
+    ("ce16", 18, 27, (27, 516, CE16_PREFIX + (
+        (1, 9), (2, 10), (3, 11), (4, 12), (5, 13), (6, 14), (7, 14), (8, 14), (9, 15), (16,),
+    ))),
+    ("ce16", 16, 30, (28, 866, CE16_PREFIX + (
+        (1, 8, 9), (2, 8, 10), (3, 8, 11), (4, 8, 12), (5, 8, 13), (8, 14), (9, 15), (16,),
+    ))),
+    ("pyr4", 7, None, (10, 376, ((1, 2, 3, 4), (5, 6, 7), (8, 9), (10,)))),
+    ("lr14-1", 14, 40, (33, 1388, (
+        (1,), (1, 2), (2, 3), (1, 4), (4, 5), (4, 6), (4, 7), (4, 7, 8), (1, 4, 7, 9),
+        (2, 7, 8, 10), (7, 8, 11), (1, 7, 12), (7, 13), (14,),
+    ))),
+]
+
+
+@pytest.mark.parametrize("name, t_max, cost_cap, expected", BOUNDED_JOBS)
+def test_bounded_jobs_are_pinned(name, t_max, cost_cap, expected):
+    g = {"ce16": counterexample_dag(), "pyr4": pyramid(4), "lr14-1": layered_random(14, 1)}[name]
+    if isinstance(expected, str):
+        with pytest.raises(Infeasible) as info:
+            exact_pcc_bounded(g, t_max, cost_cap=cost_cap)
+        assert str(info.value) == expected
+        return
+    r = exact_pcc_bounded(g, t_max, cost_cap=cost_cap)
+    assert (r.optimum, r.expanded_states, r.witness.rounds) == expected
+    assert_sound(g, r)
+
+
 def test_bounded_small_cases():
     assert exact_pcc_bounded(chain(3), t_max=3).optimum == 3
     with pytest.raises(Infeasible):
