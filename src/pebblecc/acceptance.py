@@ -26,16 +26,16 @@ from .lp import (
     staircase_horizon,
     verify_solution,
 )
-from .pebbling import (
+from .pebbling import cost, random_legal_pebbling, trivial_pebbling, validate
+from .reductions import (
+    b2lc_to_graph,
     claim_c1_pebbling,
-    cost,
-    random_legal_pebbling,
+    counterexample_dag,
     reduction_pebbling,
     sync_normalize,
-    trivial_pebbling,
-    validate,
+    threepartition_to_b2lc,
+    vc_to_reducible,
 )
-from .reductions import b2lc_to_graph, counterexample_dag, threepartition_to_b2lc, vc_to_reducible
 from .search import Infeasible, SearchLimits, exact_min_space, exact_min_st, exact_pcc, exact_pcc_bounded
 
 __all__ = ["CheckOutcome", "ACCEPTANCE_CHECKS", "run_acceptance"]

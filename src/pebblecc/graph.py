@@ -1,4 +1,4 @@
-"""Immutable DAGs in topological label order, generators, and JSON/DOT I/O.
+"""Immutable DAGs in topological label order, generators, and JSON I/O.
 
 Nodes are labelled 1..n and every edge (u, v) has u < v, so a plain ascending
 loop over labels is a topological sweep. Node bitmasks put node v at bit
@@ -27,10 +27,8 @@ __all__ = [
     "complete",
     "layered_random",
     "generate",
-    "export",
     "dag_to_json",
     "dag_from_json",
-    "dag_to_dot",
 ]
 
 
@@ -301,23 +299,3 @@ def dag_from_json(text: str) -> Dag:
         raise ValueError(f"graph JSON has the wrong shape: {exc}") from exc
     return build_dag(n, edges)
 
-
-def dag_to_dot(g: Dag) -> str:
-    lines = ["digraph g {"]
-    linked = {v for e in g.edges for v in e}
-    for v in range(1, g.n + 1):
-        if v not in linked:
-            lines.append(f"  {v};")
-    for u, v in g.edges:
-        lines.append(f"  {u} -> {v};")
-    lines.append("}")
-    return "\n".join(lines)
-
-
-def export(g: Dag, format: str) -> str:
-    """Serialize to "json" or "dot"; json round-trips through dag_from_json."""
-    if format == "json":
-        return dag_to_json(g)
-    if format == "dot":
-        return dag_to_dot(g)
-    raise ValueError(f"unknown export format {format!r}")

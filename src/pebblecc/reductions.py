@@ -1,6 +1,8 @@
-"""Instance and graph constructions: 3-partition to covering equations, the
-covering-equation gadget graph, vertex-cover decorations, indegree reduction,
-chain appending, and the fixed 16-node counterexample graph.
+"""Instance and graph constructions, with the pebblings that certify them:
+3-partition to covering equations, the covering-equation gadget graph with
+its witness-driven schedule and chain-copy synchronization, vertex-cover
+decorations, indegree reduction, chain appending, and the fixed 16-node
+counterexample graph with its cost-27 pebbling.
 """
 
 from __future__ import annotations
@@ -10,14 +12,18 @@ import json
 import warnings
 from dataclasses import dataclass, field
 
-from .b2lc import B2lcInstance, ThreePartitionInstance, b2lc_to_json
+from .b2lc import B2lcInstance, B2lcWitness, ThreePartitionInstance, _assemble_witness, b2lc_to_json
 from .graph import Dag, build_dag, dag_to_json
+from .pebbling import Pebbling
 
 __all__ = [
     "NotDivisibleWarning",
     "DegenerateEquation",
     "AmbiguousSink",
+    "InvalidWitness",
     "ReductionLayout",
+    "reduction_pebbling",
+    "sync_normalize",
     "threepartition_to_b2lc",
     "default_tau",
     "b2lc_to_graph",
@@ -26,6 +32,7 @@ __all__ = [
     "append_chain",
     "amplifier_chain_length",
     "counterexample_dag",
+    "claim_c1_pebbling",
     "layout_to_json",
 ]
 
@@ -44,6 +51,10 @@ class DegenerateEquation(ValueError):
 
 class AmbiguousSink(ValueError):
     """The operation needs a unique sink but the graph has several."""
+
+
+class InvalidWitness(ValueError):
+    """The supplied assignment table covers some equation with no assignment."""
 
 
 @dataclass(frozen=True)
@@ -80,6 +91,161 @@ class ReductionLayout:
         inst = self.instance
         n, m, k = inst.n_vars, inst.m, inst.k
         return self.tau * self.c * m * n + 2 * self.c * m * n + 2 * self.c * k * m + 1
+
+
+def _canonical_groups(layout: ReductionLayout, w: B2lcWitness):
+    """Repair the witness grouping if needed and canonicalize its values.
+
+    Each equation keeps its assigned group when that group's row satisfies
+    it, otherwise it moves to the first row that does. The returned values
+    are the canonical (per-component min-zero) shift of each group's
+    assignment, so every value lies in [0, c].
+
+    Raises:
+        InvalidWitness: if some equation is satisfied by no row at all.
+    """
+    inst = layout.instance
+    if len(w.group_of) != inst.k or len(w.values) != inst.m:
+        raise InvalidWitness(
+            f"witness shape ({len(w.group_of)} groups, {len(w.values)} rows) does "
+            f"not match the instance ({inst.k} equations, budget {inst.m})"
+        )
+
+    def satisfied_by(eq, row):
+        alpha, c_off, beta = eq
+        return row[alpha - 1] + c_off == row[beta - 1]
+
+    group_of: list[int] = []
+    for i, eq in enumerate(inst.equations):
+        preferred = w.group_of[i]
+        candidates = [preferred] + [y for y in range(1, inst.m + 1) if y != preferred]
+        for y in candidates:
+            if 1 <= y <= inst.m and satisfied_by(eq, w.values[y - 1]):
+                group_of.append(y)
+                break
+        else:
+            raise InvalidWitness(f"equation {i} is satisfied by no assignment")
+
+    # a satisfying row exists for each equation, so every group is consistent
+    canon = _assemble_witness(inst, tuple(group_of))
+    return canon.group_of, canon.values
+
+
+def reduction_pebbling(layout: ReductionLayout, w: B2lcWitness) -> Pebbling:
+    """Pebble a gadget layout along a covering witness, one pass per assignment.
+
+    In pass y every variable chain walks its c nodes once, with variable i's
+    chains delayed by V_y - x_{y,i} rounds (V_y the pass maximum), so that the
+    chain of a larger-valued variable runs ahead by exactly the value gap.
+    That alignment makes equation chains walkable during the pass of the
+    assignment that satisfies them. Path gadgets advance c positions per pass
+    and park a frontier pebble between passes; finished equation chains park
+    their last pebble until the sink round. Passes start as early as the
+    frontier alignment allows.
+
+    The result is legal with cc at most layout.pebbling_cost_bound().
+
+    Raises:
+        InvalidWitness: if some equation is satisfied by no assignment row.
+    """
+    inst = layout.instance
+    c, tau, m, n = layout.c, layout.tau, inst.m, inst.n_vars
+    group_of, values = _canonical_groups(layout, w)
+
+    vmax = [max(row) for row in values]
+    start = [0] * (m + 1)  # start[y] = first round of pass y (1-based)
+    start[1] = 1
+    for y in range(2, m + 1):
+        lag_prev = [vmax[y - 2] - x for x in values[y - 2]]
+        lag_cur = [vmax[y - 1] - x for x in values[y - 1]]
+        d = max(lp - lc for lp, lc in zip(lag_prev, lag_cur))
+        start[y] = start[y - 1] + c + d
+
+    # a[y][i]: round at which variable i's chains place node 1 in pass y
+    a = [[0] * (n + 1) for _ in range(m + 1)]
+    for y in range(1, m + 1):
+        for i in range(1, n + 1):
+            a[y][i] = start[y] + vmax[y - 1] - values[y - 1][i - 1]
+    release = max(a[m][i] + c for i in range(1, n + 1))
+
+    rounds: list[set[int]] = [set() for _ in range(release + 1)]
+
+    def put(node: int, first: int, last: int | None = None) -> None:
+        for r in range(first, (last if last is not None else first) + 1):
+            rounds[r - 1].add(node)
+
+    for y in range(1, m + 1):
+        for i in range(1, n + 1):
+            for z in range(1, c + 1):
+                r = a[y][i] + z - 1
+                for j in range(1, tau + 1):
+                    put(layout.var_chain(i, j, z), r)
+            for p in range(1, c + 1):
+                pos = (y - 1) * c + p
+                placed = a[y][i] + p
+                if p < c:
+                    put(layout.path_node(i, pos), placed)
+                else:
+                    hold_until = a[y + 1][i] if y < m else release
+                    put(layout.path_node(i, pos), placed, hold_until)
+    for i, eq in enumerate(inst.equations, start=1):
+        alpha, c_i, _beta = eq
+        y = group_of[i - 1]
+        for e_pos in range(1, c - c_i + 1):
+            placed = a[y][alpha] + e_pos
+            if e_pos < c - c_i:
+                put(layout.eq_chain(i, e_pos), placed)
+            else:
+                put(layout.eq_chain(i, e_pos), placed, release)
+    put(layout.sink_id, release + 1)
+
+    return Pebbling(rounds=tuple(tuple(sorted(r)) for r in rounds))
+
+
+def sync_normalize(layout: ReductionLayout, p: Pebbling) -> Pebbling:
+    """Write the cheapest chain copy's schedule onto all tau copies.
+
+    For each variable i, the copy j whose c chain nodes carry the fewest
+    pebble-rounds (ties toward the lowest j) is chosen, and every copy of
+    variable i then holds chain node z in exactly the rounds in which copy j
+    held it. Pebbles outside the variable chains are untouched.
+
+    Chain node z of a copy has one parent, node z-1 of the same copy, and
+    every equation-chain and path node reads all tau copies, so each
+    placement of the result had its parents in the previous round of the
+    chosen copy: a legal parallel pebbling stays legal. (A sequential one
+    can break the one-pebble bound, since copies are placed together.) The
+    chain cost becomes tau times the cheapest copy's, so cc never increases,
+    and the transform is idempotent.
+    """
+    inst = layout.instance
+    copies = range(1, layout.tau + 1)
+    where = {
+        layout.var_chain(i, j, z): (i, j, z)
+        for i in range(1, inst.n_vars + 1)
+        for j in copies
+        for z in range(1, layout.c + 1)
+    }
+    load: dict[tuple[int, int], int] = {}
+    for rnd in p.rounds:
+        for v in rnd:
+            if v in where:
+                i, j, _ = where[v]
+                load[i, j] = load.get((i, j), 0) + 1
+    best = {
+        i: min(copies, key=lambda j: load.get((i, j), 0))
+        for i in range(1, inst.n_vars + 1)
+    }
+    new_rounds = []
+    for rnd in p.rounds:
+        kept = [v for v in rnd if v not in where]
+        for v in rnd:
+            if v in where:
+                i, j, z = where[v]
+                if j == best[i]:
+                    kept.extend(layout.var_chain(i, k, z) for k in copies)
+        new_rounds.append(tuple(kept))
+    return Pebbling(rounds=tuple(new_rounds), mode=p.mode)
 
 
 def threepartition_to_b2lc(p: ThreePartitionInstance) -> B2lcInstance:
@@ -386,6 +552,33 @@ def counterexample_dag() -> Dag:
     edges += [(i, i + 9) for i in range(1, 6)]
     edges += [(i, i + 7) for i in (8, 9)]
     return build_dag(16, edges)
+
+
+_CLAIM_C1_ROUNDS = (
+    (1,),
+    (2,),
+    (3,),
+    (4,),
+    (5,),
+    (6,),
+    (7,),
+    (8,),
+    (1, 9),
+    (2, 10),
+    (3, 11),
+    (4, 12),
+    (5, 13),
+    (6, 14),
+    (7, 14),
+    (8, 14),
+    (9, 15),
+    (16,),
+)
+
+
+def claim_c1_pebbling() -> Pebbling:
+    """The fixed 18-round, cost-27 pebbling of the 16-node counterexample graph."""
+    return Pebbling(rounds=_CLAIM_C1_ROUNDS)
 
 
 def layout_to_json(layout: ReductionLayout) -> str:

@@ -45,7 +45,6 @@ class Exhausted(RuntimeError):
         self,
         message: str,
         expanded: int,
-        limits: SearchLimits,
         lower_bound: int | None = None,
         upper_bound: int | None = None,
     ) -> None:
@@ -54,7 +53,6 @@ class Exhausted(RuntimeError):
             message += f"; optimum in [{lower_bound}, {hi}]"
         super().__init__(message)
         self.expanded = expanded
-        self.limits = limits
         self.lower_bound = lower_bound
         self.upper_bound = upper_bound
 
@@ -351,10 +349,9 @@ def exact_pcc(
     least (g + h1, -g); its cost is the incumbent that cuts children with
     g + h1 above it, and a dive that costs h2(start) is returned as proven
     without A*. Pruning (pure-discard elimination, a pebble dropped only in
-    a round that places one of its children, incumbent cuts, single-bit
-    superset dominance) never excludes an optimal plan; the test suite
-    checks the search against a plain least-cost enumeration on small
-    graphs.
+    a round that places one of its children, incumbent cuts) never excludes
+    an optimal plan; the test suite checks the search against a plain
+    least-cost enumeration on small graphs.
 
     Raises:
         TooLarge: n exceeds limits.max_nodes.
@@ -433,17 +430,6 @@ def exact_pcc(
             if sat == sink_mask:
                 return SearchResult(gc, _witness(pred, state, n, mode), True, expanded)
 
-            # single-bit superset dominance: a state with one extra pebble,
-            # same sinks done, at no extra cost can do anything we can
-            probe = full & ~mask
-            while probe:
-                low = probe & -probe
-                if best_get(state | low, gc + 1) <= gc:
-                    break
-                probe ^= low
-            if probe:
-                continue
-
             if lazy and not key & lazy:
                 h2 = _hold_bound(parent_masks, mask, closure)
                 if h2 > h:
@@ -469,7 +455,7 @@ def exact_pcc(
                         heappush(heap, ((f << hbits | f - ng) << kbits | nstate) << n | child)
     except _Stop as stop:
         raise Exhausted(
-            f"{stop} at bound {lower}", expanded, limits, lower, incumbent
+            f"{stop} at bound {lower}", expanded, lower, incumbent
         ) from None
     raise Infeasible(
         "no legal pebbling within the given limits (space cap or a seed "
@@ -574,7 +560,7 @@ def exact_pcc_bounded(
             cur = nxt
     except _Stop as stop:
         raise Exhausted(
-            f"{stop} in round {r}", expanded, limits, h0, goal and goal[0]
+            f"{stop} in round {r}", expanded, h0, goal and goal[0]
         ) from None
     if goal is None:
         cap_note = f" under cost cap {cost_cap}" if cost_cap is not None else ""
@@ -620,7 +606,7 @@ def _min_rounds_capped(
                         nfront.append(nstate)
             frontier = nfront
     except _Stop as stop:
-        raise Exhausted(f"{stop} at space cap {cap}", expanded, limits) from None
+        raise Exhausted(f"{stop} at space cap {cap}", expanded) from None
     return None, expanded
 
 

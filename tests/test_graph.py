@@ -12,7 +12,6 @@ from pebblecc.graph import (
     dag_from_json,
     dag_to_json,
     depth,
-    export,
     generate,
     layered_random,
     mask_of,
@@ -133,16 +132,8 @@ def test_generate_dispatch():
 
 def test_json_export_round_trip():
     g = chain(2)
-    assert export(g, "json") == '{"n": 2, "edges": [[1, 2]]}'
+    assert dag_to_json(g) == '{"n": 2, "edges": [[1, 2]]}'
     assert dag_from_json(dag_to_json(g)) == g
-
-
-def test_dot_export():
-    text = export(chain(2), "dot")
-    assert "1 -> 2" in text
-    assert text.startswith("digraph")
-    # isolated nodes still listed
-    assert "  1;" in export(build_dag(1, []), "dot")
 
 
 def test_json_round_trip_random_layered():

@@ -24,8 +24,8 @@ from pebblecc.lp import (
     staircase_horizon,
     verify_solution,
 )
-from pebblecc.pebbling import Pebbling, claim_c1_pebbling, trivial_pebbling
-from pebblecc.reductions import counterexample_dag
+from pebblecc.pebbling import Pebbling, trivial_pebbling
+from pebblecc.reductions import claim_c1_pebbling, counterexample_dag
 from pebblecc.search import SearchLimits
 
 

@@ -1,24 +1,31 @@
 import json
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from pebblecc import acceptance, b2lc, cli, depth_reduce, graph, lp, pebbling, reductions, search
 from pebblecc.b2lc import B2lcInstance, B2lcWitness, check_witness, solve_b2lc
 from pebblecc.graph import OutOfRange, build_dag, chain, layered_random, pyramid
 from pebblecc.pebbling import (
-    InvalidWitness,
     Pebbling,
-    claim_c1_pebbling,
     cost,
     pebbling_from_json,
     pebbling_to_json,
     random_legal_pebbling,
-    reduction_pebbling,
-    sync_normalize,
     trivial_pebbling,
     validate,
 )
-from pebblecc.reductions import b2lc_to_graph, counterexample_dag
+from pebblecc.reductions import (
+    InvalidWitness,
+    b2lc_to_graph,
+    claim_c1_pebbling,
+    counterexample_dag,
+    reduction_pebbling,
+    sync_normalize,
+)
 
 
 def test_rounds_are_normalized():
@@ -246,3 +253,33 @@ def test_json_round_trip():
     raw = json.dumps({"rounds": [[3, 1], [2]]})
     assert pebbling_from_json(raw).rounds == ((1, 3), (2,))
     assert pebbling_from_json(raw).mode == "parallel"
+
+
+def test_pebbling_imports_only_graph():
+    """pebbling.py loads no gadget code; the old import path of
+    reduction_pebbling resolves, on first use, to reductions' function."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import pebblecc.pebbling; "
+        "print(sorted(m for m in sys.modules if m.startswith('pebblecc'))); "
+        "from pebblecc.pebbling import reduction_pebbling; "
+        "from pebblecc import reductions; "
+        "print(reduction_pebbling is reductions.reduction_pebbling)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(src)], capture_output=True, text=True
+    )
+    assert proc.stdout.splitlines() == [
+        "['pebblecc', 'pebblecc.graph', 'pebblecc.pebbling']",
+        "True",
+    ], proc.stderr
+
+
+def test_public_names_resolve():
+    for mod in (acceptance, b2lc, cli, depth_reduce, graph, lp, pebbling, reductions, search):
+        for name in mod.__all__:
+            assert hasattr(mod, name), f"{mod.__name__}.{name}"
+    moved = {"InvalidWitness", "claim_c1_pebbling", "reduction_pebbling", "sync_normalize"}
+    assert not moved & set(pebbling.__all__)
+    assert moved <= set(reductions.__all__)
+    assert not hasattr(pebbling, "sync_normalize")

@@ -142,8 +142,8 @@ def _least_cost_reference(g, mode="parallel", max_space=None):
 
 
 def test_pruned_search_matches_complete_enumeration():
-    """The pruning rules (pure-discard elimination, dominance, incumbent cuts)
-    are exactness-preserving: checked against the test-side enumerator."""
+    """The pruning rules (pure-discard elimination, the drop rule, incumbent
+    cuts) are exactness-preserving: checked against the test-side enumerator."""
     graphs = [
         chain(4),
         pyramid(2),
