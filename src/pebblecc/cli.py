@@ -1,7 +1,8 @@
-"""Command-line front end for the library, including the verify-paper suite.
+"""Command-line front end for the library.
 
-Each subcommand wraps exactly one library operation. Exit codes: 0 success,
-1 negative/infeasible verdict, 2 usage error, 3 a search or enumeration cap
+Each subcommand wraps exactly one library operation; verify-paper runs the
+acceptance suite of pebblecc.acceptance. Exit codes: 0 success, 1
+negative/infeasible verdict, 2 usage error, 3 a search or enumeration cap
 was hit.
 """
 
@@ -67,43 +68,33 @@ OK, NO, USAGE, LIMIT = 0, 1, 2, 3
 # Input loading
 
 
+def _read(path: str) -> str:
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
+
+
 def _load_graph(path: str) -> Dag:
-    with open(path, encoding="utf-8") as fh:
-        return dag_from_json(fh.read())
+    return dag_from_json(_read(path))
 
 
-def _load_pebbling(path: str):
-    with open(path, encoding="utf-8") as fh:
-        return pebbling_from_json(fh.read())
-
-
-def _load_b2lc(path: str) -> B2lcInstance:
-    with open(path, encoding="utf-8") as fh:
-        return b2lc_from_json(fh.read())
+def _load_shaped(path: str, what: str, build):
+    """build(JSON value at path), with a TypeError from a value of the wrong
+    shape turned into ValueError."""
+    try:
+        return build(json.loads(_read(path)))
+    except TypeError as exc:
+        raise ValueError(f"{what} JSON has the wrong shape: {exc}") from exc
 
 
 def _load_3part(path: str) -> ThreePartitionInstance:
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    try:
-        elements, n = tuple(int(x) for x in data["elements"]), int(data["n"])
-    except TypeError as exc:
-        raise ValueError(f"3-partition JSON has the wrong shape: {exc}") from exc
+    elements, n = _load_shaped(
+        path, "3-partition", lambda d: (tuple(int(x) for x in d["elements"]), int(d["n"]))
+    )
     return ThreePartitionInstance(elements=elements, n=n)
 
 
-def _load_undirected(path: str) -> tuple[int, list[tuple[int, ...]]]:
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    try:
-        return int(data["n"]), [tuple(e) for e in data["edges"]]
-    except TypeError as exc:
-        raise ValueError(f"undirected graph JSON has the wrong shape: {exc}") from exc
-
-
 def _load_solution(path: str) -> LpSolution:
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = json.loads(_read(path))
     values = data.get("values", data) if isinstance(data, dict) else data
     if not isinstance(values, dict):
         raise ValueError("solution JSON must map variable names to values")
@@ -111,21 +102,19 @@ def _load_solution(path: str) -> LpSolution:
 
 
 def _limits(args) -> SearchLimits:
-    kw = {}
-    if getattr(args, "max_states", None) is not None:
-        kw["max_states"] = args.max_states
-    if getattr(args, "time_budget", None) is not None:
-        kw["time_budget"] = args.time_budget
-    if getattr(args, "seed", None) is not None:
-        kw["upper_bound_seed"] = args.seed
-    return SearchLimits(**kw)
+    kw = {
+        "max_states": args.max_states,
+        "time_budget": args.time_budget,
+        "upper_bound_seed": getattr(args, "seed", None),
+    }
+    return SearchLimits(**{k: v for k, v in kw.items() if v is not None})
 
 
 # ---------------------------------------------------------------------------
 # Subcommand handlers
 #
 # Each returns (exit code, JSON payload, text). Commands without --json return
-# None for the payload; `reduce vc` always prints JSON and returns no text.
+# None for the payload.
 
 
 def _cmd_gen(args):
@@ -143,7 +132,7 @@ def _cmd_depth(args):
 
 
 def _cmd_pebble_check(args):
-    verdict = validate(_load_graph(args.graph), _load_pebbling(args.pebbling))
+    verdict = validate(_load_graph(args.graph), pebbling_from_json(_read(args.pebbling)))
     payload = {"legal": verdict.legal, "first_violation": verdict.first_violation}
     if verdict.legal:
         return OK, payload, "legal"
@@ -152,12 +141,18 @@ def _cmd_pebble_check(args):
 
 
 def _cmd_cost(args):
-    c = cost(_load_pebbling(args.pebbling))
+    c = cost(pebbling_from_json(_read(args.pebbling)))
     payload = {"cc": c.cc, "st": c.st, "t": c.t, "max_space": c.max_space}
     return OK, payload, "cc = {cc}  st = {st}  t = {t}  max_space = {max_space}".format(**payload)
 
 
-def _search_output(res, label: str):
+def _cmd_search(args):
+    """Run args.search and report its optimum under args.label."""
+    g, label = _load_graph(args.graph), args.label
+    if args.search is exact_pcc_bounded:
+        res = exact_pcc_bounded(g, args.horizon, args.mode, _limits(args), args.cost_cap)
+    else:
+        res = args.search(g, args.mode, _limits(args))
     payload = {
         label: res.optimum,
         "proven": res.proven,
@@ -170,31 +165,8 @@ def _search_output(res, label: str):
     )
 
 
-def _cmd_pcc(args):
-    g = _load_graph(args.graph)
-    return _search_output(exact_pcc(g, mode=args.mode, limits=_limits(args)), "pcc")
-
-
-def _cmd_pcc_bounded(args):
-    g = _load_graph(args.graph)
-    res = exact_pcc_bounded(
-        g, t_max=args.horizon, mode=args.mode, limits=_limits(args), cost_cap=args.seed
-    )
-    return _search_output(res, "bounded_cc")
-
-
-def _cmd_min_st(args):
-    g = _load_graph(args.graph)
-    return _search_output(exact_min_st(g, mode=args.mode, limits=_limits(args)), "min_st")
-
-
-def _cmd_min_space(args):
-    g = _load_graph(args.graph)
-    return _search_output(exact_min_space(g, mode=args.mode, limits=_limits(args)), "min_space")
-
-
 def _cmd_b2lc_solve(args):
-    covered, w = solve_b2lc(_load_b2lc(args.instance))
+    covered, w = solve_b2lc(b2lc_from_json(_read(args.instance)))
     if not covered:
         return NO, {"covered": False}, "not coverable"
     payload = {
@@ -218,18 +190,21 @@ def _cmd_reduce_3part(args):
 
 
 def _cmd_reduce_b2lc(args):
-    return OK, None, layout_to_json(b2lc_to_graph(_load_b2lc(args.instance), tau=args.tau))
+    layout = b2lc_to_graph(b2lc_from_json(_read(args.instance)), tau=args.tau)
+    return OK, None, layout_to_json(layout)
 
 
 def _cmd_reduce_vc(args):
-    n, edges = _load_undirected(args.instance)
+    n, edges = _load_shaped(
+        args.instance, "undirected graph", lambda d: (int(d["n"]), [tuple(e) for e in d["edges"]])
+    )
     g, originals = vc_to_reducible(n, edges, args.convention)
     payload = {
         "dag": json.loads(dag_to_json(g)),
         "originals": sorted(originals),
         "convention": args.convention,
     }
-    return OK, payload, None
+    return OK, None, json.dumps(payload, indent=2)
 
 
 def _cmd_reduce_indeg(args):
@@ -264,49 +239,34 @@ def _cmd_depth_check(args):
     return NO, payload, f"not ({args.e},{args.d})-reducible"
 
 
-def _lp_model(args, target: str):
+def _lp_model(args):
     g = _load_graph(args.graph)
-    if target == "pebbling":
+    if args.target == "pebbling":
         return build_pebbling_ip(g, horizon=args.horizon)
     if args.d is None:
         raise ValueError("the reducible model needs the depth bound --d")
     return build_reducible_ip(g, args.d)
 
 
-def _cmd_lp_build_pebbling(args):
-    m = build_pebbling_ip(_load_graph(args.graph), horizon=args.horizon)
-    payload = {
-        "variables": len(m.variables),
-        "constraints": len(m.constraints),
-        "sink_constraints": sum(c.name.startswith("sink") for c in m.constraints),
-        "move_constraints": sum(c.name.startswith("move") for c in m.constraints),
-    }
-    return OK, payload, (
-        "pebbling ip: {variables} variables, {constraints} constraints "
-        "({sink_constraints} sink, {move_constraints} move)".format(**payload)
-    )
-
-
-def _cmd_lp_build_reducible(args):
-    m = build_reducible_ip(_load_graph(args.graph), args.d)
-    payload = {
-        "variables": len(m.variables),
-        "selectors": sum(v.name.startswith("s_") for v in m.variables),
-        "trackers": sum(v.name.startswith("d_") for v in m.variables),
-        "constraints": len(m.constraints),
-    }
-    return OK, payload, (
-        "reducible ip: {variables} variables ({selectors} selectors, "
-        "{trackers} trackers), {constraints} constraints".format(**payload)
-    )
+def _cmd_lp_build(args):
+    m = _lp_model(args)
+    n_var, n_con = len(m.variables), len(m.constraints)
+    if args.target == "pebbling":
+        sink, move = (sum(c.name.startswith(p) for c in m.constraints) for p in ("sink", "move"))
+        payload = {"variables": n_var, "constraints": n_con,
+                   "sink_constraints": sink, "move_constraints": move}
+        text = f"pebbling ip: {n_var} variables, {n_con} constraints ({sink} sink, {move} move)"
+    else:
+        sel, trk = (sum(v.name.startswith(p) for v in m.variables) for p in ("s_", "d_"))
+        payload = {"variables": n_var, "selectors": sel, "trackers": trk, "constraints": n_con}
+        text = (f"reducible ip: {n_var} variables ({sel} selectors, {trk} trackers), "
+                f"{n_con} constraints")
+    return OK, payload, text
 
 
 def _cmd_lp_emit(args):
-    return OK, None, emit(_lp_model(args, args.target)).rstrip("\n")
-
-
-def _cmd_lp_relax(args):
-    return OK, None, emit(relax(_lp_model(args, args.target))).rstrip("\n")
+    m = _lp_model(args)
+    return OK, None, emit(relax(m) if args.relaxed else m).rstrip("\n")
 
 
 def _point_output(sol: LpSolution, rep, text: str):
@@ -338,7 +298,7 @@ def _cmd_lp_frac_reducible(args):
 
 
 def _cmd_lp_verify(args):
-    m = relax(_lp_model(args, args.target))
+    m = relax(_lp_model(args))
     rep = verify_solution(m, _load_solution(args.solution))
     lines = [f"feasible = {rep.feasible}, objective = {rep.objective}"]
     lines += [f"  violated {name} (slack {slack})" for name, slack in rep.violated[:10]]
@@ -386,182 +346,119 @@ def _cmd_verify_paper(args):
 # Parser
 
 
-def _add_graph_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--graph", required=True, help="graph JSON file")
+def _arg(*flags, **kw):
+    """An argument spec for _command: add_argument's arguments."""
+    return flags, kw
 
 
-def _add_search_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--mode", choices=("parallel", "sequential"), default="parallel")
-    p.add_argument("--max-states", type=int, default=None)
-    p.add_argument("--time-budget", type=float, default=None)
+def _command(sub, name: str, help: str, fn, *specs, json: bool = True, **defaults) -> None:
+    """Add leaf command `name`: its argument specs in order, then --json
+    unless the command always prints JSON or LP text."""
+    p = sub.add_parser(name, help=help)
+    for flags, kw in specs:
+        p.add_argument(*flags, **kw)
+    if json:
+        p.add_argument("--json", action="store_true")
+    p.set_defaults(fn=fn, **defaults)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="pebblecc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    # argument specs that several commands share
+    GRAPH = _arg("--graph", required=True, help="graph JSON file")
+    LIMITS = (
+        _arg("--max-states", type=int, default=None),
+        _arg("--time-budget", type=float, default=None),
+    )
+    SEARCH = (_arg("--mode", choices=("parallel", "sequential"), default="parallel"), *LIMITS)
+    SEED = _arg("--seed", type=int, default=None, help="known achievable cc to seed pruning")
+    CONVENTION = _arg("--convention", choices=("nodes", "edges"), default="nodes")
+    HORIZON = _arg("--horizon", type=int, default=None)
+    PEBBLING = _arg("pebbling", help="pebbling JSON file")
+    INSTANCE = _arg("instance", help="instance JSON file")
+    TARGET = _arg("target", choices=("pebbling", "reducible"))
+    D_POS = _arg("d", type=int)
+    D_OPT = _arg("--d", type=int, default=None, help="depth bound (reducible target)")
 
-    p = sub.add_parser("gen", help="generate a graph as JSON")
-    p.add_argument("kind", choices=("chain", "pyramid", "complete", "layered_random"))
-    p.add_argument("params", nargs="+", help="generator arguments (sizes)")
-    p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(fn=_cmd_gen)
+    _command(
+        sub, "gen", "generate a graph as JSON", _cmd_gen,
+        _arg("kind", choices=("chain", "pyramid", "complete", "layered_random")),
+        _arg("params", nargs="+", help="generator arguments (sizes)"),
+        _arg("--seed", type=int, default=None),
+        json=False,
+    )
+    _command(sub, "depth", "longest-path depth of a graph", _cmd_depth, GRAPH, CONVENTION)
+    _command(sub, "pebble-check", "validate a pebbling against a graph", _cmd_pebble_check,
+             GRAPH, PEBBLING)
+    _command(sub, "cost", "cost metrics of a pebbling", _cmd_cost, PEBBLING)
+    _command(sub, "pcc", "exact minimum cumulative cost", _cmd_search, GRAPH, *SEARCH, SEED,
+             search=exact_pcc, label="pcc")
+    # --seed is only a cost cap here: a seed achievable with no horizon can lie
+    # below the bounded optimum
+    _command(
+        sub, "pcc-bounded", "exact minimum cc within a round budget", _cmd_search,
+        GRAPH, *SEARCH, _arg("--horizon", type=int, required=True, help="round budget t_max"),
+        _arg("--seed", type=int, default=None, dest="cost_cap", metavar="SEED",
+             help="cost cap: prove nothing <= cap exists"),
+        search=exact_pcc_bounded, label="bounded_cc",
+    )
+    _command(sub, "min-st", "exact minimum space-time cost", _cmd_search, GRAPH, *SEARCH,
+             search=exact_min_st, label="min_st")
+    _command(sub, "min-space", "exact minimum pebble count", _cmd_search, GRAPH, *SEARCH,
+             search=exact_min_space, label="min_space")
+    _command(sub, "b2lc-solve", "decide a covering instance exhaustively", _cmd_b2lc_solve,
+             INSTANCE)
+    _command(sub, "3part-solve", "decide a 3-partition instance", _cmd_3part_solve, INSTANCE)
 
-    p = sub.add_parser("depth", help="longest-path depth of a graph")
-    _add_graph_flag(p)
-    p.add_argument("--convention", choices=("nodes", "edges"), default="nodes")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_depth)
+    rsub = sub.add_parser("reduce", help="reduction constructions").add_subparsers(
+        dest="reduction", required=True
+    )
+    _command(rsub, "3part-to-b2lc", "3-partition to covering equations", _cmd_reduce_3part,
+             _arg("instance"), json=False)
+    _command(rsub, "b2lc-to-graph", "covering instance to pebbling gadget", _cmd_reduce_b2lc,
+             _arg("instance"),
+             _arg("--tau", type=int, default=None, help="chain replication override"),
+             json=False)
+    _command(rsub, "vc", "undirected graph to depth-reduction gadget", _cmd_reduce_vc,
+             _arg("instance", help="undirected graph JSON file"), CONVENTION, json=False)
+    _command(rsub, "indeg", "indegree-2 transform", _cmd_reduce_indeg, GRAPH, json=False)
+    _command(rsub, "append-chain", "append an amplifier chain to all sinks", _cmd_reduce_append,
+             GRAPH, _arg("length", type=int, nargs="?", default=None), json=False)
+    _command(rsub, "counterexample", "the 16-node gap counterexample",
+             _cmd_reduce_counterexample, json=False)
 
-    p = sub.add_parser("pebble-check", help="validate a pebbling against a graph")
-    _add_graph_flag(p)
-    p.add_argument("pebbling", help="pebbling JSON file")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_pebble_check)
+    _command(
+        sub, "depth-check", "depth reducibility decision or minimum set", _cmd_depth_check,
+        GRAPH, _arg("d", type=int, help="target residual depth"),
+        _arg("e", type=int, nargs="?", default=None, help="removal budget (decision form)"),
+        CONVENTION,
+    )
 
-    p = sub.add_parser("cost", help="cost metrics of a pebbling")
-    p.add_argument("pebbling", help="pebbling JSON file")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_cost)
+    lsub = sub.add_parser("lp", help="integer programs and fractional points").add_subparsers(
+        dest="lp_command", required=True
+    )
+    _command(lsub, "build-pebbling", "pebbling ip size summary", _cmd_lp_build, GRAPH, HORIZON,
+             target="pebbling")
+    _command(lsub, "build-reducible", "reducibility ip size summary", _cmd_lp_build,
+             GRAPH, D_POS, target="reducible")
+    _command(lsub, "emit", "write a model as LP-file text", _cmd_lp_emit,
+             TARGET, GRAPH, D_OPT, HORIZON, json=False, relaxed=False)
+    _command(lsub, "relax", "write a model's relaxation as LP-file text", _cmd_lp_emit,
+             TARGET, GRAPH, D_OPT, HORIZON, json=False, relaxed=True)
+    _command(lsub, "frac-pebbling", "staircase fractional point", _cmd_lp_frac_pebbling,
+             GRAPH, HORIZON)
+    _command(lsub, "frac-timed", "timed fractional point with feasibility report",
+             _cmd_lp_frac_timed, GRAPH)
+    _command(lsub, "frac-reducible", "uniform fractional removal point",
+             _cmd_lp_frac_reducible, GRAPH, D_POS)
+    _command(lsub, "verify", "check a solution file against a relaxed model", _cmd_lp_verify,
+             TARGET, GRAPH, _arg("solution", help="solution JSON file"), D_OPT, HORIZON)
+    _command(lsub, "gap", "fractional objective against exact pcc", _cmd_lp_gap,
+             GRAPH, *LIMITS, SEED)
 
-    p = sub.add_parser("pcc", help="exact minimum cumulative cost")
-    _add_graph_flag(p)
-    _add_search_flags(p)
-    p.add_argument("--seed", type=int, default=None, help="known achievable cc to seed pruning")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_pcc)
-
-    p = sub.add_parser("pcc-bounded", help="exact minimum cc within a round budget")
-    _add_graph_flag(p)
-    _add_search_flags(p)
-    p.add_argument("--horizon", type=int, required=True, help="round budget t_max")
-    p.add_argument("--seed", type=int, default=None, help="cost cap: prove nothing <= cap exists")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_pcc_bounded)
-
-    p = sub.add_parser("min-st", help="exact minimum space-time cost")
-    _add_graph_flag(p)
-    _add_search_flags(p)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_min_st)
-
-    p = sub.add_parser("min-space", help="exact minimum pebble count")
-    _add_graph_flag(p)
-    _add_search_flags(p)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_min_space)
-
-    p = sub.add_parser("b2lc-solve", help="decide a covering instance exhaustively")
-    p.add_argument("instance", help="instance JSON file")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_b2lc_solve)
-
-    p = sub.add_parser("3part-solve", help="decide a 3-partition instance")
-    p.add_argument("instance", help="instance JSON file")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_3part_solve)
-
-    p = sub.add_parser("reduce", help="reduction constructions")
-    rsub = p.add_subparsers(dest="reduction", required=True)
-
-    rp = rsub.add_parser("3part-to-b2lc", help="3-partition to covering equations")
-    rp.add_argument("instance")
-    rp.set_defaults(fn=_cmd_reduce_3part)
-
-    rp = rsub.add_parser("b2lc-to-graph", help="covering instance to pebbling gadget")
-    rp.add_argument("instance")
-    rp.add_argument("--tau", type=int, default=None, help="chain replication override")
-    rp.set_defaults(fn=_cmd_reduce_b2lc)
-
-    rp = rsub.add_parser("vc", help="undirected graph to depth-reduction gadget")
-    rp.add_argument("instance", help="undirected graph JSON file")
-    rp.add_argument("--convention", choices=("nodes", "edges"), default="nodes")
-    rp.set_defaults(fn=_cmd_reduce_vc, json=True)  # always prints JSON
-
-    rp = rsub.add_parser("indeg", help="indegree-2 transform")
-    _add_graph_flag(rp)
-    rp.set_defaults(fn=_cmd_reduce_indeg)
-
-    rp = rsub.add_parser("append-chain", help="append an amplifier chain to all sinks")
-    _add_graph_flag(rp)
-    rp.add_argument("length", type=int, nargs="?", default=None)
-    rp.set_defaults(fn=_cmd_reduce_append)
-
-    rp = rsub.add_parser("counterexample", help="the 16-node gap counterexample")
-    rp.set_defaults(fn=_cmd_reduce_counterexample)
-
-    p = sub.add_parser("depth-check", help="depth reducibility decision or minimum set")
-    _add_graph_flag(p)
-    p.add_argument("d", type=int, help="target residual depth")
-    p.add_argument("e", type=int, nargs="?", default=None, help="removal budget (decision form)")
-    p.add_argument("--convention", choices=("nodes", "edges"), default="nodes")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_depth_check)
-
-    p = sub.add_parser("lp", help="integer programs and fractional points")
-    lsub = p.add_subparsers(dest="lp_command", required=True)
-
-    lp = lsub.add_parser("build-pebbling", help="pebbling ip size summary")
-    _add_graph_flag(lp)
-    lp.add_argument("--horizon", type=int, default=None)
-    lp.add_argument("--json", action="store_true")
-    lp.set_defaults(fn=_cmd_lp_build_pebbling)
-
-    lp = lsub.add_parser("build-reducible", help="reducibility ip size summary")
-    _add_graph_flag(lp)
-    lp.add_argument("d", type=int)
-    lp.add_argument("--json", action="store_true")
-    lp.set_defaults(fn=_cmd_lp_build_reducible)
-
-    for verb, handler, blurb in (
-        ("emit", _cmd_lp_emit, "write a model as LP-file text"),
-        ("relax", _cmd_lp_relax, "write a model's relaxation as LP-file text"),
-    ):
-        lp = lsub.add_parser(verb, help=blurb)
-        lp.add_argument("target", choices=("pebbling", "reducible"))
-        _add_graph_flag(lp)
-        lp.add_argument("--d", type=int, default=None, help="depth bound (reducible target)")
-        lp.add_argument("--horizon", type=int, default=None)
-        lp.set_defaults(fn=handler)
-
-    lp = lsub.add_parser("frac-pebbling", help="staircase fractional point")
-    _add_graph_flag(lp)
-    lp.add_argument("--horizon", type=int, default=None)
-    lp.add_argument("--json", action="store_true")
-    lp.set_defaults(fn=_cmd_lp_frac_pebbling)
-
-    lp = lsub.add_parser("frac-timed", help="timed fractional point with feasibility report")
-    _add_graph_flag(lp)
-    lp.add_argument("--json", action="store_true")
-    lp.set_defaults(fn=_cmd_lp_frac_timed)
-
-    lp = lsub.add_parser("frac-reducible", help="uniform fractional removal point")
-    _add_graph_flag(lp)
-    lp.add_argument("d", type=int)
-    lp.add_argument("--json", action="store_true")
-    lp.set_defaults(fn=_cmd_lp_frac_reducible)
-
-    lp = lsub.add_parser("verify", help="check a solution file against a relaxed model")
-    lp.add_argument("target", choices=("pebbling", "reducible"))
-    _add_graph_flag(lp)
-    lp.add_argument("solution", help="solution JSON file")
-    lp.add_argument("--d", type=int, default=None, help="depth bound (reducible target)")
-    lp.add_argument("--horizon", type=int, default=None)
-    lp.add_argument("--json", action="store_true")
-    lp.set_defaults(fn=_cmd_lp_verify)
-
-    lp = lsub.add_parser("gap", help="fractional objective against exact pcc")
-    _add_graph_flag(lp)
-    lp.add_argument("--max-states", type=int, default=None)
-    lp.add_argument("--time-budget", type=float, default=None)
-    lp.add_argument("--seed", type=int, default=None, help="known achievable cc to seed pruning")
-    lp.add_argument("--json", action="store_true")
-    lp.set_defaults(fn=_cmd_lp_gap)
-
-    p = sub.add_parser("verify-paper", help="run the acceptance suite")
-    p.add_argument("checks", nargs="*", help="check names (default: all)")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_verify_paper)
-
+    _command(sub, "verify-paper", "run the acceptance suite", _cmd_verify_paper,
+             _arg("checks", nargs="*", help="check names (default: all)"))
     return parser
 
 

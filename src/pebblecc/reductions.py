@@ -102,13 +102,20 @@ def _canonical_groups(layout: ReductionLayout, w: B2lcWitness):
     assignment, so every value lies in [0, c].
 
     Raises:
-        InvalidWitness: if some equation is satisfied by no row at all.
+        InvalidWitness: if the witness has the wrong number of groups or
+            rows, a row of the wrong length, or an equation that no row
+            satisfies.
     """
     inst = layout.instance
     if len(w.group_of) != inst.k or len(w.values) != inst.m:
         raise InvalidWitness(
             f"witness shape ({len(w.group_of)} groups, {len(w.values)} rows) does "
             f"not match the instance ({inst.k} equations, budget {inst.m})"
+        )
+    if any(len(row) != inst.n_vars for row in w.values):
+        raise InvalidWitness(
+            f"witness rows have lengths {[len(row) for row in w.values]}, "
+            f"not the instance's {inst.n_vars} variables"
         )
 
     def satisfied_by(eq, row):

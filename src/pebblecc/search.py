@@ -75,6 +75,12 @@ class SearchLimits:
     excluding the optimum.
     time_budget is in seconds of wall clock; 0.0 stops at the first check.
     A negative or NaN cap raises ValueError.
+
+    exact_pcc reads every field. exact_pcc_bounded reads all but
+    upper_bound_seed: a seed achievable with no horizon can lie below the
+    bounded optimum, so it prunes against its cost_cap argument instead.
+    exact_min_st and exact_min_space read max_nodes, max_states and
+    time_budget. A search given a field it does not read raises ValueError.
     """
 
     max_nodes: int = 24
@@ -102,11 +108,16 @@ class SearchResult:
 
 
 def _check_entry(
-    g: Dag, mode: str, limits: SearchLimits | None
+    g: Dag, mode: str, limits: SearchLimits | None, unread: tuple[str, ...] = ()
 ) -> tuple[SearchLimits, float | None]:
     """Validate a search's arguments; return its limits (the defaults for
-    None) and the monotonic instant at which a budgeted search gives up."""
+    None) and the monotonic instant at which a budgeted search gives up.
+    `unread` names the limits fields the search ignores; setting one is an
+    error rather than a silent no-op."""
     limits = limits or SearchLimits()
+    for name in unread:
+        if (value := getattr(limits, name)) is not None:
+            raise ValueError(f"this search does not read {name}, got {value}")
     if mode not in ("parallel", "sequential"):
         raise ValueError(f"mode must be parallel or sequential, got {mode!r}")
     if g.n > limits.max_nodes:
@@ -493,7 +504,7 @@ def exact_pcc_bounded(
         Exhausted: a state or time cap was hit first; it carries the
             proven interval [h2(start), cheapest goal found or None].
     """
-    limits, deadline = _check_entry(g, mode, limits)
+    limits, deadline = _check_entry(g, mode, limits, unread=("upper_bound_seed",))
     if t_max < 0:
         raise ValueError("t_max must be nonnegative")
     n = g.n
@@ -619,7 +630,7 @@ def exact_min_st(
     rounds t(s); the best witness over s is exact. Caps at or above the
     current best product cannot improve it (t >= 1), so the sweep stops there.
     """
-    limits, deadline = _check_entry(g, mode, limits)
+    limits, deadline = _check_entry(g, mode, limits, unread=("max_space", "upper_bound_seed"))
     expanded = 0
     best: tuple[int, Pebbling] | None = None
     for s in range(1, g.n + 1):
@@ -639,7 +650,7 @@ def exact_min_space(
     g: Dag, mode: str = "parallel", limits: SearchLimits | None = None
 ) -> SearchResult:
     """Smallest s such that some legal pebbling never holds more than s pebbles."""
-    limits, deadline = _check_entry(g, mode, limits)
+    limits, deadline = _check_entry(g, mode, limits, unread=("max_space", "upper_bound_seed"))
     expanded = 0
     for s in range(1, g.n + 1):
         witness, expanded = _min_rounds_capped(g, s, mode, limits, deadline, expanded)

@@ -1,5 +1,6 @@
 """End-to-end command checks, run in process through main()."""
 
+import argparse
 import hashlib
 import json
 import shlex
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from pebblecc import acceptance
-from pebblecc.cli import main
+from pebblecc.cli import build_parser, main
 from pebblecc.graph import chain, dag_to_json, layered_random, pyramid
 from pebblecc.reductions import counterexample_dag
 
@@ -411,6 +412,70 @@ def test_cli_output_is_pinned(tmp_path, capsys):
             record.append(f"{argv}\n{rc}\n{out}\0{err}\0")
     digest = hashlib.sha256("".join(record).encode()).hexdigest()
     assert digest == "23253d2e47edfd3418ff4b4f6673adb1f53a82d7e1af5c44521faf7b83c62acb"
+
+
+def test_pcc_bounded_seed_is_a_cost_cap(tmp_path, capsys):
+    gf = graph_file(tmp_path, counterexample_dag())
+    argv = ["pcc-bounded", "--graph", gf, "--horizon", "16", "--seed"]
+    assert main(argv + ["27"]) == 1
+    assert capsys.readouterr().err.strip() == (
+        "infeasible: no legal pebbling within 16 rounds under cost cap 27"
+    )
+    assert main(argv + ["28"]) == 0
+    assert capsys.readouterr().out.startswith("bounded_cc = 28 ")
+
+
+# sha256 of format_help() for the root parser (key "") and every subparser,
+# at a fixed width of 80 columns.
+HELP_DIGESTS = {
+    "": "4f098676f0918b7b7c7aac7d328ee3ed407313960e92803ab5dfafc8e133157e",
+    "gen": "e25d156f397aa47202731d440b0b8535093308f7add6cb22460580343e36358c",
+    "depth": "b086c4e4d70880f343a06e72c73e396210169f6c79e89d8b09d6d21a1143f0a0",
+    "pebble-check": "eee4a7c995656a7d205c3a71e2688e086017293834c5d7e3f8c62d87251738ea",
+    "cost": "9bd732e528f5060b39a0c406d601b35769447e7242564ad6b705fd9c91042617",
+    "pcc": "a9561d0de33745a15d453e45fb9d4da68cc4831587ae1fcbdad7f50fcbdc3e3e",
+    "pcc-bounded": "ea8c9271380ea3677a5a01a75c5424d7244ac5c48b265f536f6d908ccfc82961",
+    "min-st": "7296381bd5c973e817b737bea4f9a5a32123dba4610204358231823940cec04c",
+    "min-space": "3c6a9dd8d06b9a9c45dc0451297c2c6922f914535eedda46fa9c3d8420c4a1f1",
+    "b2lc-solve": "d6341875cc7ed43f2392eeb7f6131f8fa8a52eaa9ac714132477876c8dcede52",
+    "3part-solve": "0527a81f0ae113e55b5982029868bae34032eabd6299aab6cb4761c5e9190ce8",
+    "reduce": "6b280aa9eb5304b6e612d3a92d32b9dc55579ba51c7708977a1f4ad900337aa5",
+    "reduce 3part-to-b2lc": "5161861935cbcbd80e3220993f013a1166484075e8459a9ee02ed19b4b8145a4",
+    "reduce b2lc-to-graph": "6e2ffc2fdef126969d8f9112260972564b246a62ba95a7ffe553344627a02918",
+    "reduce vc": "2edc4aff8e25ea8c65425266cd62fd1017b7cee81c3fceeea3e3e3467ef4e2a3",
+    "reduce indeg": "03d8323672f278f999fd124894a1e03087952bfcc6c333c53e6e676953710ac0",
+    "reduce append-chain": "5ac5786d03695208475b66d25b8d3335719c70dc9537f398f9f3f5945003750f",
+    "reduce counterexample": "f8da161fb9ec279405b3f81ba532b137dece452a79e1a6342186332387adb1fb",
+    "depth-check": "0dd81aef81a2504279a37d914ed5e964f42dc5a2b6342ed5a5b2df6343ebd089",
+    "lp": "e7b2ef53c300dc8f41b56a8e85356e07140116e33e534eac28e4bc9c0c4e7f57",
+    "lp build-pebbling": "75c2193ef4a92ebbeb0f5f3fd713028dc727c76c238a327a497bc59ddf12a935",
+    "lp build-reducible": "af30f863963b32842273e94a9cab71a19aee02e10f9567d110c194336b1a8ec3",
+    "lp emit": "60a8d2aab59f5ddadf379f0b04d79ef74d04910ff27cb4e73ff0f90f7f07224d",
+    "lp relax": "07b99bd45fea62557b399cffa2b62a2c8dff2594f19c38f6c366bd5e4e10980b",
+    "lp frac-pebbling": "a4c267c70abd2e4cd66dca46b9e5a8fc86533b1fae198d09c22b5f5232b62798",
+    "lp frac-timed": "e43184a749f740b9dc332e976a556569fedc2c8ff8a97e79988c116b7a191a3a",
+    "lp frac-reducible": "e3846179a649c946a55e3db7d4dd8ecd862f591be49d8bf5ebbde5522c80b06b",
+    "lp verify": "e8585642b398bdc55df59c9e0ac142f35b3bdd2b9ffc9989054a7e957a1e4f7a",
+    "lp gap": "1da03cbe867f6e4f1ee37e19a301e49cdf95f4029491f3e1aff0342dc950191f",
+    "verify-paper": "3c3bd43dc5b0f5305d4ce158e583ef8bea31fdf7e677c0f071c2678dba03dfe0",
+}
+
+
+def _help_texts(parser, path=()):
+    yield " ".join(path), parser.format_help()
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _help_texts(sub, path + (name,))
+
+
+def test_help_is_pinned(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal
+    digests = {
+        path: hashlib.sha256(text.encode()).hexdigest()
+        for path, text in _help_texts(build_parser())
+    }
+    assert digests == HELP_DIGESTS
 
 
 def _readme_examples():

@@ -152,6 +152,13 @@ def test_reduction_pebbling_rejects_wrong_shape():
         reduction_pebbling(layout, B2lcWitness(group_of=(1,), values=((0, 1, 3),)))
 
 
+def test_reduction_pebbling_rejects_wrong_row_length():
+    layout = b2lc_to_graph(TINY, tau=1)
+    for row in ((0, 1), (0, 1, 3, 99)):  # short, and long with a stray value
+        with pytest.raises(InvalidWitness, match="lengths"):
+            reduction_pebbling(layout, B2lcWitness(group_of=(1, 1), values=(row,)))
+
+
 def test_reduction_pebbling_random_instances():
     """Solver witnesses drive legal schedules across a random family."""
     rng = random.Random(20210)

@@ -719,6 +719,25 @@ def test_negative_limits_rejected():
     assert SearchLimits(time_budget=0.0).time_budget == 0.0
 
 
+def test_bounded_search_rejects_a_seed():
+    # ce16 costs 27 with no horizon but 28 within 16 rounds, so a seed
+    # achievable with no horizon can lie below the bounded optimum
+    with pytest.raises(ValueError, match="upper_bound_seed"):
+        exact_pcc_bounded(counterexample_dag(), 16, limits=SearchLimits(upper_bound_seed=5))
+
+
+def test_min_space_rejects_a_space_cap():
+    with pytest.raises(ValueError, match="max_space"):
+        exact_min_space(pyramid(3), limits=SearchLimits(max_space=1))
+
+
+def test_min_st_rejects_a_space_cap_and_a_seed():
+    with pytest.raises(ValueError, match="max_space"):
+        exact_min_st(pyramid(3), limits=SearchLimits(max_space=1, upper_bound_seed=1))
+    with pytest.raises(ValueError, match="upper_bound_seed"):
+        exact_min_st(pyramid(3), limits=SearchLimits(upper_bound_seed=1))
+
+
 def test_bad_mode():
     with pytest.raises(ValueError):
         exact_pcc(chain(3), mode="fast")
