@@ -61,7 +61,7 @@ def _check_counterexample_upper() -> tuple[bool, str]:
 
 def _check_counterexample_gap() -> tuple[bool, str]:
     g = counterexample_dag()
-    res = exact_pcc(g, limits=SearchLimits(upper_bound_seed=27))
+    res = exact_pcc(g, cost_cap=27)
     if not (res.proven and res.optimum == 27):
         return False, f"unrestricted search gave {res.optimum} (proven={res.proven})"
     try:

@@ -102,11 +102,7 @@ def _load_solution(path: str) -> LpSolution:
 
 
 def _limits(args) -> SearchLimits:
-    kw = {
-        "max_states": args.max_states,
-        "time_budget": args.time_budget,
-        "upper_bound_seed": getattr(args, "seed", None),
-    }
+    kw = {"max_states": args.max_states, "time_budget": args.time_budget}
     return SearchLimits(**{k: v for k, v in kw.items() if v is not None})
 
 
@@ -147,12 +143,11 @@ def _cmd_cost(args):
 
 
 def _cmd_search(args):
-    """Run args.search and report its optimum under args.label."""
+    """Run args.search, with the bounds the command takes (t_max, cost_cap),
+    and report its optimum under args.label."""
     g, label = _load_graph(args.graph), args.label
-    if args.search is exact_pcc_bounded:
-        res = exact_pcc_bounded(g, args.horizon, args.mode, _limits(args), args.cost_cap)
-    else:
-        res = args.search(g, args.mode, _limits(args))
+    bounds = {k: getattr(args, k) for k in ("t_max", "cost_cap") if k in args}
+    res = args.search(g, mode=args.mode, limits=_limits(args), **bounds)
     payload = {
         label: res.optimum,
         "proven": res.proven,
@@ -306,7 +301,7 @@ def _cmd_lp_verify(args):
 
 
 def _cmd_lp_gap(args):
-    gr = gap_report(_load_graph(args.graph), limits=_limits(args))
+    gr = gap_report(_load_graph(args.graph), limits=_limits(args), cost_cap=args.cost_cap)
     payload = {
         "n": gr.n,
         "fractional_objective": str(gr.fractional_objective),
@@ -372,7 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
         _arg("--time-budget", type=float, default=None),
     )
     SEARCH = (_arg("--mode", choices=("parallel", "sequential"), default="parallel"), *LIMITS)
-    SEED = _arg("--seed", type=int, default=None, help="known achievable cc to seed pruning")
+    SEED = _arg("--seed", type=int, default=None, dest="cost_cap", metavar="SEED",
+                help="cost cap: find the optimum if it is at most SEED, else exit 1")
     CONVENTION = _arg("--convention", choices=("nodes", "edges"), default="nodes")
     HORIZON = _arg("--horizon", type=int, default=None)
     PEBBLING = _arg("pebbling", help="pebbling JSON file")
@@ -394,14 +390,11 @@ def build_parser() -> argparse.ArgumentParser:
     _command(sub, "cost", "cost metrics of a pebbling", _cmd_cost, PEBBLING)
     _command(sub, "pcc", "exact minimum cumulative cost", _cmd_search, GRAPH, *SEARCH, SEED,
              search=exact_pcc, label="pcc")
-    # --seed is only a cost cap here: a seed achievable with no horizon can lie
-    # below the bounded optimum
     _command(
         sub, "pcc-bounded", "exact minimum cc within a round budget", _cmd_search,
-        GRAPH, *SEARCH, _arg("--horizon", type=int, required=True, help="round budget t_max"),
-        _arg("--seed", type=int, default=None, dest="cost_cap", metavar="SEED",
-             help="cost cap: prove nothing <= cap exists"),
-        search=exact_pcc_bounded, label="bounded_cc",
+        GRAPH, *SEARCH, _arg("--horizon", type=int, required=True, dest="t_max", metavar="HORIZON",
+                             help="round budget t_max"),
+        SEED, search=exact_pcc_bounded, label="bounded_cc",
     )
     _command(sub, "min-st", "exact minimum space-time cost", _cmd_search, GRAPH, *SEARCH,
              search=exact_min_st, label="min_st")

@@ -430,20 +430,22 @@ class GapReport:
     ratio: Fraction
 
 
-def gap_report(g: Dag, limits=None) -> GapReport:
+def gap_report(g: Dag, limits=None, cost_cap=None) -> GapReport:
     """Tabulate the staircase objective against exact (or fallback) pcc.
 
-    If the exact search exhausts its limits, its incumbent upper bound
-    stands in, or the trivial keep-everything bound n(n+1)/2 when it has
-    none, and the report is flagged unproven.
+    limits and cost_cap pass to exact_pcc, which raises Infeasible when the
+    optimum is above cost_cap. If the search exhausts its limits, the cost
+    of the cheapest pebbling it built stands in, or the trivial
+    keep-everything bound n(n+1)/2 when it built none, and the report is
+    flagged unproven.
     """
-    from .search import Exhausted, SearchLimits, exact_pcc
+    from .search import Exhausted, exact_pcc
 
     n = g.n
     frac = fractional_pebbling_solution(g, horizon=staircase_horizon(n))
     objective = sum(frac.values.values(), Fraction(0))
     try:
-        res = exact_pcc(g, limits=limits or SearchLimits())
+        res = exact_pcc(g, limits=limits, cost_cap=cost_cap)
         pcc, proven = res.optimum, True
     except Exhausted as exc:
         pcc = exc.upper_bound if exc.upper_bound is not None else n * (n + 1) // 2

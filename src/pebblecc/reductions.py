@@ -7,7 +7,6 @@ counterexample graph with its cost-27 pebbling.
 
 from __future__ import annotations
 
-import heapq
 import json
 import warnings
 from dataclasses import dataclass, field
@@ -449,43 +448,14 @@ def vc_to_reducible(
     return build_dag(nid, out_edges), frozenset(vertex_id.values())
 
 
-def _relabel_topological(
-    n: int, raw_edges: list[tuple[int, int]]
-) -> tuple[Dag, dict[int, int]]:
-    """Relabel an acyclic digraph on ids 1..n so labels become topological.
-
-    Kahn's algorithm popping the smallest old id first, so the result is
-    deterministic. Returns the Dag and the old-to-new mapping.
-    """
-    indeg = [0] * (n + 1)
-    children: list[list[int]] = [[] for _ in range(n + 1)]
-    for u, v in raw_edges:
-        indeg[v] += 1
-        children[u].append(v)
-    ready = [v for v in range(1, n + 1) if indeg[v] == 0]
-    heapq.heapify(ready)
-    mapping: dict[int, int] = {}
-    nxt = 0
-    while ready:
-        v = heapq.heappop(ready)
-        nxt += 1
-        mapping[v] = nxt
-        for w in children[v]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                heapq.heappush(ready, w)
-    if nxt != n:
-        raise ValueError("digraph has a cycle")
-    return build_dag(n, [(mapping[u], mapping[v]) for u, v in raw_edges]), mapping
-
-
 def reduce_indegree(g: Dag, delta: int = 2, *, with_map: bool = False):
     """Cap indegrees at delta by replacing fan-ins with balanced merge trees.
 
     A node with p > delta parents gets ceil((p-1)/(delta-1)) - 1 fresh
     internal nodes; its former parents feed chunks of delta, level by level,
     until at most delta feed the node itself. Reachability between original
-    nodes is unchanged. The result is relabelled topologically.
+    nodes is unchanged. Ids stay topological: each node's merge-tree nodes
+    take the ids just before its own.
 
     Args:
         g: input graph.
@@ -501,14 +471,11 @@ def reduce_indegree(g: Dag, delta: int = 2, *, with_map: bool = False):
     if g.max_indeg <= delta:
         return (g, {v: v for v in range(1, g.n + 1)}) if with_map else g
 
-    raw_edges: list[tuple[int, int]] = []
-    nid = g.n
+    mapping: dict[int, int] = {}
+    edges: list[tuple[int, int]] = []
+    nid = 0
     for v in range(1, g.n + 1):
-        parents = sorted(g.parent_sets[v])
-        if len(parents) <= delta:
-            raw_edges.extend((u, v) for u in parents)
-            continue
-        layer = parents
+        layer = sorted(mapping[u] for u in g.parent_sets[v])
         while len(layer) > delta:
             nxt: list[int] = []
             for q in range(0, len(layer), delta):
@@ -517,11 +484,13 @@ def reduce_indegree(g: Dag, delta: int = 2, *, with_map: bool = False):
                     nxt.append(chunk[0])
                 else:
                     nid += 1
-                    raw_edges.extend((u, nid) for u in chunk)
+                    edges.extend((u, nid) for u in chunk)
                     nxt.append(nid)
             layer = nxt
-        raw_edges.extend((u, v) for u in layer)
-    out, mapping = _relabel_topological(nid, raw_edges)
+        nid += 1
+        mapping[v] = nid
+        edges.extend((u, nid) for u in layer)
+    out = build_dag(nid, edges)
     return (out, mapping) if with_map else out
 
 

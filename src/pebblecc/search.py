@@ -37,8 +37,8 @@ class Exhausted(RuntimeError):
     """A search cap (states or wall clock) was hit before the proof finished.
 
     From exact_pcc and exact_pcc_bounded, the optimum is proven to lie in
-    [lower_bound, upper_bound]; upper_bound is the incumbent (seed, dive
-    cost or cheapest goal found), or None.
+    [lower_bound, upper_bound]; upper_bound is the cost of the cheapest
+    pebbling the search built (its dive or a goal), or None.
     """
 
     def __init__(
@@ -58,7 +58,7 @@ class Exhausted(RuntimeError):
 
 
 class Infeasible(RuntimeError):
-    """No legal pebbling exists within the stated limits (horizon or caps)."""
+    """No legal pebbling exists within the stated bounds (horizon or caps)."""
 
 
 class _Stop(Exception):
@@ -67,30 +67,20 @@ class _Stop(Exception):
 
 @dataclass(frozen=True)
 class SearchLimits:
-    """Caps for the exact searches.
+    """The work caps every exact search reads.
 
-    max_states caps the states taken off the frontier: expansions, and
-    exact_pcc's lazy push-backs. upper_bound_seed must be achievable (the
-    cost of some known legal pebbling); it seeds incumbent pruning without
-    excluding the optimum.
-    time_budget is in seconds of wall clock; 0.0 stops at the first check.
-    A negative or NaN cap raises ValueError.
-
-    exact_pcc reads every field. exact_pcc_bounded reads all but
-    upper_bound_seed: a seed achievable with no horizon can lie below the
-    bounded optimum, so it prunes against its cost_cap argument instead.
-    exact_min_st and exact_min_space read max_nodes, max_states and
-    time_budget. A search given a field it does not read raises ValueError.
+    max_nodes caps the graph's size. max_states caps the states taken off
+    the frontier: expansions, and exact_pcc's lazy push-backs. time_budget
+    is in seconds of wall clock; 0.0 stops at the first check. A negative
+    or NaN cap raises ValueError.
     """
 
     max_nodes: int = 24
     max_states: int = 2_000_000
-    max_space: int | None = None
-    upper_bound_seed: int | None = None
     time_budget: float | None = None
 
     def __post_init__(self) -> None:
-        for name in ("max_nodes", "max_states", "max_space", "time_budget"):
+        for name in ("max_nodes", "max_states", "time_budget"):
             value = getattr(self, name)
             if value is not None and not value >= 0:  # NaN fails too
                 raise ValueError(f"{name} must be nonnegative, got {value}")
@@ -108,25 +98,29 @@ class SearchResult:
 
 
 def _check_entry(
-    g: Dag, mode: str, limits: SearchLimits | None, unread: tuple[str, ...] = ()
-) -> tuple[SearchLimits, float | None]:
+    g: Dag, mode: str, limits: SearchLimits | None, max_space: int | None = None
+) -> tuple[SearchLimits, float | None, int]:
     """Validate a search's arguments; return its limits (the defaults for
-    None) and the monotonic instant at which a budgeted search gives up.
-    `unread` names the limits fields the search ignores; setting one is an
-    error rather than a silent no-op."""
+    None), the monotonic instant at which a budgeted search gives up, and
+    its space cap (n when max_space is None)."""
     limits = limits or SearchLimits()
-    for name in unread:
-        if (value := getattr(limits, name)) is not None:
-            raise ValueError(f"this search does not read {name}, got {value}")
+    if max_space is not None and not max_space >= 0:
+        raise ValueError(f"max_space must be nonnegative, got {max_space}")
     if mode not in ("parallel", "sequential"):
         raise ValueError(f"mode must be parallel or sequential, got {mode!r}")
     if g.n > limits.max_nodes:
         raise TooLarge(
             f"graph has {g.n} nodes, above the configured cap {limits.max_nodes}"
         )
-    if limits.time_budget is None:
-        return limits, None
-    return limits, time.monotonic() + limits.time_budget
+    deadline = None if limits.time_budget is None else time.monotonic() + limits.time_budget
+    return limits, deadline, g.n if max_space is None else max_space
+
+
+def _infeasible(within: str, cost_cap: int | None, max_space: int | None) -> Infeasible:
+    """The error of a cost search that found no pebbling `within` its caps."""
+    caps = (("space cap", max_space), ("cost cap", cost_cap))
+    under = " and ".join(f"{name} {cap}" for name, cap in caps if cap is not None)
+    return Infeasible(f"no legal pebbling{within}" + (f" under {under}" if under else ""))
 
 
 def _spend(expanded: int, limits: SearchLimits, deadline: float | None) -> None:
@@ -322,8 +316,14 @@ def exact_pcc(
     g: Dag,
     mode: str = "parallel",
     limits: SearchLimits | None = None,
+    cost_cap: int | None = None,
+    max_space: int | None = None,
 ) -> SearchResult:
     """Minimum cumulative cost over all legal pebblings, with witness.
+
+    No round holds more than max_space pebbles, when it is set. With
+    cost_cap set, the search returns the optimum if it is at most cost_cap
+    and raises Infeasible otherwise; the cap prunes from the start.
 
     A* on the configuration graph, keyed by (g + h, -g). Two lower bounds on
     the cost still to pay serve as h, and both are consistent: a round that
@@ -369,15 +369,14 @@ def exact_pcc(
         Exhausted: a state or time cap was hit first (dive steps and lazy
             push-backs count); it carries the proven interval
             [lower_bound, upper_bound].
-        Infeasible: no pebbling within limits (only possible when max_space
-            is set or upper_bound_seed was not actually achievable).
+        Infeasible: no pebbling within max_space costs at most cost_cap.
+        ValueError: a bad mode, or a negative max_space.
     """
-    limits, deadline = _check_entry(g, mode, limits)
+    limits, deadline, space_cap = _check_entry(g, mode, limits, max_space)
     n = g.n
     parent_masks, sink_mask = g.parent_masks, g.sink_mask
-    space_cap = limits.max_space if limits.max_space is not None else n
-    incumbent = limits.upper_bound_seed
-    ub = n * (n + 1) // 2 if incumbent is None else min(incumbent, n * (n + 1) // 2)
+    incumbent = None
+    ub = n * (n + 1) // 2 if cost_cap is None else min(cost_cap, n * (n + 1) // 2)
     sequential = mode == "sequential"
     start = closure = _future_need(parent_masks, 0, sink_mask)
     lower = _hold_bound(parent_masks, 0, closure)
@@ -468,10 +467,7 @@ def exact_pcc(
         raise Exhausted(
             f"{stop} at bound {lower}", expanded, lower, incumbent
         ) from None
-    raise Infeasible(
-        "no legal pebbling within the given limits (space cap or a seed "
-        "upper bound below the true optimum)"
-    )
+    raise _infeasible("", cost_cap, max_space)
 
 
 def exact_pcc_bounded(
@@ -480,6 +476,7 @@ def exact_pcc_bounded(
     mode: str = "parallel",
     limits: SearchLimits | None = None,
     cost_cap: int | None = None,
+    max_space: int | None = None,
 ) -> SearchResult:
     """Minimum cumulative cost among pebblings with at most t_max rounds.
 
@@ -489,8 +486,8 @@ def exact_pcc_bounded(
     in this round or an earlier one, since that arrival holds the same
     pebbles with at least as many rounds left. A child whose remaining
     dependency chain cannot fit in the rounds left is stored at cost 0, so
-    the cut is remembered: rounds left only fall. Partial costs above
-    cost_cap are cut when one is given. Each goal found becomes the
+    the cut is remembered: rounds left only fall. cost_cap and max_space
+    bound the search as in exact_pcc. Each goal found becomes the
     incumbent, so later children must beat it; a state whose floor g + h2
     (`_hold_bound`, consistent, see exact_pcc) is above it counts as
     expanded but generates no children; and a goal that costs h2(start)
@@ -498,18 +495,17 @@ def exact_pcc_bounded(
     which every min-cost pebbling keeps.
 
     Raises:
-        Infeasible: nothing completes within t_max rounds (and under
-            cost_cap, if set).
-        TooLarge: as exact_pcc.
+        Infeasible: nothing completes within t_max rounds, max_space and
+            cost_cap.
+        TooLarge, ValueError: as exact_pcc, or a negative t_max.
         Exhausted: a state or time cap was hit first; it carries the
             proven interval [h2(start), cheapest goal found or None].
     """
-    limits, deadline = _check_entry(g, mode, limits, unread=("upper_bound_seed",))
+    limits, deadline, space_cap = _check_entry(g, mode, limits, max_space)
     if t_max < 0:
         raise ValueError("t_max must be nonnegative")
     n = g.n
     parent_masks, sink_mask = g.parent_masks, g.sink_mask
-    space_cap = limits.max_space if limits.max_space is not None else n
     ub = cost_cap if cost_cap is not None else n * t_max
     sequential = mode == "sequential"
 
@@ -574,8 +570,7 @@ def exact_pcc_bounded(
             f"{stop} in round {r}", expanded, h0, goal and goal[0]
         ) from None
     if goal is None:
-        cap_note = f" under cost cap {cost_cap}" if cost_cap is not None else ""
-        raise Infeasible(f"no legal pebbling within {t_max} rounds{cap_note}")
+        raise _infeasible(f" within {t_max} rounds", cost_cap, max_space)
     return SearchResult(goal[0], _witness(pred, goal[1], n, mode), True, expanded)
 
 
@@ -630,7 +625,7 @@ def exact_min_st(
     rounds t(s); the best witness over s is exact. Caps at or above the
     current best product cannot improve it (t >= 1), so the sweep stops there.
     """
-    limits, deadline = _check_entry(g, mode, limits, unread=("max_space", "upper_bound_seed"))
+    limits, deadline, _ = _check_entry(g, mode, limits)
     expanded = 0
     best: tuple[int, Pebbling] | None = None
     for s in range(1, g.n + 1):
@@ -650,7 +645,7 @@ def exact_min_space(
     g: Dag, mode: str = "parallel", limits: SearchLimits | None = None
 ) -> SearchResult:
     """Smallest s such that some legal pebbling never holds more than s pebbles."""
-    limits, deadline = _check_entry(g, mode, limits, unread=("max_space", "upper_bound_seed"))
+    limits, deadline, _ = _check_entry(g, mode, limits)
     expanded = 0
     for s in range(1, g.n + 1):
         witness, expanded = _min_rounds_capped(g, s, mode, limits, deadline, expanded)

@@ -423,6 +423,12 @@ def test_pcc_bounded_seed_is_a_cost_cap(tmp_path, capsys):
     )
     assert main(argv + ["28"]) == 0
     assert capsys.readouterr().out.startswith("bounded_cc = 28 ")
+    # pcc reads --seed the same way: ce16's optimum with no horizon is 27
+    argv = ["pcc", "--graph", gf, "--seed"]
+    assert main(argv + ["26"]) == 1
+    assert capsys.readouterr().err.strip() == "infeasible: no legal pebbling under cost cap 26"
+    assert main(argv + ["27"]) == 0
+    assert capsys.readouterr().out.startswith("pcc = 27 ")
 
 
 # sha256 of format_help() for the root parser (key "") and every subparser,
@@ -433,8 +439,8 @@ HELP_DIGESTS = {
     "depth": "b086c4e4d70880f343a06e72c73e396210169f6c79e89d8b09d6d21a1143f0a0",
     "pebble-check": "eee4a7c995656a7d205c3a71e2688e086017293834c5d7e3f8c62d87251738ea",
     "cost": "9bd732e528f5060b39a0c406d601b35769447e7242564ad6b705fd9c91042617",
-    "pcc": "a9561d0de33745a15d453e45fb9d4da68cc4831587ae1fcbdad7f50fcbdc3e3e",
-    "pcc-bounded": "ea8c9271380ea3677a5a01a75c5424d7244ac5c48b265f536f6d908ccfc82961",
+    "pcc": "71b29266e0384c487ccaa429f0fa63894603ca973626cd5f6fcfb5f67eed3c1a",
+    "pcc-bounded": "25e64bf952b42d27975f156d932960b0a9bc57c878c3370aa30bdb4eaec43a6f",
     "min-st": "7296381bd5c973e817b737bea4f9a5a32123dba4610204358231823940cec04c",
     "min-space": "3c6a9dd8d06b9a9c45dc0451297c2c6922f914535eedda46fa9c3d8420c4a1f1",
     "b2lc-solve": "d6341875cc7ed43f2392eeb7f6131f8fa8a52eaa9ac714132477876c8dcede52",
@@ -456,7 +462,7 @@ HELP_DIGESTS = {
     "lp frac-timed": "e43184a749f740b9dc332e976a556569fedc2c8ff8a97e79988c116b7a191a3a",
     "lp frac-reducible": "e3846179a649c946a55e3db7d4dd8ecd862f591be49d8bf5ebbde5522c80b06b",
     "lp verify": "e8585642b398bdc55df59c9e0ac142f35b3bdd2b9ffc9989054a7e957a1e4f7a",
-    "lp gap": "1da03cbe867f6e4f1ee37e19a301e49cdf95f4029491f3e1aff0342dc950191f",
+    "lp gap": "05acd33344777a1075ddad740f94b7ca420da441ad15c69bcabd83719326a340",
     "verify-paper": "3c3bd43dc5b0f5305d4ce158e583ef8bea31fdf7e677c0f071c2678dba03dfe0",
 }
 

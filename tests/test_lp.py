@@ -26,7 +26,7 @@ from pebblecc.lp import (
 )
 from pebblecc.pebbling import Pebbling, trivial_pebbling
 from pebblecc.reductions import claim_c1_pebbling, counterexample_dag
-from pebblecc.search import SearchLimits
+from pebblecc.search import Infeasible, SearchLimits
 
 
 def staircase_objective(n: int) -> Fraction:
@@ -394,10 +394,12 @@ def test_gap_report_chain8():
 
 
 def test_gap_report_counterexample():
-    gr = gap_report(counterexample_dag(), limits=SearchLimits(upper_bound_seed=27))
+    gr = gap_report(counterexample_dag(), cost_cap=27)
     assert gr.pcc == 27 and gr.pcc_proven
     assert gr.fractional_objective == Fraction(77, 2)
     assert gr.ratio == Fraction(54, 77)
+    with pytest.raises(Infeasible):
+        gap_report(counterexample_dag(), cost_cap=26)
 
 
 def test_gap_report_falls_back_when_search_exhausts():

@@ -170,13 +170,19 @@ def _random_corpus(count, seed=0):
 
 def test_astar_matches_complete_enumeration_on_random_graphs():
     """A* with the greedy-dive incumbent against the plain least-cost search,
-    which uses neither the heuristic nor the dive."""
+    which uses neither the heuristic nor the dive; a cost cap at the
+    optimum returns it, and one below raises Infeasible."""
     for g in _random_corpus(200):
         for mode in ("parallel", "sequential"):
             fast = exact_pcc(g, mode=mode)
             slow = _least_cost_reference(g, mode)
             assert fast.optimum == slow.optimum, (g.edges, mode)
             assert_sound(g, fast, mode)
+            capped = exact_pcc(g, mode, cost_cap=slow.optimum)
+            assert capped.optimum == slow.optimum, (g.edges, mode)
+            assert_sound(g, capped, mode)
+            with pytest.raises(Infeasible):
+                exact_pcc(g, mode, cost_cap=slow.optimum - 1)
 
 
 def test_bounded_at_the_optimum_matches_astar():
@@ -248,14 +254,13 @@ def test_bounded_matches_layered_enumeration():
                 ref = _layered_reference(g, g.n + 2, mode, max_space)
                 opt = ref[-1]
                 caps = (None,) if opt is None else (None, opt, opt + 2)
-                limits = SearchLimits(max_space=max_space)
                 for t_max in range(depth(g, "nodes"), g.n + 3):
                     for cap in caps:
                         want = ref[t_max]
                         if want is not None and cap is not None and want > cap:
                             want = None
                         try:
-                            r = exact_pcc_bounded(g, t_max, mode, limits, cost_cap=cap)
+                            r = exact_pcc_bounded(g, t_max, mode, cost_cap=cap, max_space=max_space)
                         except Infeasible:
                             r = None
                         cases += 1
@@ -297,11 +302,10 @@ def test_witnesses_drop_only_pebbles_that_feed_the_next_round():
     assert _unfed_drops(chain(3), Pebbling(((1,), (1, 2), (2, 3)), "parallel")) == [(2, 1)]
     witnesses = 0
     for max_space in (None, 2, 3):
-        limits = SearchLimits(max_space=max_space)
         for mode in ("parallel", "sequential"):
             for g in _random_corpus(200):
                 try:
-                    r = exact_pcc(g, mode=mode, limits=limits)
+                    r = exact_pcc(g, mode=mode, max_space=max_space)
                 except Infeasible:
                     continue
                 assert _unfed_drops(g, r.witness) == [], (g.edges, mode, max_space)
@@ -309,7 +313,7 @@ def test_witnesses_drop_only_pebbles_that_feed_the_next_round():
             for g in _forward_corpus(60, seed=5):
                 for t_max in range(depth(g, "nodes"), g.n + 3):
                     try:
-                        r = exact_pcc_bounded(g, t_max, mode, limits)
+                        r = exact_pcc_bounded(g, t_max, mode, max_space=max_space)
                     except Infeasible:
                         continue
                     key = (g.edges, mode, max_space, t_max)
@@ -367,11 +371,10 @@ def test_inherited_closures_match_a_backward_bfs(monkeypatch):
         p = rng.choice((0.2, 0.35, 0.5))
         g = build_dag(n, [(u, v) for v in range(2, n + 1) for u in range(1, v) if rng.random() < p])
         for max_space in (None, 2, 3):
-            limits = SearchLimits(max_space=max_space)
             for mode in ("parallel", "sequential"):
                 for run in (
-                    lambda: exact_pcc(g, mode, limits),
-                    lambda: exact_pcc_bounded(g, g.n + 1, mode, limits),
+                    lambda: exact_pcc(g, mode, max_space=max_space),
+                    lambda: exact_pcc_bounded(g, g.n + 1, mode, max_space=max_space),
                 ):
                     try:
                         run()
@@ -460,12 +463,12 @@ def test_min_space_and_min_st_match_the_round_dp():
         space = exact_min_space(g).optimum
         if space > 1:
             with pytest.raises(Infeasible):
-                exact_pcc_bounded(g, g.n * g.n, limits=SearchLimits(max_space=space - 1))
+                exact_pcc_bounded(g, g.n * g.n, max_space=space - 1)
         best_st = g.n * g.n
         for s in range(space, g.n + 1):
             for t in range(1, g.n * g.n + 1):
                 try:
-                    exact_pcc_bounded(g, t, limits=SearchLimits(max_space=s))
+                    exact_pcc_bounded(g, t, max_space=s)
                 except Infeasible:
                     continue
                 best_st = min(best_st, s * t)
@@ -480,11 +483,13 @@ def test_multi_sink_graph():
 
 def test_counterexample_pcc_is_27():
     g = counterexample_dag()
-    seeded = exact_pcc(g, limits=SearchLimits(upper_bound_seed=27))
-    assert seeded.optimum == 27
-    assert_sound(g, seeded)
-    # the seed is only a prune hint; the unseeded run proves the same value
+    capped = exact_pcc(g, cost_cap=27)
+    assert capped.optimum == 27
+    assert_sound(g, capped)
+    # the cap only prunes; the uncapped run proves the same value
     assert exact_pcc(g, limits=BIG).optimum == 27
+    with pytest.raises(Infeasible, match="^no legal pebbling under cost cap 26$"):
+        exact_pcc(g, cost_cap=26)
 
 
 def test_counterexample_16_rounds_needs_28():
@@ -629,13 +634,11 @@ def test_exhausted_carries_proven_bounds():
     exc = info.value
     assert 16 <= exc.lower_bound <= 27 <= exc.upper_bound
     assert f"optimum in [{exc.lower_bound}, {exc.upper_bound}]" in str(exc)
-    # stopped during the dive: the bound is h2(start) and the seed the incumbent
+    # stopped during the dive: the bound is h2(start), and a cost cap is no
+    # incumbent, since no pebbling of that cost was built
     with pytest.raises(Exhausted) as info:
-        exact_pcc(
-            counterexample_dag(),
-            limits=SearchLimits(max_states=3, upper_bound_seed=30),
-        )
-    assert (info.value.lower_bound, info.value.upper_bound) == (23, 30)
+        exact_pcc(counterexample_dag(), limits=SearchLimits(max_states=3), cost_cap=30)
+    assert (info.value.lower_bound, info.value.upper_bound) == (23, None)
 
 
 def test_bounded_exhausted_carries_proven_bounds():
@@ -671,9 +674,9 @@ def test_time_budget_holds_inside_one_expansion():
 
 
 def test_space_limit_infeasible():
-    with pytest.raises(Infeasible):
-        exact_pcc(pyramid(2), limits=SearchLimits(max_space=1))
-    capped = exact_pcc(pyramid(2), limits=SearchLimits(max_space=2))
+    with pytest.raises(Infeasible, match="^no legal pebbling under space cap 1$"):
+        exact_pcc(pyramid(2), max_space=1)
+    capped = exact_pcc(pyramid(2), max_space=2)
     assert capped.optimum == 3
 
 
@@ -686,32 +689,32 @@ def test_space_capped_search_matches_complete_enumeration():
     rng = random.Random(31)
     for _ in range(30):
         g = layered_random(rng.randint(3, 8), rng.randrange(1 << 30))
-        limits = SearchLimits(max_space=rng.randint(1, 3))
+        space = rng.randint(1, 3)
         outcomes = []
         for complete in (False, True):
             try:
                 if complete:
-                    r = _least_cost_reference(g, max_space=limits.max_space)
+                    r = _least_cost_reference(g, max_space=space)
                 else:
-                    r = exact_pcc(g, limits=limits)
+                    r = exact_pcc(g, max_space=space)
             except Infeasible:
                 outcomes.append(None)
                 continue
             assert_sound(g, r)
-            assert cost(r.witness).max_space <= limits.max_space
+            assert cost(r.witness).max_space <= space
             outcomes.append(r.optimum)
-        assert outcomes[0] == outcomes[1], (g.edges, limits.max_space)
+        assert outcomes[0] == outcomes[1], (g.edges, space)
 
 
 def test_unachievable_seed_is_infeasible():
-    # the seed contract requires an achievable bound; lying below the
-    # optimum prunes everything rather than returning a wrong value
+    # a cost cap below the optimum prunes everything rather than returning
+    # a wrong value
     with pytest.raises(Infeasible):
-        exact_pcc(pyramid(2), limits=SearchLimits(upper_bound_seed=2))
+        exact_pcc(pyramid(2), cost_cap=2)
 
 
 def test_negative_limits_rejected():
-    for field in ("max_nodes", "max_states", "max_space", "time_budget"):
+    for field in ("max_nodes", "max_states", "time_budget"):
         with pytest.raises(ValueError, match=field):
             SearchLimits(**{field: -1})
     with pytest.raises(ValueError, match="time_budget"):
@@ -719,23 +722,27 @@ def test_negative_limits_rejected():
     assert SearchLimits(time_budget=0.0).time_budget == 0.0
 
 
-def test_bounded_search_rejects_a_seed():
-    # ce16 costs 27 with no horizon but 28 within 16 rounds, so a seed
-    # achievable with no horizon can lie below the bounded optimum
-    with pytest.raises(ValueError, match="upper_bound_seed"):
-        exact_pcc_bounded(counterexample_dag(), 16, limits=SearchLimits(upper_bound_seed=5))
+def test_negative_space_cap_rejected():
+    with pytest.raises(ValueError, match="max_space must be nonnegative, got -1"):
+        exact_pcc(pyramid(2), max_space=-1)
+    with pytest.raises(ValueError, match="max_space must be nonnegative, got -1"):
+        exact_pcc_bounded(pyramid(2), 3, max_space=-1)
 
 
-def test_min_space_rejects_a_space_cap():
-    with pytest.raises(ValueError, match="max_space"):
-        exact_min_space(pyramid(3), limits=SearchLimits(max_space=1))
-
-
-def test_min_st_rejects_a_space_cap_and_a_seed():
-    with pytest.raises(ValueError, match="max_space"):
-        exact_min_st(pyramid(3), limits=SearchLimits(max_space=1, upper_bound_seed=1))
-    with pytest.raises(ValueError, match="upper_bound_seed"):
-        exact_min_st(pyramid(3), limits=SearchLimits(upper_bound_seed=1))
+def test_every_limit_binds_every_search():
+    g = chain(2)
+    searches = (
+        exact_pcc,
+        lambda g, limits: exact_pcc_bounded(g, 2, limits=limits),
+        exact_min_st,
+        exact_min_space,
+    )
+    for run in searches:
+        with pytest.raises(TooLarge):
+            run(g, limits=SearchLimits(max_nodes=1))
+        for limits in (SearchLimits(max_states=0), SearchLimits(time_budget=0.0)):
+            with pytest.raises(Exhausted):
+                run(g, limits=limits)
 
 
 def test_bad_mode():
