@@ -1,9 +1,9 @@
 """Exact optimal-pebbling search over pebble configurations.
 
-This is the brute-force oracle the rest of the package leans on: A* search
-for minimum cumulative cost, a round-indexed variant for fixed-horizon
-optima, and capped breadth-first sweeps for space-time and minimum-space
-optima. All of them expand states through one successor generator. States
+This is the brute-force oracle the rest of the package leans on: one A*
+search for minimum cumulative cost, with or without a horizon on the rounds,
+and capped breadth-first sweeps for space-time and minimum-space optima.
+All of them expand states through one successor generator. States
 are (pebble bitmask, satisfied-sink bitmask) pairs, and every search stores
 them packed into one int, mask | sat << n; every returned witness replays
 the predecessor chain as literal rounds, so it can be revalidated
@@ -70,9 +70,9 @@ class SearchLimits:
     """The work caps every exact search reads.
 
     max_nodes caps the graph's size. max_states caps the states taken off
-    the frontier: expansions, and exact_pcc's lazy push-backs. time_budget
-    is in seconds of wall clock; 0.0 stops at the first check. A negative
-    or NaN cap raises ValueError.
+    the frontier: expansions, and the lazy push-backs of both cost
+    searches. time_budget is in seconds of wall clock; 0.0 stops at the
+    first check. A negative or NaN cap raises ValueError.
     """
 
     max_nodes: int = 24
@@ -356,6 +356,15 @@ def exact_pcc(
     lower bound; keys no longer pop in rising order, so the bound reported
     is the largest popped.
 
+    exact_pcc_bounded runs the same search, dive included, on (state,
+    round) pairs. Neither bound reads the round, and a horizon only removes
+    pebblings, so both stay admissible; each step of a pair is a round of
+    its state, so both stay consistent. A child is kept only if the longest
+    chain in its closure fits the rounds left, which removes only states
+    that cannot finish in time, and the drop rule of `_children` holds
+    under any horizon. So the first goal popped is the bounded optimum, and
+    every popped key is a proven lower bound on it.
+
     A greedy dive first walks from the empty state, always to the child of
     least (g + h1, -g); its cost is the incumbent that cuts children with
     g + h1 above it, and a dive that costs h2(start) is returned as proven
@@ -372,102 +381,7 @@ def exact_pcc(
         Infeasible: no pebbling within max_space costs at most cost_cap.
         ValueError: a bad mode, or a negative max_space.
     """
-    limits, deadline, space_cap = _check_entry(g, mode, limits, max_space)
-    n = g.n
-    parent_masks, sink_mask = g.parent_masks, g.sink_mask
-    incumbent = None
-    ub = n * (n + 1) // 2 if cost_cap is None else min(cost_cap, n * (n + 1) // 2)
-    sequential = mode == "sequential"
-    start = closure = _future_need(parent_masks, 0, sink_mask)
-    lower = _hold_bound(parent_masks, 0, closure)
-    expanded = pushed = 0
-
-    try:
-        mask = sat = gc = 0
-        dive: list[int] = []
-        while sat != sink_mask:
-            expanded += 1
-            _spend(expanded, limits, deadline)
-            # h1 is consistent, so no child has f below the state's own
-            # g + h1, and a goal child at that f has the largest g too
-            floor = gc + closure.bit_count()
-            step = None
-            for t_mask, ns, feed in _children(
-                g, mask, sat, gc, sequential, space_cap, ub, deadline, closure
-            ):
-                ng = gc + t_mask.bit_count()
-                child = _child_closure(parent_masks, closure, t_mask, feed)
-                f = ng + child.bit_count()
-                if f <= ub and (step is None or (f, -ng) < step[:2]):
-                    step = (f, -ng, t_mask, ns, ng, child)
-                    if f == ng == floor:
-                        break  # no later child can beat it
-            if step is None:
-                break  # dead end under the space cap or the bound
-            *_, mask, sat, gc, closure = step
-            dive.append(mask)
-        else:
-            if gc == lower:  # the dive meets the lower bound: proven
-                rounds = tuple(map(nodes_of, dive))
-                return SearchResult(gc, Pebbling(rounds, mode), True, expanded)
-            ub = incumbent = gc
-
-        # States are keyed by one int, mask | sat << n, and the bit above
-        # them, `lazy`, flags a key whose h is already h2 (lazy is 0 in
-        # sequential mode, which keeps h1). Heap items are ints too,
-        # ((f << hbits | h) << kbits | key) << n | closure with h = f - g
-        # <= 2n, so they sort as (f, -g, key) tuples would, and a popped
-        # state comes with the closure its pusher already computed.
-        full = (1 << n) - 1
-        states = (1 << 2 * n) - 1
-        lazy = 0 if sequential else 1 << 2 * n
-        kbits, hbits = 2 * n + 1, (2 * n).bit_length()
-        best: dict[int, int] = {0: 0}
-        pred: dict[int, int] = {}
-        heap: list[int] = [((lower << hbits | lower) << kbits | lazy) << n | start]
-        best_get = best.get
-        while heap:
-            item = heappop(heap)
-            closure = item & full
-            key = item >> n
-            state = key & states
-            f, h = divmod(key >> kbits, 1 << hbits)
-            gc = f - h
-            if gc > best_get(state, gc):
-                continue
-            lower = max(lower, f)
-            mask, sat = state & full, state >> n
-            if sat == sink_mask:
-                return SearchResult(gc, _witness(pred, state, n, mode), True, expanded)
-
-            if lazy and not key & lazy:
-                h2 = _hold_bound(parent_masks, mask, closure)
-                if h2 > h:
-                    pushed += 1
-                    _spend(expanded + pushed, limits, deadline)
-                    f = gc + h2
-                    if f <= ub:
-                        heappush(heap, ((f << hbits | h2) << kbits | lazy | state) << n | closure)
-                    continue
-            expanded += 1
-            _spend(expanded + pushed, limits, deadline)
-            for t_mask, ns, feed in _children(
-                g, mask, sat, gc, sequential, space_cap, ub, deadline, closure
-            ):
-                ng = gc + t_mask.bit_count()
-                nstate = t_mask | ns << n
-                if ng < best_get(nstate, ng + 1):
-                    child = _child_closure(parent_masks, closure, t_mask, feed)
-                    f = ng + child.bit_count()
-                    if f <= ub:
-                        best[nstate] = ng
-                        pred[nstate] = state
-                        heappush(heap, ((f << hbits | f - ng) << kbits | nstate) << n | child)
-    except _Stop as stop:
-        raise Exhausted(
-            f"{stop} at bound {lower}", expanded, lower, incumbent
-        ) from None
-    raise _infeasible("", cost_cap, max_space)
+    return _cost_search(g, mode, limits, cost_cap, max_space, None)
 
 
 def exact_pcc_bounded(
@@ -480,98 +394,142 @@ def exact_pcc_bounded(
 ) -> SearchResult:
     """Minimum cumulative cost among pebblings with at most t_max rounds.
 
-    Round-indexed dynamic program; layer r holds the states first reached
-    at their least cost in round r. One `best` map spans all rounds: an
-    arrival is skipped if its state was already reached at no greater cost,
-    in this round or an earlier one, since that arrival holds the same
-    pebbles with at least as many rounds left. A child whose remaining
-    dependency chain cannot fit in the rounds left is stored at cost 0, so
-    the cut is remembered: rounds left only fall. cost_cap and max_space
-    bound the search as in exact_pcc. Each goal found becomes the
-    incumbent, so later children must beat it; a state whose floor g + h2
-    (`_hold_bound`, consistent, see exact_pcc) is above it counts as
-    expanded but generates no children; and a goal that costs h2(start)
-    ends the search. Rounds follow the successor generator's drop rule,
-    which every min-cost pebbling keeps.
+    exact_pcc's search, with each state tagged by the round that reaches
+    it; exact_pcc's docstring shows why its answer is the bounded optimum.
+    cost_cap and max_space bound the search as in exact_pcc.
 
     Raises:
         Infeasible: nothing completes within t_max rounds, max_space and
             cost_cap.
         TooLarge, ValueError: as exact_pcc, or a negative t_max.
-        Exhausted: a state or time cap was hit first; it carries the
-            proven interval [h2(start), cheapest goal found or None].
+        Exhausted: as exact_pcc.
     """
+    return _cost_search(g, mode, limits, cost_cap, max_space, t_max)
+
+
+def _cost_search(
+    g: Dag,
+    mode: str,
+    limits: SearchLimits | None,
+    cost_cap: int | None,
+    max_space: int | None,
+    t_max: int | None,
+) -> SearchResult:
+    """exact_pcc, or with t_max set exact_pcc_bounded."""
     limits, deadline, space_cap = _check_entry(g, mode, limits, max_space)
-    if t_max < 0:
+    if t_max is not None and t_max < 0:
         raise ValueError("t_max must be nonnegative")
     n = g.n
     parent_masks, sink_mask = g.parent_masks, g.sink_mask
-    ub = cost_cap if cost_cap is not None else n * t_max
+    incumbent = None
+    top = n * (n + 1) // 2 if t_max is None else n * t_max
+    ub = top if cost_cap is None else min(cost_cap, top)
     sequential = mode == "sequential"
+    start = closure = _future_need(parent_masks, 0, sink_mask)
+    lower = _hold_bound(parent_masks, 0, closure)
+    within = "" if t_max is None else f" within {t_max} rounds"
+    # A child in round nr must fit the longest chain of its closure into the
+    # `horizon - nr` rounds left. Without a horizon nr stays 0 and any
+    # closure fits, as its chain is at most its size, n.
+    rstep, horizon = (0, n) if t_max is None else (1, t_max)
+    if max(levels(parent_masks, n, start)) > horizon:
+        raise _infeasible(within, cost_cap, max_space)
+    expanded = pushed = 0
 
-    closure = _future_need(parent_masks, 0, sink_mask)
-    h0 = _hold_bound(parent_masks, 0, closure)
-    # States are keyed mask | sat << n, as in exact_pcc. A layer maps each
-    # to gc << n | closure, the closure `_child_closure` computed when the
-    # state was stored; pred tags a key with its round, state | r << 2n, so
-    # that _witness replays the chain back to round 0's empty state, key 0.
-    full = (1 << n) - 1
-    # the longest dependency chain in the closure floors the rounds left
-    fits = max(levels(parent_masks, n, closure)) <= t_max
-    cur: dict[int, int] = {0: closure} if fits else {}
-    best: dict[int, int] = {0: 0}
-    pred: dict[int, int] = {}
-    goal: tuple[int, int] | None = None  # (cost, round-tagged key)
-    expanded = 0
     try:
-        for r in range(1, t_max + 1):
-            if not cur:
-                break
-            nxt: dict[int, int] = {}
-            rounds_left = t_max - r
-            tag, ptag = r << 2 * n, (r - 1) << 2 * n
-            for state, entry in cur.items():
-                mask, sat = state & full, state >> n
-                if sat == sink_mask or ub < h0:
-                    continue  # done, or the incumbent meets h2(start)
-                expanded += 1
-                _spend(expanded, limits, deadline)
-                gc, closure = entry >> n, entry & full
-                h1 = closure.bit_count()
-                # h2 <= 2 h1 + |mask|, so it can cut only a state this close to ub
-                if gc + h1 > ub or (
-                    gc + 2 * h1 + mask.bit_count() > ub
-                    and gc + _hold_bound(parent_masks, mask, closure) > ub
+        mask = sat = gc = nr = 0
+        dive: list[int] = []
+        while sat != sink_mask:
+            expanded += 1
+            _spend(expanded, limits, deadline)
+            # h1 is consistent, so no child has f below the state's own
+            # g + h1, and a goal child at that f has the largest g too
+            floor = gc + closure.bit_count()
+            nr += rstep
+            left = horizon - nr
+            step = None
+            for t_mask, ns, feed in _children(
+                g, mask, sat, gc, sequential, space_cap, ub, deadline, closure
+            ):
+                ng = gc + t_mask.bit_count()
+                child = _child_closure(parent_masks, closure, t_mask, feed)
+                f = ng + child.bit_count()
+                if f <= ub and (step is None or (f, -ng) < step[:2]) and (
+                    f - ng <= left or max(levels(parent_masks, n, child)) <= left
                 ):
-                    continue  # h2 is consistent: every child's floor is above ub too
-                for t_mask, ns, feed in _children(
-                    g, mask, sat, gc, sequential, space_cap, ub, deadline, closure
-                ):
-                    ng = gc + t_mask.bit_count()
-                    nstate = t_mask | ns << n
-                    if best.get(nstate, ng + 1) <= ng:
-                        continue
-                    # a goal's closure is empty, so it always fits
+                    step = (f, -ng, t_mask, ns, ng, child)
+                    if f == ng == floor:
+                        break  # no later child can beat it
+            if step is None:
+                break  # dead end under the space cap, the bound or the horizon
+            *_, mask, sat, gc, closure = step
+            dive.append(mask)
+        else:
+            if gc == lower:  # the dive meets the lower bound: proven
+                rounds = tuple(map(nodes_of, dive))
+                return SearchResult(gc, Pebbling(rounds, mode), True, expanded)
+            ub = incumbent = gc
+
+        # A search node, a state in round r (0 without a horizon), is keyed
+        # by one int, mask | sat << n | r << 2n + 1, and the bit below the
+        # round, `lazy`, flags a key whose h is already h2 (lazy is 0 in
+        # sequential mode, which keeps h1). Heap items are ints too,
+        # ((f << hbits | h) << kbits | key) << n | closure with h = f - g
+        # <= 2n, so they sort as (f, -g, key) tuples would, and a popped
+        # state comes with the closure its pusher already computed.
+        full = (1 << n) - 1
+        rshift = 2 * n + 1
+        lazy = 0 if sequential else 1 << 2 * n
+        kbits, hbits = rshift + horizon.bit_length(), (2 * n).bit_length()
+        nodes = ((1 << kbits) - 1) ^ lazy  # a key without its lazy flag
+        best: dict[int, int] = {0: 0}
+        pred: dict[int, int] = {}
+        heap: list[int] = [((lower << hbits | lower) << kbits | lazy) << n | start]
+        best_get = best.get
+        while heap:
+            item = heappop(heap)
+            closure = item & full
+            key = item >> n
+            node = key & nodes
+            f, h = divmod(key >> kbits, 1 << hbits)
+            gc = f - h
+            if gc > best_get(node, gc):
+                continue
+            lower = max(lower, f)
+            mask, sat = node & full, node >> n & full
+            if sat == sink_mask:
+                return SearchResult(gc, _witness(pred, node, n, mode), True, expanded)
+
+            if lazy and not key & lazy:
+                h2 = _hold_bound(parent_masks, mask, closure)
+                if h2 > h:
+                    pushed += 1
+                    _spend(expanded + pushed, limits, deadline)
+                    f = gc + h2
+                    if f <= ub:
+                        heappush(heap, ((f << hbits | h2) << kbits | lazy | node) << n | closure)
+                    continue
+            expanded += 1
+            _spend(expanded + pushed, limits, deadline)
+            nr = (node >> rshift) + rstep
+            left, tag = horizon - nr, nr << rshift
+            for t_mask, ns, feed in _children(
+                g, mask, sat, gc, sequential, space_cap, ub, deadline, closure
+            ):
+                ng = gc + t_mask.bit_count()
+                nkey = t_mask | ns << n | tag
+                if ng < best_get(nkey, ng + 1):
                     child = _child_closure(parent_masks, closure, t_mask, feed)
-                    if max(levels(parent_masks, n, child)) > rounds_left:
-                        best[nstate] = 0  # rounds left only fall
-                        continue
-                    # _children keeps the ub it started with, so a goal it
-                    # yields after a cheaper one is no new incumbent
-                    if ns == sink_mask and (goal is None or ng < goal[0]):
-                        goal = (ng, nstate | tag)
-                        ub = ng - 1
-                    best[nstate] = ng
-                    nxt[nstate] = ng << n | child
-                    pred[nstate | tag] = state | ptag
-            cur = nxt
+                    f = ng + child.bit_count()
+                    if f <= ub and (f - ng <= left or max(levels(parent_masks, n, child)) <= left):
+                        best[nkey] = ng
+                        pred[nkey] = node
+                        heappush(heap, ((f << hbits | f - ng) << kbits | nkey) << n | child)
     except _Stop as stop:
         raise Exhausted(
-            f"{stop} in round {r}", expanded, h0, goal and goal[0]
+            f"{stop} at bound {lower}", expanded, lower, incumbent
         ) from None
-    if goal is None:
-        raise _infeasible(f" within {t_max} rounds", cost_cap, max_space)
-    return SearchResult(goal[0], _witness(pred, goal[1], n, mode), True, expanded)
+    raise _infeasible(within, cost_cap, max_space)
 
 
 def _min_rounds_capped(

@@ -107,13 +107,13 @@ def test_pcc_state_cap_exit(tmp_path, capsys):
 
 
 def test_pcc_bounded_state_cap_exit(tmp_path, capsys):
-    from pebblecc.graph import pyramid
+    from pebblecc.reductions import counterexample_dag
 
-    gf = graph_file(tmp_path, pyramid(4))
-    assert main(["pcc-bounded", "--graph", gf, "--horizon", "7", "--max-states", "250"]) == 3
+    gf = graph_file(tmp_path, counterexample_dag())
+    assert main(["pcc-bounded", "--graph", gf, "--horizon", "16", "--max-states", "50"]) == 3
     err = capsys.readouterr().err
-    assert "limit hit: state cap 250 hit in round" in err
-    assert err.rstrip().endswith("optimum in [10, 12]")
+    assert "limit hit: state cap 50 hit at bound" in err
+    assert err.rstrip().endswith("optimum in [23, 68]")
 
 
 def test_min_st_and_min_space(tmp_path, capsys):
@@ -411,7 +411,7 @@ def test_cli_output_is_pinned(tmp_path, capsys):
             out, err = capsys.readouterr()
             record.append(f"{argv}\n{rc}\n{out}\0{err}\0")
     digest = hashlib.sha256("".join(record).encode()).hexdigest()
-    assert digest == "23253d2e47edfd3418ff4b4f6673adb1f53a82d7e1af5c44521faf7b83c62acb"
+    assert digest == "b3e64871279e29133aca080663de490d149121397f254978b2fd3b69308b6adc"
 
 
 def test_pcc_bounded_seed_is_a_cost_cap(tmp_path, capsys):

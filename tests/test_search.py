@@ -186,13 +186,23 @@ def test_astar_matches_complete_enumeration_on_random_graphs():
 
 
 def test_bounded_at_the_optimum_matches_astar():
-    """With t_max = optimum the round DP cannot lose the optimal pebbling
-    (each useful round costs at least 1), and it keeps no heap."""
+    """With t_max = optimum the horizon cannot lose the optimal pebbling:
+    each useful round costs at least 1."""
     for g in _random_corpus(40):
         opt = exact_pcc(g).optimum
         r = exact_pcc_bounded(g, t_max=opt)
         assert r.optimum == opt, g.edges
         assert_sound(g, r)
+
+
+def test_a_horizon_that_cannot_bind_changes_nothing():
+    """An optimal pebbling has no empty round and costs at most n(n+1)/2, so
+    with that many rounds the bounded search returns exact_pcc's optimum."""
+    for g in _random_corpus(200, seed=3):
+        for mode in ("parallel", "sequential"):
+            r = exact_pcc_bounded(g, g.n * (g.n + 1) // 2, mode)
+            assert r.optimum == exact_pcc(g, mode).optimum, (g.edges, mode)
+            assert_sound(g, r, mode)
 
 
 def _layered_reference(g, horizon, mode, max_space):
@@ -244,9 +254,9 @@ def _forward_corpus(count, seed):
 
 
 def test_bounded_matches_layered_enumeration():
-    """The round DP's cuts (closure floor, rounds needed, cross-round
-    dominance, remembered depth cuts, incumbent) against an enumerator that
-    shares none of them, over horizons, cost caps, space caps and modes."""
+    """The bounded search's cuts (closure floor, rounds needed, drop rule,
+    dive incumbent) against an enumerator that shares none of them, over
+    horizons, cost caps, space caps and modes."""
     cases = 0
     for g in _forward_corpus(60, seed=5):
         for mode in ("parallel", "sequential"):
@@ -271,6 +281,39 @@ def test_bounded_matches_layered_enumeration():
                             assert r.witness.t <= t_max, key
                             assert max_space is None or cost(r.witness).max_space <= max_space
     assert cases == 4802
+
+
+def test_every_capped_interval_holds_the_optimum():
+    """Both cost searches, stopped by every state cap from 0 up to the first
+    that lets them prove, report an interval that holds the optimum of the
+    plain enumerators; the horizon is one round above the depth in parallel
+    mode, and n, the fewest rounds a sequential pebbling can take."""
+    intervals = closed = 0
+    for g in _random_corpus(30, seed=2):
+        for mode in ("parallel", "sequential"):
+            t_max = g.n if mode == "sequential" else depth(g, "nodes") + 1
+            searches = (
+                (lambda limits: exact_pcc(g, mode, limits), _least_cost_reference(g, mode)),
+                (
+                    lambda limits: exact_pcc_bounded(g, t_max, mode, limits),
+                    _layered_reference(g, t_max, mode, None)[t_max],
+                ),
+            )
+            for run, ref in searches:
+                opt = getattr(ref, "optimum", ref)
+                for cap in range(10_000):
+                    try:
+                        r = run(SearchLimits(max_states=cap))
+                    except Exhausted as exc:
+                        key = (g.edges, mode, cap)
+                        assert exc.lower_bound <= opt, key
+                        assert exc.upper_bound is None or opt <= exc.upper_bound, key
+                        intervals += 1
+                        closed += exc.upper_bound is not None
+                        continue
+                    assert r.optimum == opt, (g.edges, mode)
+                    break
+    assert (intervals, closed) == (2472, 1744)
 
 
 def _unfed_drops(g, pebbling):
@@ -456,9 +499,9 @@ def test_hold_bound_is_admissible_and_consistent():
     assert (states, transitions, raised) == (23016, 619038, 6972)
 
 
-def test_min_space_and_min_st_match_the_round_dp():
-    """The capped sweep retains as many pebbles as fit; the round DP under
-    the same space cap keeps every retained subset."""
+def test_min_space_and_min_st_match_the_bounded_search():
+    """The capped sweep retains as many pebbles as fit; the bounded cost
+    search under the same space cap keeps every retained subset."""
     for g in _random_corpus(25, seed=1):
         space = exact_min_space(g).optimum
         if space > 1:
@@ -510,16 +553,16 @@ CE16_PREFIX = ((1,), (2,), (3,), (4,), (5,), (6,), (7,), (8,))
 BOUNDED_JOBS = [
     ("ce16", 16, 27, "no legal pebbling within 16 rounds under cost cap 27"),
     ("ce16", 17, 27, "no legal pebbling within 17 rounds under cost cap 27"),
-    ("ce16", 18, 27, (27, 516, CE16_PREFIX + (
+    ("ce16", 18, 27, (27, 113, CE16_PREFIX + (
         (1, 9), (2, 10), (3, 11), (4, 12), (5, 13), (6, 14), (7, 14), (8, 14), (9, 15), (16,),
     ))),
-    ("ce16", 16, 30, (28, 866, CE16_PREFIX + (
+    ("ce16", 16, 30, (28, 123, CE16_PREFIX + (
         (1, 8, 9), (2, 8, 10), (3, 8, 11), (4, 8, 12), (5, 8, 13), (8, 14), (9, 15), (16,),
     ))),
-    ("pyr4", 7, None, (10, 376, ((1, 2, 3, 4), (5, 6, 7), (8, 9), (10,)))),
-    ("lr14-1", 14, 40, (33, 1388, (
+    ("pyr4", 7, None, (10, 4, ((1, 2, 3, 4), (5, 6, 7), (8, 9), (10,)))),
+    ("lr14-1", 14, 40, (33, 121, (
         (1,), (1, 2), (2, 3), (1, 4), (4, 5), (4, 6), (4, 7), (4, 7, 8), (1, 4, 7, 9),
-        (2, 7, 8, 10), (7, 8, 11), (1, 7, 12), (7, 13), (14,),
+        (2, 4, 7, 10), (7, 8, 11), (1, 7, 12), (7, 13), (14,),
     ))),
 ]
 
@@ -642,17 +685,19 @@ def test_exhausted_carries_proven_bounds():
 
 
 def test_bounded_exhausted_carries_proven_bounds():
-    # pyramid(4) at t_max = 7: h(start) is 10, the optimum 10; the proof
-    # takes 376 expansions, and by 250 the DP holds a goal of cost 12
+    # layered_random(14, 1) at t_max = 14: h2(start) is 19, the optimum 33;
+    # by 50 states the dive has built a pebbling of cost 47 and A* has
+    # popped a key of 24, and 3 states stop it inside the dive
+    g = layered_random(14, 1)
     with pytest.raises(Exhausted) as info:
-        exact_pcc_bounded(pyramid(4), t_max=7, limits=SearchLimits(max_states=250))
+        exact_pcc_bounded(g, t_max=14, limits=SearchLimits(max_states=50))
     exc = info.value
-    assert (exc.lower_bound, exc.upper_bound) == (10, 12)
-    assert str(exc).endswith("optimum in [10, 12]")
+    assert (exc.lower_bound, exc.upper_bound) == (24, 47)
+    assert str(exc) == "state cap 50 hit at bound 24; optimum in [24, 47]"
     with pytest.raises(Exhausted) as info:
-        exact_pcc_bounded(pyramid(4), t_max=7, limits=SearchLimits(max_states=10))
-    assert (info.value.lower_bound, info.value.upper_bound) == (10, None)
-    assert exact_pcc_bounded(pyramid(4), t_max=7).optimum == 10
+        exact_pcc_bounded(g, t_max=14, limits=SearchLimits(max_states=3))
+    assert (info.value.lower_bound, info.value.upper_bound) == (19, None)
+    assert exact_pcc_bounded(g, t_max=14).optimum == 33
 
 
 def test_time_budget_exhausts():
