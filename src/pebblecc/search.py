@@ -200,6 +200,37 @@ def _hold_bound(parent_masks: tuple[int, ...], mask: int, closure: int) -> int:
     return closure.bit_count() + twice.bit_count() + (mask & late).bit_count()
 
 
+def _weight_tiers(parent_masks: tuple[int, ...]) -> list[tuple[int, int]]:
+    """(w, nodes) pairs, heaviest first: the nodes v with max(1, |parents(v)|) = w."""
+    tiers: dict[int, int] = {}
+    for v in range(1, len(parent_masks)):
+        w = max(1, parent_masks[v].bit_count())
+        tiers[w] = tiers.get(w, 0) | 1 << (v - 1)
+    return sorted(tiers.items(), reverse=True)
+
+
+def _seq_bound(
+    parent_masks: tuple[int, ...], tiers: list[tuple[int, int]], mask: int, closure: int
+) -> int:
+    """h_seq = 1 + sum of w(c) over U - max of w(c) over the c in U placeable
+    from `mask`, with U the `_future_need` closure, w from `_weight_tiers`,
+    and 0 when U is empty: a lower bound on the remaining cost of a
+    sequential pebbling, proven in exact_pcc's docstring."""
+    if not closure:
+        return 0
+    total, top = 1, 0
+    for w, nodes in tiers:
+        mine = closure & nodes
+        if mine:
+            total += w * mine.bit_count()
+            while mine and not top:
+                low = mine & -mine
+                mine ^= low
+                if not parent_masks[low.bit_length()] & ~mask:
+                    top = w
+    return total - top
+
+
 def _placeable(g: Dag, mask: int) -> int:
     parent_masks = g.parent_masks
     out = 0
@@ -325,11 +356,12 @@ def exact_pcc(
     cost_cap set, the search returns the optimum if it is at most cost_cap
     and raises Infeasible otherwise; the cap prunes from the start.
 
-    A* on the configuration graph, keyed by (g + h, -g). Two lower bounds on
-    the cost still to pay serve as h, and both are consistent: a round that
-    places the set N and keeps R out of the state's pebbles pays |N| + |R|,
-    and each term of the state's bound is paid by a distinct pebble of the
-    round or carried into a distinct term of the child's bound.
+    A* on the configuration graph, keyed by (g + h, -g). Three lower bounds
+    on the cost still to pay serve as h, and all are consistent. For h1 and
+    h2, a round that places the set N and keeps R out of the state's
+    pebbles pays |N| + |R|, and each term of the state's bound is paid by a
+    distinct pebble of the round or carried into a distinct term of the
+    child's bound.
 
     - h1 = |U|, U the `_future_need` closure: a node of U is placed in this
       round and pays for itself, or stays in the child's closure U'.
@@ -344,22 +376,40 @@ def exact_pcc(
       If p is kept, it pays; if dropped, p is an unpebbled parent of c in
       U', so p is in U' but not in U, and no other term maps there.
       At a goal U, A and B are empty, so h2 is 0.
+    - h_seq, sequential mode only, from `_seq_bound`: with w(c) =
+      max(1, |parents(c)|), h_seq = 1 + sum of w(c) over U - max of w(c)
+      over the c in U placeable now, and 0 when U is empty. A sequential
+      round places one node, so the nodes of U have distinct first
+      placement rounds r_c, and the rounds r_c - 1 are distinct too. Round
+      r_c - 1 holds all of c's parents, and no round after this one is
+      empty (each places a node), so it costs at least w(c). At most one of
+      these rounds is the current state, which is already paid, and its c
+      is placeable now. The last placement round is none of the r_c - 1,
+      and adds at least 1. So h_seq never exceeds the remaining cost, and
+      it is never below |U|. Consistency: a round that places x and holds
+      t pays |t|, and U' holds all of U but x. So the sum loses at most
+      w(x), and only if x is in U, where x was placeable: w(x) is at most
+      the state's max. The child's max is at most |t|, since a placeable
+      node's parents are all in t, and t holds x. If U' is empty, U is at
+      most {x}, and h_seq is at most 1.
 
     Children are pushed with h1, inherited from their parent's closure at
     little cost. In parallel mode a state gets h2 the first time it is
     popped (Lazy A*, Tolpin, Beja, Shimony, Felner and Karpas, IJCAI 2013):
     if h2 > h1 it goes back on the heap, flagged, at key g + h2, or is
     dropped if that key is above the incumbent, instead of being expanded.
-    Sequential states keep h1: each has few children, so h2 costs more time
-    than the expansions it saves. Every key is g plus an admissible bound,
+    In sequential mode children are pushed with h_seq instead, and states
+    are never re-keyed: each has few children, so h2 costs more time than
+    the expansions it saves. The start's bound is h2, or in sequential mode
+    the larger of h2 and h_seq. Every key is g plus an admissible bound,
     so the first goal popped is optimal and every popped key is a proven
     lower bound; keys no longer pop in rising order, so the bound reported
     is the largest popped.
 
     exact_pcc_bounded runs the same search, dive included, on (state,
-    round) pairs. Neither bound reads the round, and a horizon only removes
-    pebblings, so both stay admissible; each step of a pair is a round of
-    its state, so both stay consistent. A child is kept only if the longest
+    round) pairs. No bound reads the round, and a horizon only removes
+    pebblings, so all stay admissible; each step of a pair is a round of
+    its state, so all stay consistent. A child is kept only if the longest
     chain in its closure fits the rounds left, which removes only states
     that cannot finish in time, and the drop rule of `_children` holds
     under any horizon. So the first goal popped is the bounded optimum, and
@@ -367,11 +417,11 @@ def exact_pcc(
 
     A greedy dive first walks from the empty state, always to the child of
     least (g + h1, -g); its cost is the incumbent that cuts children with
-    g + h1 above it, and a dive that costs h2(start) is returned as proven
-    without A*. Pruning (pure-discard elimination, a pebble dropped only in
-    a round that places one of its children, incumbent cuts) never excludes
-    an optimal plan; the test suite checks the search against a plain
-    least-cost enumeration on small graphs.
+    g + h1 above it, and a dive that costs the start's bound is returned as
+    proven without A*. Pruning (pure-discard elimination, a pebble dropped
+    only in a round that places one of its children, incumbent cuts) never
+    excludes an optimal plan; the test suite checks the search against a
+    plain least-cost enumeration on small graphs.
 
     Raises:
         TooLarge: n exceeds limits.max_nodes.
@@ -427,12 +477,16 @@ def _cost_search(
     sequential = mode == "sequential"
     start = closure = _future_need(parent_masks, 0, sink_mask)
     lower = _hold_bound(parent_masks, 0, closure)
+    tiers = _weight_tiers(parent_masks)
+    if sequential:
+        lower = max(lower, _seq_bound(parent_masks, tiers, 0, closure))
     within = "" if t_max is None else f" within {t_max} rounds"
     # A child in round nr must fit the longest chain of its closure into the
     # `horizon - nr` rounds left. Without a horizon nr stays 0 and any
-    # closure fits, as its chain is at most its size, n.
+    # closure fits, as its chain is at most its size, n. A start bound above
+    # ub is a proof that nothing fits the caps.
     rstep, horizon = (0, n) if t_max is None else (1, t_max)
-    if max(levels(parent_masks, n, start)) > horizon:
+    if lower > ub or max(levels(parent_masks, n, start)) > horizon:
         raise _infeasible(within, cost_cap, max_space)
     expanded = pushed = 0
 
@@ -473,14 +527,14 @@ def _cost_search(
         # A search node, a state in round r (0 without a horizon), is keyed
         # by one int, mask | sat << n | r << 2n + 1, and the bit below the
         # round, `lazy`, flags a key whose h is already h2 (lazy is 0 in
-        # sequential mode, which keeps h1). Heap items are ints too,
+        # sequential mode, which pushes h_seq). Heap items are ints too,
         # ((f << hbits | h) << kbits | key) << n | closure with h = f - g
-        # <= 2n, so they sort as (f, -g, key) tuples would, and a popped
+        # <= f <= ub, so they sort as (f, -g, key) tuples would, and a popped
         # state comes with the closure its pusher already computed.
         full = (1 << n) - 1
         rshift = 2 * n + 1
         lazy = 0 if sequential else 1 << 2 * n
-        kbits, hbits = rshift + horizon.bit_length(), (2 * n).bit_length()
+        kbits, hbits = rshift + horizon.bit_length(), ub.bit_length()
         nodes = ((1 << kbits) - 1) ^ lazy  # a key without its lazy flag
         best: dict[int, int] = {0: 0}
         pred: dict[int, int] = {}
@@ -520,11 +574,12 @@ def _cost_search(
                 nkey = t_mask | ns << n | tag
                 if ng < best_get(nkey, ng + 1):
                     child = _child_closure(parent_masks, closure, t_mask, feed)
-                    f = ng + child.bit_count()
-                    if f <= ub and (f - ng <= left or max(levels(parent_masks, n, child)) <= left):
+                    size = child.bit_count()
+                    h = _seq_bound(parent_masks, tiers, t_mask, child) if sequential else size
+                    if ng + h <= ub and (size <= left or max(levels(parent_masks, n, child)) <= left):
                         best[nkey] = ng
                         pred[nkey] = node
-                        heappush(heap, ((f << hbits | f - ng) << kbits | nkey) << n | child)
+                        heappush(heap, ((ng + h << hbits | h) << kbits | nkey) << n | child)
     except _Stop as stop:
         raise Exhausted(
             f"{stop} at bound {lower}", expanded, lower, incumbent

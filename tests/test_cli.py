@@ -411,7 +411,7 @@ def test_cli_output_is_pinned(tmp_path, capsys):
             out, err = capsys.readouterr()
             record.append(f"{argv}\n{rc}\n{out}\0{err}\0")
     digest = hashlib.sha256("".join(record).encode()).hexdigest()
-    assert digest == "b3e64871279e29133aca080663de490d149121397f254978b2fd3b69308b6adc"
+    assert digest == "10aa8c859342f40790a377e6deb4cb9204ed1e6b56333f0bb941529aea93a5d7"
 
 
 def test_pcc_bounded_seed_is_a_cost_cap(tmp_path, capsys):

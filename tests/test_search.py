@@ -313,7 +313,7 @@ def test_every_capped_interval_holds_the_optimum():
                         continue
                     assert r.optimum == opt, (g.edges, mode)
                     break
-    assert (intervals, closed) == (2472, 1744)
+    assert (intervals, closed) == (2186, 1458)
 
 
 def _unfed_drops(g, pebbling):
@@ -426,9 +426,10 @@ def test_inherited_closures_match_a_backward_bfs(monkeypatch):
     assert counts["children"] > counts["seeded"] > 0, counts
 
 
-def _state_graph(g):
+def _state_graph(g, mode="parallel"):
     """Every (pebbles, sinks done) state reachable from the empty state by
-    legal rounds, each mapped to its successors; goals are not expanded."""
+    legal rounds, each mapped to its successors; goals are not expanded. A
+    sequential round places exactly one node."""
     sinks, parents = _bit_tables(g)
     succ = {}
     todo = [(0, 0)]
@@ -443,7 +444,8 @@ def _state_graph(g):
         pool = _pool(parents, held)
         peb = pool
         while peb:  # every nonempty subset of pool
-            succ[state].append((peb, done | (peb & sinks)))
+            if mode == "parallel" or (peb & ~held).bit_count() == 1:
+                succ[state].append((peb, done | (peb & sinks)))
             peb = (peb - 1) & pool
         todo += succ[state]
     return succ, sinks
@@ -469,13 +471,9 @@ def _remaining_costs(succ, sinks):
     return rem
 
 
-def test_hold_bound_is_admissible_and_consistent():
-    """h2 = `_hold_bound` on every state reachable from the empty state of
-    small random DAGs, with the closure from a backward BFS: never above the
-    exact remaining cost, and never above a round's cost plus the h2 of the
-    state it leads to. The first graph is v->w->u, v->c, u->c: with w
-    pebbled, v and u can both be placed next round and c the round after,
-    so a descent through the pebbled w must not count v twice."""
+def _bound_corpus():
+    """The DAGs the bound tests run on: v->w->u, v->c, u->c (see
+    test_hold_bound_is_admissible_and_consistent), then 200 random ones."""
     rng = random.Random(12)
     graphs = [build_dag(4, [(1, 2), (2, 3), (1, 4), (3, 4)])]
     for _ in range(200):
@@ -483,8 +481,18 @@ def test_hold_bound_is_admissible_and_consistent():
         p = rng.choice((0.3, 0.45, 0.6))
         edges = [(u, v) for v in range(2, n + 1) for u in range(1, v) if rng.random() < p]
         graphs.append(build_dag(n, edges))
+    return graphs
+
+
+def test_hold_bound_is_admissible_and_consistent():
+    """h2 = `_hold_bound` on every state reachable from the empty state of
+    small random DAGs, with the closure from a backward BFS: never above the
+    exact remaining cost, and never above a round's cost plus the h2 of the
+    state it leads to. The first graph is v->w->u, v->c, u->c: with w
+    pebbled, v and u can both be placed next round and c the round after,
+    so a descent through the pebbled w must not count v twice."""
     states = transitions = raised = 0
-    for g in graphs:
+    for g in _bound_corpus():
         succ, sinks = _state_graph(g)
         rem = _remaining_costs(succ, sinks)
         h1 = {s: _closure_by_bfs(g, *s) for s in succ}
@@ -497,6 +505,43 @@ def test_hold_bound_is_admissible_and_consistent():
             transitions += len(ts)
         states += len(succ)
     assert (states, transitions, raised) == (23016, 619038, 6972)
+
+
+def test_sequential_bound_is_admissible_and_consistent():
+    """h_seq = `_seq_bound` on every state of the sequential state graphs
+    of the same DAGs: never below h1 = |U|, never above the exact remaining
+    cost, and never above a round's cost plus the h_seq of the state it
+    leads to."""
+    states = transitions = raised = 0
+    for g in _bound_corpus():
+        succ, sinks = _state_graph(g, "sequential")
+        rem = _remaining_costs(succ, sinks)
+        tiers = search._weight_tiers(g.parent_masks)
+        h1 = {s: _closure_by_bfs(g, *s) for s in succ}
+        hs = {s: search._seq_bound(g.parent_masks, tiers, s[0], c) for s, c in h1.items()}
+        for s, ts in succ.items():
+            assert h1[s].bit_count() <= hs[s] <= rem[s], (g.edges, s)
+            raised += hs[s] > h1[s].bit_count()
+            for t in ts:
+                assert hs[s] <= t[0].bit_count() + hs[t], (g.edges, s, t)
+            transitions += len(ts)
+        states += len(succ)
+    assert (states, transitions, raised) == (23016, 259945, 7732)
+
+
+def test_sequential_bound_fits_the_heap_item():
+    """h_seq can pass 2n: on complete(9) it is 37 at the empty state, the
+    optimum, so the dive proves it. Without the edge 1 -> 3 the optimum is
+    still 37, but the dive's 9 rounds do not prove it, and A* pops heap
+    items whose h field holds 37, above the 31 that 2n's bit width holds."""
+    sparser = build_dag(9, [e for e in complete(9).edges if e != (1, 3)])
+    for g, opt in ((complete(8), 29), (complete(9), 37), (complete(10), 46), (sparser, 37)):
+        r = exact_pcc(g, "sequential")
+        assert r.optimum == opt, g.edges
+        assert_sound(g, r, "sequential")
+        if g.n <= 9:
+            assert _least_cost_reference(g, "sequential").optimum == opt, g.edges
+    assert r.expanded_states > sparser.n  # the dive alone expands 9 states
 
 
 def test_min_space_and_min_st_match_the_bounded_search():
