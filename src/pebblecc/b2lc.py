@@ -35,14 +35,12 @@ class B2lcInstance:
     """k equations x_alpha + c = x_beta over variables 1..n_vars, budget m.
 
     Asks for m assignments of nonnegative integers to the variables such that
-    every equation holds under at least one assignment. promise_bound is an
-    informational record carried along by reductions; it is never enforced.
+    every equation holds under at least one assignment.
     """
 
     n_vars: int
     m: int
     equations: tuple[tuple[int, int, int], ...]
-    promise_bound: object = None
 
     def __post_init__(self):
         if self.n_vars < 1:
@@ -240,8 +238,12 @@ def solve_b2lc(inst: B2lcInstance, cap: int = 2_000_000) -> tuple[bool, B2lcWitn
     return True, _assemble_witness(inst, tuple(g + 1 for g in group_of))
 
 
+# the largest n solve_3partition backtracks over
+_THREE_PARTITION_CAP = 6
+
+
 def solve_3partition(
-    inst: ThreePartitionInstance, cap: int = 6
+    inst: ThreePartitionInstance,
 ) -> tuple[bool, tuple[tuple[int, int, int], ...] | None]:
     """Decide 3-partition by backtracking over triples of element indices.
 
@@ -250,10 +252,10 @@ def solve_3partition(
     is not divisible by n is an immediate no.
 
     Raises:
-        TooLarge: if inst.n exceeds cap.
+        TooLarge: if inst.n exceeds _THREE_PARTITION_CAP.
     """
-    if inst.n > cap:
-        raise TooLarge(f"n={inst.n} exceeds the enumeration cap {cap}")
+    if inst.n > _THREE_PARTITION_CAP:
+        raise TooLarge(f"n={inst.n} exceeds the enumeration cap {_THREE_PARTITION_CAP}")
     total = inst.total
     if total % inst.n:
         return False, None

@@ -218,8 +218,7 @@ def fractional_pebbling_solution(g: Dag, horizon: int | None = None) -> LpSoluti
     """The staircase point: 1/n trickle for n rounds, then doubling to 1.
 
     Feasible for the relaxed pebbling program of any DAG at any horizon of
-    at least n + ceil(lg n); objective is at most 4n. A single node gets the
-    one-step point instead.
+    at least n + ceil(lg n); objective is at most 4n.
     """
     n = g.n
     if horizon is None:
@@ -228,10 +227,6 @@ def fractional_pebbling_solution(g: Dag, horizon: int | None = None) -> LpSoluti
     if horizon < top:
         raise ValueError(f"horizon {horizon} below n + ceil(lg n) = {top}")
     values: dict[str, Fraction] = {}
-    if n == 1:
-        for t in range(0, horizon + 1):
-            values[_xname(1, t)] = 1 if t == 1 else 0
-        return LpSolution(values)
     trickle = Fraction(1, n)
     for v in range(1, n + 1):
         for t in range(0, horizon + 1):

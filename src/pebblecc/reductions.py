@@ -288,12 +288,7 @@ def threepartition_to_b2lc(p: ThreePartitionInstance) -> B2lcInstance:
             eqs.append((i, q * t, i + 1))
     for i in range(1, n + 1):
         eqs.append((1, t // n + 3 * (i - 1) * (n - 2) * t, 3 * n + 1))
-    return B2lcInstance(
-        n_vars=3 * n + 1,
-        m=n,
-        equations=tuple(eqs),
-        promise_bound={"promise_satisfied": p.promise_satisfied, "scaled_by": scale},
-    )
+    return B2lcInstance(n_vars=3 * n + 1, m=n, equations=tuple(eqs))
 
 
 def default_tau(inst: B2lcInstance) -> int:

@@ -98,14 +98,11 @@ class SearchResult:
 
 
 def _check_entry(
-    g: Dag, mode: str, limits: SearchLimits | None, max_space: int | None = None
-) -> tuple[SearchLimits, float | None, int]:
+    g: Dag, mode: str, limits: SearchLimits | None
+) -> tuple[SearchLimits, float | None]:
     """Validate a search's arguments; return its limits (the defaults for
-    None), the monotonic instant at which a budgeted search gives up, and
-    its space cap (n when max_space is None)."""
+    None) and the monotonic instant at which a budgeted search gives up."""
     limits = limits or SearchLimits()
-    if max_space is not None and not max_space >= 0:
-        raise ValueError(f"max_space must be nonnegative, got {max_space}")
     if mode not in ("parallel", "sequential"):
         raise ValueError(f"mode must be parallel or sequential, got {mode!r}")
     if g.n > limits.max_nodes:
@@ -113,14 +110,13 @@ def _check_entry(
             f"graph has {g.n} nodes, above the configured cap {limits.max_nodes}"
         )
     deadline = None if limits.time_budget is None else time.monotonic() + limits.time_budget
-    return limits, deadline, g.n if max_space is None else max_space
+    return limits, deadline
 
 
-def _infeasible(within: str, cost_cap: int | None, max_space: int | None) -> Infeasible:
+def _infeasible(within: str, cost_cap: int | None) -> Infeasible:
     """The error of a cost search that found no pebbling `within` its caps."""
-    caps = (("space cap", max_space), ("cost cap", cost_cap))
-    under = " and ".join(f"{name} {cap}" for name, cap in caps if cap is not None)
-    return Infeasible(f"no legal pebbling{within}" + (f" under {under}" if under else ""))
+    under = "" if cost_cap is None else f" under cost cap {cost_cap}"
+    return Infeasible(f"no legal pebbling{within}{under}")
 
 
 def _spend(expanded: int, limits: SearchLimits, deadline: float | None) -> None:
@@ -251,21 +247,18 @@ def _submasks(mask: int):
         sub = (sub - 1) & mask
 
 
-def _children(
-    g, mask, sat, gc, sequential, space_cap, ub, deadline, closure=None, widest=False,
-):
+def _children(g, mask, sat, gc, sequential, ub, deadline, closure=None, cap=None):
     """Successors of state (mask, sat), reached at cost gc, as (t_mask, ns, feed).
 
     A round places a nonempty set of placeable nodes (one in sequential mode)
-    and retains a subset of the pebbles, at most space_cap in all; finished
-    sinks are never re-placed or held. A pebble is dropped only in a round
-    that places one of its children. If a round drops a non-sink pebble and
-    places none of its children, taking that pebble out of the round before
-    keeps the pebbling legal and costs one less (and a round left with no
-    placement can go too), so every min-cost pebbling follows the rule,
-    under any horizon, space cap or cost cap. The pebbles that feed no node
-    of the new set are therefore forced: always kept, with only subsets of
-    the rest enumerated.
+    and retains a subset of the pebbles; finished sinks are never re-placed
+    or held. A pebble is dropped only in a round that places one of its
+    children. If a round drops a non-sink pebble and places none of its
+    children, taking that pebble out of the round before keeps the pebbling
+    legal and costs one less (and a round left with no placement can go
+    too), so every min-cost pebbling follows the rule, under any horizon or
+    cost cap. The pebbles that feed no node of the new set are therefore
+    forced: always kept, with only subsets of the rest enumerated.
 
     The cost searches pass ub and the state's closure, `_future_need` of
     its unfinished sinks. A placed node has all its parents pebbled, so no
@@ -274,9 +267,10 @@ def _children(
     gc + |new| + |known| exceeds ub is skipped, and the retained set is cut
     to the slack. feed holds the free pebbles with a child in known; those
     a child drops are the only new starts of its closure, which
-    `_child_closure` completes when a caller reads it. widest=True serves
-    the capped sweep, which minimises rounds, not cost: it takes no ub or
-    closure, forces nothing and retains as many pebbles as fit (more
+    `_child_closure` completes when a caller reads it. cap is set only by
+    the capped sweep, the one search with a space cap: no round holds more
+    than cap pebbles. The sweep minimises rounds, not cost: it takes no ub
+    or closure, forces nothing and retains as many pebbles as fit (more
     pebbles, same sinks done, never need more rounds); its feed is 0. Sets
     are enumerated lazily, and the clock is read every 1024 sets tried so
     that one expansion cannot overrun the deadline.
@@ -302,16 +296,15 @@ def _children(
         if not tried & 1023 and deadline is not None and time.monotonic() > deadline:
             raise _Stop("time budget hit")
         nsize = new.bit_count()
-        rcap = space_cap - nsize
-        if widest:
-            free, forced, fbits = retainable, 0, rbits
-        else:
+        if cap is None:
             fbits = [b for b, kids in rkids if kids & new]
             free = sum(fbits)
             forced = retainable ^ free
             known = closure & ~new
-            rcap = min(rcap, ub - gc - nsize - known.bit_count())
-        rcap -= forced.bit_count()
+            rcap = ub - gc - nsize - known.bit_count() - forced.bit_count()
+        else:
+            free, forced, fbits = retainable, 0, rbits
+            rcap = cap - nsize
         if rcap < 0:
             continue
         if ckids:
@@ -319,9 +312,9 @@ def _children(
         ns = sat | (new & sink_mask)
         base = new | forced
         if rcap >= len(fbits):
-            subs = (free,) if widest else _submasks(free)
+            subs = _submasks(free) if cap is None else (free,)
         else:
-            sizes = range(rcap, rcap + 1) if widest else range(rcap + 1)
+            sizes = range(rcap + 1) if cap is None else range(rcap, rcap + 1)
             subs = map(sum, chain.from_iterable(map(combinations, repeat(fbits), sizes)))
         for sub in subs:
             tried += 1
@@ -348,13 +341,11 @@ def exact_pcc(
     mode: str = "parallel",
     limits: SearchLimits | None = None,
     cost_cap: int | None = None,
-    max_space: int | None = None,
 ) -> SearchResult:
     """Minimum cumulative cost over all legal pebblings, with witness.
 
-    No round holds more than max_space pebbles, when it is set. With
-    cost_cap set, the search returns the optimum if it is at most cost_cap
-    and raises Infeasible otherwise; the cap prunes from the start.
+    With cost_cap set, the search returns the optimum if it is at most
+    cost_cap and raises Infeasible otherwise; the cap prunes from the start.
 
     A* on the configuration graph, keyed by (g + h, -g). Three lower bounds
     on the cost still to pay serve as h, and all are consistent. For h1 and
@@ -428,10 +419,10 @@ def exact_pcc(
         Exhausted: a state or time cap was hit first (dive steps and lazy
             push-backs count); it carries the proven interval
             [lower_bound, upper_bound].
-        Infeasible: no pebbling within max_space costs at most cost_cap.
-        ValueError: a bad mode, or a negative max_space.
+        Infeasible: no pebbling costs at most cost_cap.
+        ValueError: a bad mode.
     """
-    return _cost_search(g, mode, limits, cost_cap, max_space, None)
+    return _cost_search(g, mode, limits, cost_cap, None)
 
 
 def exact_pcc_bounded(
@@ -440,21 +431,19 @@ def exact_pcc_bounded(
     mode: str = "parallel",
     limits: SearchLimits | None = None,
     cost_cap: int | None = None,
-    max_space: int | None = None,
 ) -> SearchResult:
     """Minimum cumulative cost among pebblings with at most t_max rounds.
 
     exact_pcc's search, with each state tagged by the round that reaches
     it; exact_pcc's docstring shows why its answer is the bounded optimum.
-    cost_cap and max_space bound the search as in exact_pcc.
+    cost_cap bounds the search as in exact_pcc.
 
     Raises:
-        Infeasible: nothing completes within t_max rounds, max_space and
-            cost_cap.
+        Infeasible: nothing within t_max rounds costs at most cost_cap.
         TooLarge, ValueError: as exact_pcc, or a negative t_max.
         Exhausted: as exact_pcc.
     """
-    return _cost_search(g, mode, limits, cost_cap, max_space, t_max)
+    return _cost_search(g, mode, limits, cost_cap, t_max)
 
 
 def _cost_search(
@@ -462,11 +451,10 @@ def _cost_search(
     mode: str,
     limits: SearchLimits | None,
     cost_cap: int | None,
-    max_space: int | None,
     t_max: int | None,
 ) -> SearchResult:
     """exact_pcc, or with t_max set exact_pcc_bounded."""
-    limits, deadline, space_cap = _check_entry(g, mode, limits, max_space)
+    limits, deadline = _check_entry(g, mode, limits)
     if t_max is not None and t_max < 0:
         raise ValueError("t_max must be nonnegative")
     n = g.n
@@ -487,7 +475,7 @@ def _cost_search(
     # ub is a proof that nothing fits the caps.
     rstep, horizon = (0, n) if t_max is None else (1, t_max)
     if lower > ub or max(levels(parent_masks, n, start)) > horizon:
-        raise _infeasible(within, cost_cap, max_space)
+        raise _infeasible(within, cost_cap)
     expanded = pushed = 0
 
     try:
@@ -502,9 +490,7 @@ def _cost_search(
             nr += rstep
             left = horizon - nr
             step = None
-            for t_mask, ns, feed in _children(
-                g, mask, sat, gc, sequential, space_cap, ub, deadline, closure
-            ):
+            for t_mask, ns, feed in _children(g, mask, sat, gc, sequential, ub, deadline, closure):
                 ng = gc + t_mask.bit_count()
                 child = _child_closure(parent_masks, closure, t_mask, feed)
                 f = ng + child.bit_count()
@@ -515,7 +501,7 @@ def _cost_search(
                     if f == ng == floor:
                         break  # no later child can beat it
             if step is None:
-                break  # dead end under the space cap, the bound or the horizon
+                break  # dead end under the bound or the horizon
             *_, mask, sat, gc, closure = step
             dive.append(mask)
         else:
@@ -567,9 +553,7 @@ def _cost_search(
             _spend(expanded + pushed, limits, deadline)
             nr = (node >> rshift) + rstep
             left, tag = horizon - nr, nr << rshift
-            for t_mask, ns, feed in _children(
-                g, mask, sat, gc, sequential, space_cap, ub, deadline, closure
-            ):
+            for t_mask, ns, feed in _children(g, mask, sat, gc, sequential, ub, deadline, closure):
                 ng = gc + t_mask.bit_count()
                 nkey = t_mask | ns << n | tag
                 if ng < best_get(nkey, ng + 1):
@@ -584,7 +568,7 @@ def _cost_search(
         raise Exhausted(
             f"{stop} at bound {lower}", expanded, lower, incumbent
         ) from None
-    raise _infeasible(within, cost_cap, max_space)
+    raise _infeasible(within, cost_cap)
 
 
 def _min_rounds_capped(
@@ -614,8 +598,7 @@ def _min_rounds_capped(
                 expanded += 1
                 _spend(expanded, limits, deadline)
                 for t_mask, ns, _ in _children(
-                    g, state & full, state >> n, 0, sequential, cap, None, deadline,
-                    widest=True,
+                    g, state & full, state >> n, 0, sequential, None, deadline, cap=cap
                 ):
                     nstate = t_mask | ns << n
                     if nstate not in pred:  # the start is never a child
@@ -638,7 +621,7 @@ def exact_min_st(
     rounds t(s); the best witness over s is exact. Caps at or above the
     current best product cannot improve it (t >= 1), so the sweep stops there.
     """
-    limits, deadline, _ = _check_entry(g, mode, limits)
+    limits, deadline = _check_entry(g, mode, limits)
     expanded = 0
     best: tuple[int, Pebbling] | None = None
     for s in range(1, g.n + 1):
@@ -658,7 +641,7 @@ def exact_min_space(
     g: Dag, mode: str = "parallel", limits: SearchLimits | None = None
 ) -> SearchResult:
     """Smallest s such that some legal pebbling never holds more than s pebbles."""
-    limits, deadline, _ = _check_entry(g, mode, limits)
+    limits, deadline = _check_entry(g, mode, limits)
     expanded = 0
     for s in range(1, g.n + 1):
         witness, expanded = _min_rounds_capped(g, s, mode, limits, deadline, expanded)

@@ -266,7 +266,7 @@ def test_three_partition_witness_partitions_indices():
 
 def test_three_partition_too_large():
     with pytest.raises(TooLarge):
-        solve_3partition(ThreePartitionInstance(elements=(1,) * 30, n=10), cap=6)
+        solve_3partition(ThreePartitionInstance(elements=(1,) * 30, n=10))
 
 
 def test_three_partition_promise_flag():
@@ -289,6 +289,15 @@ def test_json_round_trip():
     assert again.n_vars == inst.n_vars
     assert again.m == inst.m
     assert again.equations == inst.equations
+
+
+def test_reduced_instance_survives_its_json_round_trip():
+    """A reduced 3-partition instance is a plain instance: its JSON round
+    trip gives it back, and it hashes."""
+    for elems, n in (((2, 2, 2), 1), ((1, 2, 3, 1, 2, 3), 2)):
+        inst = threepartition_to_b2lc(ThreePartitionInstance(elements=elems, n=n))
+        assert b2lc_from_json(b2lc_to_json(inst)) == inst
+        assert hash(inst) == hash(b2lc_from_json(b2lc_to_json(inst)))
 
 
 def test_witness_checker_rejects_bad_tables():

@@ -104,7 +104,6 @@ def test_threepartition_reduction_not_divisible_scales():
         (i, c, i + 1) for i, c in zip(range(1, 7), (2, 2, 2, 2, 2, 4))
     )
     assert inst.equations[12] == (1, 7, 7)
-    assert inst.promise_bound["scaled_by"] == 2
 
 
 def test_worked_gadget_node_count():

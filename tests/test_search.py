@@ -256,31 +256,29 @@ def _forward_corpus(count, seed):
 def test_bounded_matches_layered_enumeration():
     """The bounded search's cuts (closure floor, rounds needed, drop rule,
     dive incumbent) against an enumerator that shares none of them, over
-    horizons, cost caps, space caps and modes."""
+    horizons, cost caps and modes."""
     cases = 0
     for g in _forward_corpus(60, seed=5):
         for mode in ("parallel", "sequential"):
-            for max_space in (None, 2, 3):
-                ref = _layered_reference(g, g.n + 2, mode, max_space)
-                opt = ref[-1]
-                caps = (None,) if opt is None else (None, opt, opt + 2)
-                for t_max in range(depth(g, "nodes"), g.n + 3):
-                    for cap in caps:
-                        want = ref[t_max]
-                        if want is not None and cap is not None and want > cap:
-                            want = None
-                        try:
-                            r = exact_pcc_bounded(g, t_max, mode, cost_cap=cap, max_space=max_space)
-                        except Infeasible:
-                            r = None
-                        cases += 1
-                        key = (g.n, g.edges, mode, max_space, t_max, cap)
-                        assert (None if r is None else r.optimum) == want, key
-                        if r is not None:
-                            assert_sound(g, r, mode)
-                            assert r.witness.t <= t_max, key
-                            assert max_space is None or cost(r.witness).max_space <= max_space
-    assert cases == 4802
+            ref = _layered_reference(g, g.n + 2, mode, None)
+            opt = ref[-1]
+            caps = (None,) if opt is None else (None, opt, opt + 2)
+            for t_max in range(depth(g, "nodes"), g.n + 3):
+                for cap in caps:
+                    want = ref[t_max]
+                    if want is not None and cap is not None and want > cap:
+                        want = None
+                    try:
+                        r = exact_pcc_bounded(g, t_max, mode, cost_cap=cap)
+                    except Infeasible:
+                        r = None
+                    cases += 1
+                    key = (g.n, g.edges, mode, t_max, cap)
+                    assert (None if r is None else r.optimum) == want, key
+                    if r is not None:
+                        assert_sound(g, r, mode)
+                        assert r.witness.t <= t_max, key
+    assert cases == 1890
 
 
 def test_every_capped_interval_holds_the_optimum():
@@ -344,25 +342,21 @@ def test_witnesses_drop_only_pebbles_that_feed_the_next_round():
     # holding node 1 through round 2 feeds nothing placed in round 3
     assert _unfed_drops(chain(3), Pebbling(((1,), (1, 2), (2, 3)), "parallel")) == [(2, 1)]
     witnesses = 0
-    for max_space in (None, 2, 3):
-        for mode in ("parallel", "sequential"):
-            for g in _random_corpus(200):
+    for mode in ("parallel", "sequential"):
+        for g in _random_corpus(200):
+            r = exact_pcc(g, mode=mode)
+            assert _unfed_drops(g, r.witness) == [], (g.edges, mode)
+            witnesses += 1
+        for g in _forward_corpus(60, seed=5):
+            for t_max in range(depth(g, "nodes"), g.n + 3):
                 try:
-                    r = exact_pcc(g, mode=mode, max_space=max_space)
+                    r = exact_pcc_bounded(g, t_max, mode)
                 except Infeasible:
                     continue
-                assert _unfed_drops(g, r.witness) == [], (g.edges, mode, max_space)
+                key = (g.edges, mode, t_max)
+                assert _unfed_drops(g, r.witness) == [], key
                 witnesses += 1
-            for g in _forward_corpus(60, seed=5):
-                for t_max in range(depth(g, "nodes"), g.n + 3):
-                    try:
-                        r = exact_pcc_bounded(g, t_max, mode, max_space=max_space)
-                    except Infeasible:
-                        continue
-                    key = (g.edges, mode, max_space, t_max)
-                    assert _unfed_drops(g, r.witness) == [], key
-                    witnesses += 1
-    assert witnesses == 2273
+    assert witnesses == 904
 
 
 def _closure_by_bfs(g, pebbles, done):
@@ -413,16 +407,9 @@ def test_inherited_closures_match_a_backward_bfs(monkeypatch):
         n = rng.randint(3, 10)
         p = rng.choice((0.2, 0.35, 0.5))
         g = build_dag(n, [(u, v) for v in range(2, n + 1) for u in range(1, v) if rng.random() < p])
-        for max_space in (None, 2, 3):
-            for mode in ("parallel", "sequential"):
-                for run in (
-                    lambda: exact_pcc(g, mode, max_space=max_space),
-                    lambda: exact_pcc_bounded(g, g.n + 1, mode, max_space=max_space),
-                ):
-                    try:
-                        run()
-                    except Infeasible:
-                        pass
+        for mode in ("parallel", "sequential"):
+            exact_pcc(g, mode)
+            exact_pcc_bounded(g, g.n + 1, mode)
     assert counts["children"] > counts["seeded"] > 0, counts
 
 
@@ -544,24 +531,23 @@ def test_sequential_bound_fits_the_heap_item():
     assert r.expanded_states > sparser.n  # the dive alone expands 9 states
 
 
-def test_min_space_and_min_st_match_the_bounded_search():
-    """The capped sweep retains as many pebbles as fit; the bounded cost
-    search under the same space cap keeps every retained subset."""
+def test_min_space_and_min_st_match_the_enumerators():
+    """The capped sweep retains as many pebbles as fit; the test-side
+    enumerators, which keep every retained subset, agree. Some pebbling
+    fits in min-space pebbles and none in one fewer, and no pebbling with
+    at most s pebbles a round finishes in fewer than min-st / s rounds."""
     for g in _random_corpus(25, seed=1):
         space = exact_min_space(g).optimum
-        if space > 1:
-            with pytest.raises(Infeasible):
-                exact_pcc_bounded(g, g.n * g.n, max_space=space - 1)
-        best_st = g.n * g.n
-        for s in range(space, g.n + 1):
-            for t in range(1, g.n * g.n + 1):
-                try:
-                    exact_pcc_bounded(g, t, max_space=s)
-                except Infeasible:
-                    continue
-                best_st = min(best_st, s * t)
-                break
-        assert exact_min_st(g).optimum == best_st, g.edges
+        _least_cost_reference(g, max_space=space)
+        with pytest.raises(Infeasible):
+            _least_cost_reference(g, max_space=space - 1)
+        r = exact_min_st(g)
+        st = r.optimum
+        assert validate(g, r.witness).legal and cost(r.witness).st == st, g.edges
+        for s in range(1, g.n + 1):
+            t = (st - 1) // s
+            if t > 0:
+                assert _layered_reference(g, t, "parallel", s)[-1] is None, (g.edges, s)
 
 
 def test_multi_sink_graph():
@@ -763,37 +749,9 @@ def test_time_budget_holds_inside_one_expansion():
     assert time.monotonic() - start < 1.0
 
 
-def test_space_limit_infeasible():
-    with pytest.raises(Infeasible, match="^no legal pebbling under space cap 1$"):
-        exact_pcc(pyramid(2), max_space=1)
-    capped = exact_pcc(pyramid(2), max_space=2)
-    assert capped.optimum == 3
-
-
 def test_complete_enumeration_respects_space_cap():
     with pytest.raises(Infeasible):
         _least_cost_reference(pyramid(2), max_space=1)
-
-
-def test_space_capped_search_matches_complete_enumeration():
-    rng = random.Random(31)
-    for _ in range(30):
-        g = layered_random(rng.randint(3, 8), rng.randrange(1 << 30))
-        space = rng.randint(1, 3)
-        outcomes = []
-        for complete in (False, True):
-            try:
-                if complete:
-                    r = _least_cost_reference(g, max_space=space)
-                else:
-                    r = exact_pcc(g, max_space=space)
-            except Infeasible:
-                outcomes.append(None)
-                continue
-            assert_sound(g, r)
-            assert cost(r.witness).max_space <= space
-            outcomes.append(r.optimum)
-        assert outcomes[0] == outcomes[1], (g.edges, space)
 
 
 def test_unachievable_seed_is_infeasible():
@@ -810,13 +768,6 @@ def test_negative_limits_rejected():
     with pytest.raises(ValueError, match="time_budget"):
         SearchLimits(time_budget=float("nan"))  # would never expire
     assert SearchLimits(time_budget=0.0).time_budget == 0.0
-
-
-def test_negative_space_cap_rejected():
-    with pytest.raises(ValueError, match="max_space must be nonnegative, got -1"):
-        exact_pcc(pyramid(2), max_space=-1)
-    with pytest.raises(ValueError, match="max_space must be nonnegative, got -1"):
-        exact_pcc_bounded(pyramid(2), 3, max_space=-1)
 
 
 def test_every_limit_binds_every_search():
