@@ -245,14 +245,14 @@ def _lp_model(args):
 
 def _cmd_lp_build(args):
     m = _lp_model(args)
-    n_var, n_con = len(m.variables), len(m.constraints)
+    n_var, n_con = len(m.names), len(m.row_names)
     if args.target == "pebbling":
-        sink, move = (sum(c.name.startswith(p) for c in m.constraints) for p in ("sink", "move"))
+        sink, move = m.relations.count(">="), m.relations.count("<=")  # sink rows are >=, move rows <=
         payload = {"variables": n_var, "constraints": n_con,
                    "sink_constraints": sink, "move_constraints": move}
         text = f"pebbling ip: {n_var} variables, {n_con} constraints ({sink} sink, {move} move)"
     else:
-        sel, trk = (sum(v.name.startswith(p) for v in m.variables) for p in ("s_", "d_"))
+        sel, trk = m.n_integral, n_var - m.n_integral  # the selectors are the integral variables
         payload = {"variables": n_var, "selectors": sel, "trackers": trk, "constraints": n_con}
         text = (f"reducible ip: {n_var} variables ({sel} selectors, {trk} trackers), "
                 f"{n_con} constraints")

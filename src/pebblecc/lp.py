@@ -8,6 +8,12 @@ row, bound and objective coefficient is an integer: a row whose source
 inequality has fractional coefficients is stored multiplied by a positive
 scale. Point values may be Fractions; reported objectives and slacks
 always are.
+
+An LpModel is stored by columns: the variable names once, and each row as
+variable indices beside integer coefficients. The builders compute the
+indices, relax shares every column, and verify_solution and emit walk them.
+Its variables, constraints and objective attributes are read-only views in
+names, built on each access and never stored.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 from .graph import Dag
 from .pebbling import Pebbling, validate
@@ -76,26 +83,52 @@ class LpConstraint:
 
 @dataclass(frozen=True)
 class LpModel:
-    """A minimization program. Variable order is the emission order."""
+    """A minimization program, stored by columns; variable order is the
+    emission order. The first n_integral variables are integral. Row i is
+    sum(row_coeffs[i][j] * var[row_vars[i][j]]) relations[i] rhs[i], stored at
+    scale scales[i] (see LpConstraint); the objective is indexed the same way."""
 
-    variables: tuple[LpVariable, ...]
-    constraints: tuple[LpConstraint, ...]
-    objective: tuple[tuple[str, int], ...]
+    names: tuple[str, ...]
+    lower: tuple[int, ...]
+    upper: tuple[int, ...]
+    n_integral: int
+    row_names: tuple[str, ...]
+    row_vars: tuple[tuple[int, ...], ...]
+    row_coeffs: tuple[tuple[int, ...], ...]
+    relations: tuple[str, ...]
+    rhs: tuple[int, ...]
+    scales: tuple[int, ...]
+    obj_vars: tuple[int, ...]
+    obj_coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        names = [v.name for v in self.variables]
-        declared = set(names)
-        if len(declared) != len(names):
+        nv = len(self.names)
+        if len(set(self.names)) != nv:
             raise ValueError("duplicate variable names")
-        for c in self.constraints:
-            if c.relation not in ("<=", ">=", "="):
-                raise ValueError(f"bad relation {c.relation!r} in {c.name}")
-            for var, _ in c.coeffs:
-                if var not in declared:
-                    raise ValueError(f"constraint {c.name} uses undeclared {var}")
-        for var, _ in self.objective:
-            if var not in declared:
-                raise ValueError(f"objective uses undeclared {var}")
+        if not 0 <= self.n_integral <= nv:
+            raise ValueError(f"n_integral {self.n_integral} outside 0..{nv}")
+        for name, rel in zip(self.row_names, self.relations):
+            if rel not in ("<=", ">=", "="):
+                raise ValueError(f"bad relation {rel!r} in {name}")
+        for name, idx in (*zip(self.row_names, self.row_vars), ("objective", self.obj_vars)):
+            for i in idx:
+                if not 0 <= i < nv:
+                    raise ValueError(f"{name} uses undeclared variable index {i}")
+
+    @property
+    def variables(self) -> tuple[LpVariable, ...]:
+        flags = [True] * self.n_integral + [False] * (len(self.names) - self.n_integral)
+        return tuple(map(LpVariable, self.names, self.lower, self.upper, flags))
+
+    @property
+    def constraints(self) -> tuple[LpConstraint, ...]:
+        at = self.names.__getitem__
+        rows = zip(self.row_names, self.row_vars, self.row_coeffs, self.relations, self.rhs, self.scales)
+        return tuple(LpConstraint(n, tuple(zip(map(at, i), c)), r, b, s) for n, i, c, r, b, s in rows)
+
+    @property
+    def objective(self) -> tuple[tuple[str, int], ...]:
+        return tuple(zip(map(self.names.__getitem__, self.obj_vars), self.obj_coeffs))
 
 
 @dataclass(frozen=True)
@@ -113,8 +146,18 @@ class FeasibilityReport:
     violated: tuple[tuple[str, Fraction], ...]
 
 
-def _xname(v: int, t: int) -> str:
-    return f"x_{v}_{t}"
+def _xnames(n: int, horizon: int) -> tuple[str, ...]:
+    """The pebbling program's variable names; x_v_t has index (v-1)(horizon+1) + t."""
+    return tuple(f"x_{v}_{t}" for v in range(1, n + 1) for t in range(horizon + 1))
+
+
+def _unchecked(**columns) -> LpModel:
+    """An LpModel made without running __post_init__, for columns that are
+    valid by construction: the builders compute every index, and relax
+    shares the columns of a model that was checked when it was made."""
+    m = object.__new__(LpModel)
+    m.__dict__.update(columns)
+    return m
 
 
 def build_pebbling_ip(g: Dag, horizon: int | None = None) -> LpModel:
@@ -131,36 +174,28 @@ def build_pebbling_ip(g: Dag, horizon: int | None = None) -> LpModel:
         horizon = g.n * g.n
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    variables = []
-    for v in range(1, g.n + 1):
-        for t in range(0, horizon + 1):
-            fixed = t == 0
-            variables.append(
-                LpVariable(_xname(v, t), 0, 0 if fixed else 1, True)
-            )
-    constraints = []
-    for v in sorted(g.sinks):
-        constraints.append(
-            LpConstraint(
-                f"sink_{v}",
-                tuple((_xname(v, t), 1) for t in range(0, horizon + 1)),
-                ">=",
-                1,
-            )
-        )
+    width, nv = horizon + 1, g.n * (horizon + 1)
+    sinks = sorted(g.sinks)
+    row_names = [f"sink_{v}" for v in sinks]
+    row_vars = [tuple(range((v - 1) * width, v * width)) for v in sinks]
+    row_coeffs, scales = [(1,) * width] * len(sinks), [1] * len(sinks)
     for v in range(1, g.n + 1):
         parents = sorted(g.parent_sets[v])
-        if not parents:
-            continue
-        k = len(parents)
-        for t in range(0, horizon):
-            coeffs = [(_xname(v, t + 1), k), (_xname(v, t), -k)]
-            coeffs.extend((_xname(u, t), -1) for u in parents)
-            constraints.append(
-                LpConstraint(f"move_{v}_{t}", tuple(coeffs), "<=", 0, k)
-            )
-    objective = tuple((var.name, 1) for var in variables)
-    return LpModel(tuple(variables), tuple(constraints), objective)
+        if parents:
+            k, at = len(parents), (v - 1) * width
+            row_names += [f"move_{v}_{t}" for t in range(horizon)]
+            starts = (at + 1, at, *((u - 1) * width for u in parents))
+            row_vars += zip(*(range(s, s + horizon) for s in starts))
+            row_coeffs += [(k, -k) + (-1,) * k] * horizon  # one shared tuple per node
+            scales += [k] * horizon
+    moves = len(row_names) - len(sinks)
+    return _unchecked(
+        names=_xnames(g.n, horizon), lower=(0,) * nv, upper=((0,) + (1,) * horizon) * g.n,
+        n_integral=nv, row_names=tuple(row_names), row_vars=tuple(row_vars),
+        row_coeffs=tuple(row_coeffs), relations=(">=",) * len(sinks) + ("<=",) * moves,
+        rhs=(1,) * len(sinks) + (0,) * moves, scales=tuple(scales),
+        obj_vars=tuple(range(nv)), obj_coeffs=(1,) * nv,
+    )
 
 
 def build_reducible_ip(g: Dag, d: int) -> LpModel:
@@ -170,42 +205,24 @@ def build_reducible_ip(g: Dag, d: int) -> LpModel:
     Each w in V and edge (u, v) contributes
     d_w_v >= d_w_u + 1 - (d+1)(s_u + s_v), so surviving edges propagate
     path lengths while removed endpoints void the constraint. Objective is
-    the number of removed nodes.
+    the number of removed nodes. s_v has index v - 1, d_u_v index un + v - 1.
     """
     if d < 0:
         raise ValueError("d must be nonnegative")
-    variables = [
-        LpVariable(f"s_{v}", 0, 1, True) for v in range(1, g.n + 1)
-    ]
-    for u in range(1, g.n + 1):
-        for v in range(1, g.n + 1):
-            variables.append(LpVariable(f"d_{u}_{v}", 0, d, False))
-    big = d + 1
-    constraints = []
-    for w in range(1, g.n + 1):
-        for u, v in g.edges:
-            coeffs = (
-                (f"d_{w}_{v}", 1),
-                (f"d_{w}_{u}", -1),
-                (f"s_{u}", big),
-                (f"s_{v}", big),
-            )
-            constraints.append(
-                LpConstraint(f"path_{w}_{u}_{v}", coeffs, ">=", 1)
-            )
-    objective = tuple((f"s_{v}", 1) for v in range(1, g.n + 1))
-    return LpModel(tuple(variables), tuple(constraints), objective)
+    n, nodes, rows = g.n, range(1, g.n + 1), g.n * len(g.edges)
+    return _unchecked(
+        names=(*(f"s_{v}" for v in nodes), *(f"d_{u}_{v}" for u in nodes for v in nodes)),
+        lower=(0,) * (n + n * n), upper=(1,) * n + (d,) * (n * n), n_integral=n,
+        row_names=tuple(f"path_{w}_{u}_{v}" for w in nodes for u, v in g.edges),
+        row_vars=tuple((w * n + v - 1, w * n + u - 1, u - 1, v - 1) for w in nodes for u, v in g.edges),
+        row_coeffs=((1, -1, d + 1, d + 1),) * rows, relations=(">=",) * rows,
+        rhs=(1,) * rows, scales=(1,) * rows, obj_vars=tuple(range(n)), obj_coeffs=(1,) * n,
+    )
 
 
 def relax(m: LpModel) -> LpModel:
-    """Drop integrality; bounds are untouched. Idempotent."""
-    return LpModel(
-        tuple(
-            LpVariable(v.name, v.lower, v.upper, False) for v in m.variables
-        ),
-        m.constraints,
-        m.objective,
-    )
+    """Drop integrality, sharing every column with m; bounds are untouched. Idempotent."""
+    return _unchecked(**{**vars(m), "n_integral": 0})
 
 
 def staircase_horizon(n: int) -> int:
@@ -226,18 +243,12 @@ def fractional_pebbling_solution(g: Dag, horizon: int | None = None) -> LpSoluti
     top = staircase_horizon(n)
     if horizon < top:
         raise ValueError(f"horizon {horizon} below n + ceil(lg n) = {top}")
-    values: dict[str, Fraction] = {}
     trickle = Fraction(1, n)
-    for v in range(1, n + 1):
-        for t in range(0, horizon + 1):
-            if t <= n:
-                val = trickle if v <= t else 0
-            elif t <= top:
-                val = min(1, Fraction(2 ** (t - n), n))
-            else:
-                val = 0
-            values[_xname(v, t)] = val
-    return LpSolution(values)
+    ramp = [min(1, Fraction(2 ** (t - n), n)) for t in range(n + 1, top + 1)]
+    values = []
+    for v in range(1, n + 1):  # rounds 0..n, then the ramp, then zeros
+        values += [0] * v + [trickle] * (n + 1 - v) + ramp + [0] * (horizon - top)
+    return LpSolution(dict(zip(_xnames(n, horizon), values)))
 
 
 def _distances(g: Dag, src: int) -> list[int | None]:
@@ -268,24 +279,17 @@ def fractional_timed_solution(g: Dag) -> tuple[LpSolution, FeasibilityReport]:
     """
     n = g.n
     floor = Fraction(1, n)
-    values: dict[str, Fraction] = {}
+    values: dict[str, Fraction] = dict.fromkeys(_xnames(n, n), 0)
     dist_from = [None] + [_distances(g, i) for i in range(1, n + 1)]
     for i in range(1, n + 1):
-        for t in range(0, n + 1):
-            if t == i:
-                values[_xname(i, t)] = 1
-            elif i < t:
-                best = floor
-                for j in range(1, n - t + 1):
-                    d_ij = dist_from[i][t + j]
-                    if d_ij is None:
-                        continue
-                    cand = Fraction(2) ** (-d_ij - j + 2)
-                    if cand > best:
-                        best = cand
-                values[_xname(i, t)] = best
-            else:
-                values[_xname(i, t)] = 0
+        values[f"x_{i}_{i}"] = 1
+        for t in range(i + 1, n + 1):
+            best = floor
+            for j in range(1, n - t + 1):
+                d_ij = dist_from[i][t + j]
+                if d_ij is not None:
+                    best = max(best, Fraction(2) ** (-d_ij - j + 2))
+            values[f"x_{i}_{t}"] = best
     solution = LpSolution(values)
     report = verify_solution(relax(build_pebbling_ip(g, horizon=n)), solution)
     return solution, report
@@ -295,11 +299,9 @@ def fractional_reducible_solution(g: Dag, d: int) -> LpSolution:
     """The uniform point x_v = 1/d, all path trackers zero; objective n/d."""
     if d < 1:
         raise ValueError("d must be at least 1")
-    share = Fraction(1, d)
-    values = {f"s_{v}": share for v in range(1, g.n + 1)}
-    for u in range(1, g.n + 1):
-        for v in range(1, g.n + 1):
-            values[f"d_{u}_{v}"] = 0
+    nodes = range(1, g.n + 1)
+    values = dict.fromkeys((f"s_{v}" for v in nodes), Fraction(1, d))
+    values.update(dict.fromkeys((f"d_{u}_{v}" for u in nodes for v in nodes), 0))
     return LpSolution(values)
 
 
@@ -317,12 +319,10 @@ def pebbling_to_solution(g: Dag, p: Pebbling, horizon: int | None = None) -> LpS
         raise IllegalPebbling(f"first violation: {verdict.first_violation}")
     if p.t > horizon:
         raise ValueError(f"pebbling has {p.t} rounds, horizon is {horizon}")
-    values = {
-        _xname(v, t): 0 for v in range(1, g.n + 1) for t in range(horizon + 1)
-    }
+    values = dict.fromkeys(_xnames(g.n, horizon), 0)
     for t, rnd in enumerate(p.rounds, start=1):
         for v in rnd:
-            values[_xname(v, t)] = 1
+            values[f"x_{v}_{t}"] = 1
     return LpSolution(values)
 
 
@@ -337,36 +337,34 @@ def verify_solution(m: LpModel, s: LpSolution) -> FeasibilityReport:
     Raises:
         MissingVariable: some model variable has no assigned value.
     """
-    vals = s.values
-    for var in m.variables:
-        if var.name not in vals:
-            raise MissingVariable(var.name)
-    den = lcm(*{vals[var.name].denominator for var in m.variables})
-    num = {
-        var.name: vals[var.name].numerator * (den // vals[var.name].denominator)
-        for var in m.variables
-    }
+    try:
+        xs = [s.values[name] for name in m.names]
+    except KeyError as exc:
+        raise MissingVariable(exc.args[0]) from None
+    den = lcm(*{x.denominator for x in xs})
+    num = [x.numerator * (den // x.denominator) for x in xs]
     violated: list[tuple[str, Fraction]] = []
-    for var in m.variables:
-        x, lo, hi = num[var.name], var.lower, var.upper
+    for i, (name, x, lo, hi) in enumerate(zip(m.names, num, m.lower, m.upper)):
         if x < lo * den:
-            violated.append((f"bound:{var.name}", Fraction(x, den) - lo))
+            violated.append((f"bound:{name}", Fraction(x, den) - lo))
         elif x > hi * den:
-            violated.append((f"bound:{var.name}", hi - Fraction(x, den)))
-        if var.integral and x % den:
-            violated.append((f"integral:{var.name}", Fraction(0)))
-    for c in m.constraints:
-        lhs = sum(num[name] * k for name, k in c.coeffs)
-        rhs = c.rhs * den
-        if c.relation == "<=":
+            violated.append((f"bound:{name}", hi - Fraction(x, den)))
+        if i < m.n_integral and x % den:
+            violated.append((f"integral:{name}", Fraction(0)))
+    at = num.__getitem__
+    rows = zip(m.row_names, m.row_vars, m.row_coeffs, m.relations, m.rhs, m.scales)
+    for name, idx, co, rel, rhs, scale in rows:
+        lhs = sum(map(mul, map(at, idx), co))
+        rhs *= den
+        if rel == "<=":
             slack = rhs - lhs
-        elif c.relation == ">=":
+        elif rel == ">=":
             slack = lhs - rhs
         else:
             slack = -abs(lhs - rhs)
         if slack < 0:
-            violated.append((c.name, Fraction(slack, den * c.scale)))
-    objective = Fraction(sum(num[name] * k for name, k in m.objective), den)
+            violated.append((name, Fraction(slack, den * scale)))
+    objective = Fraction(sum(map(mul, map(at, m.obj_vars), m.obj_coeffs)), den)
     return FeasibilityReport(not violated, objective, tuple(violated))
 
 
@@ -391,23 +389,25 @@ def emit(m: LpModel) -> str:
     Rows are printed as stored, so every coefficient is an integer (a scaled
     row appears multiplied by its scale); integral variables go in a
     Generals section. Ordering follows the model, so output is deterministic.
+    A run of rows that share one coefficient tuple shares one %-format line.
     """
-    lines = ["Minimize"]
-    lines.append(f" obj: {_terms(m.objective)}")
+    names = m.names
+    lines = ["Minimize", f" obj: {_terms(zip(map(names.__getitem__, m.obj_vars), m.obj_coeffs))}"]
     lines.append("Subject To")
-    for c in m.constraints:
-        lines.append(f" {c.name}: {_terms(c.coeffs)} {c.relation} {c.rhs}")
+    shape = None
+    for name, idx, co, rel, rhs in zip(m.row_names, m.row_vars, m.row_coeffs, m.relations, m.rhs):
+        if co is not shape:
+            shape, live = co, [j for j, c in enumerate(co) if c]
+            row = f" %s: {_terms(zip(['%s'] * len(co), co))} %s %s"
+        if len(live) < len(co):
+            idx = [idx[j] for j in live]
+        lines.append(row % (name, *[names[i] for i in idx], rel, rhs))
     lines.append("Bounds")
-    for v in m.variables:
-        if v.lower == v.upper:
-            lines.append(f" {v.name} = {v.lower}")
-        else:
-            lines.append(f" {v.lower} <= {v.name} <= {v.upper}")
-    integrals = [v.name for v in m.variables if v.integral]
-    if integrals:
+    for name, lo, hi in zip(names, m.lower, m.upper):
+        lines.append(f" {name} = {lo}" if lo == hi else f" {lo} <= {name} <= {hi}")
+    if m.n_integral:
         lines.append("Generals")
-        for chunk in range(0, len(integrals), 8):
-            lines.append(" " + " ".join(integrals[chunk : chunk + 8]))
+        lines += (" " + " ".join(names[i : min(i + 8, m.n_integral)]) for i in range(0, m.n_integral, 8))
     lines.append("End")
     return "\n".join(lines) + "\n"
 

@@ -1,6 +1,7 @@
 """Model construction, fractional points, exact verification, and emission."""
 
 import hashlib
+import re
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,10 @@ from pebblecc.graph import build_dag, chain, complete, layered_random, pyramid
 from pebblecc.lp import (
     FeasibilityReport,
     IllegalPebbling,
+    LpConstraint,
+    LpModel,
     LpSolution,
+    LpVariable,
     MissingVariable,
     build_pebbling_ip,
     build_reducible_ip,
@@ -103,6 +107,28 @@ def test_model_numbers_are_integers():
         for c in m.constraints:
             assert type(c.rhs) is int and type(c.scale) is int and c.scale > 0
             assert all(type(k) is int for _, k in c.coeffs)
+
+
+def test_model_rejects_malformed_columns():
+    good = dict(
+        names=("a", "b"), lower=(0, 0), upper=(1, 1), n_integral=1,
+        row_names=("r", "q"), row_vars=((0, 1), (1,)), row_coeffs=((1, -1), (2,)),
+        relations=("<=", ">="), rhs=(0, 1), scales=(1, 2), obj_vars=(0, 1), obj_coeffs=(1, 1),
+    )
+    m = LpModel(**good)
+    assert m.constraints[1] == LpConstraint("q", (("b", 2),), ">=", 1, 2)
+    assert m.variables == (LpVariable("a", 0, 1, True), LpVariable("b", 0, 1, False))
+    bad = [
+        ({"names": ("a", "a")}, "duplicate variable names"),
+        ({"n_integral": 3}, "n_integral 3 outside 0..2"),
+        ({"relations": ("<=", "=>")}, "bad relation '=>' in q"),
+        ({"row_vars": ((0, 2), (1,))}, "r uses undeclared variable index 2"),
+        ({"row_vars": ((0, 1), (-1,))}, "q uses undeclared variable index -1"),
+        ({"obj_vars": (0, 2)}, "objective uses undeclared variable index 2"),
+    ]
+    for change, message in bad:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            LpModel(**{**good, **change})
 
 
 def test_relax_clears_integrality_keeps_bounds():
@@ -412,3 +438,59 @@ def test_gap_report_uses_the_search_incumbent():
     gr = gap_report(counterexample_dag(), limits=SearchLimits(max_states=50))
     assert not gr.pcc_proven
     assert 27 <= gr.pcc < 16 * 17 // 2  # the dive's cost, not n(n+1)/2
+
+
+# ------------------------------------------------------------------- pins
+
+
+def _pin_cases(g):
+    """(model, values) pairs for one graph: the staircase, reducible and
+    embedded points, each against the model it is checked with."""
+    h = staircase_horizon(g.n)
+    yield relax(build_pebbling_ip(g, horizon=h)), fractional_pebbling_solution(g, horizon=h).values
+    for d in (1, 2):
+        point = fractional_reducible_solution(g, d).values
+        yield relax(build_reducible_ip(g, d)), point
+        yield build_reducible_ip(g, d), point
+    p = trivial_pebbling(g)
+    yield build_pebbling_ip(g, horizon=p.t), pebbling_to_solution(g, p, horizon=p.t).values
+
+
+def _perturbed(g, m, values):
+    """The point itself, then copies that break a bound, an integrality flag
+    and a scaled move row (or, in the reducible program, every path row)."""
+    names = [v.name for v in m.variables]
+    yield values
+    yield {**values, names[1]: Fraction(-1), names[-1]: Fraction(3, 2)}
+    yield {**values, names[-1]: Fraction(1, 3), names[len(names) // 2]: Fraction(2, 3)}
+    if names[0].startswith("x_"):
+        v = max(range(1, g.n + 1), key=lambda u: len(g.parent_sets[u]))
+        yield {**values, f"x_{v}_1": Fraction(1, 3)}
+    else:
+        yield {**values, **{f"s_{v}": 0 for v in range(1, g.n + 1)}}
+
+
+def test_lp_outputs_are_pinned():
+    # One digest over every model's variable, row and objective views and
+    # over report_to_json of every check below; a perturbed point pins the
+    # row scales, the order of violated slacks, and the name MissingVariable
+    # gives for the first unassigned variable in model order.
+    graphs = [chain(n) for n in (1, 2, 3, 5, 8)] + [pyramid(k) for k in (2, 3, 4)]
+    graphs += [counterexample_dag()] + [layered_random(9, s) for s in (1, 2, 3)]
+    parts = []
+    for g in graphs:
+        parts.append(report_to_json(fractional_timed_solution(g)[1]))
+        for m, values in _pin_cases(g):
+            parts += map(repr, m.variables)
+            parts += map(repr, m.constraints)
+            parts.append(repr(m.objective))
+            for point in _perturbed(g, m, values):
+                parts.append(report_to_json(verify_solution(m, LpSolution(point))))
+            names = [v.name for v in m.variables]
+            for gone in (names[-1:], names[len(names) // 2 :: 3]):
+                point = {k: x for k, x in values.items() if k not in gone}
+                with pytest.raises(MissingVariable) as exc:
+                    verify_solution(m, LpSolution(point))
+                parts.append(str(exc.value))
+    digest = hashlib.sha256("\n".join(parts).encode()).hexdigest()
+    assert digest == "f884ceabc876d978f26b4d6047b36495a887f5b4e74bb862a92b52eab43a7706"

@@ -1,6 +1,5 @@
 import json
 import random
-from itertools import combinations_with_replacement
 
 import pytest
 
