@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
 from heapq import heappop, heappush
 from itertools import chain, combinations, repeat
 
@@ -38,7 +39,8 @@ class Exhausted(RuntimeError):
 
     From exact_pcc and exact_pcc_bounded, the optimum is proven to lie in
     [lower_bound, upper_bound]; upper_bound is the cost of the cheapest
-    pebbling the search built (its dive or a goal), or None.
+    pebbling the search built (its dive), or None. expanded counts the
+    states expanded, the dive's steps included.
     """
 
     def __init__(
@@ -69,10 +71,9 @@ class _Stop(Exception):
 class SearchLimits:
     """The work caps every exact search reads.
 
-    max_nodes caps the graph's size. max_states caps the states taken off
-    the frontier: expansions, and the lazy push-backs of both cost
-    searches. time_budget is in seconds of wall clock; 0.0 stops at the
-    first check. A negative or NaN cap raises ValueError.
+    max_nodes caps the graph's size. max_states caps the states expanded,
+    the dive's steps included. time_budget is in seconds of wall clock;
+    0.0 stops at the first check. A negative or NaN cap raises ValueError.
     """
 
     max_nodes: int = 24
@@ -160,23 +161,28 @@ def _child_closure(parent_masks: tuple[int, ...], closure: int, t_mask: int, fee
     return known | _future_need(parent_masks, t_mask | known, seeds)
 
 
-def _hold_bound(parent_masks: tuple[int, ...], mask: int, closure: int) -> int:
-    """h2 = |U| + |A| + |B|, a lower bound on the remaining cumulative cost
-    of a state holding `mask`, whose `_future_need` closure is U.
+def _hold_bound(parent_masks: tuple[int, ...], closure: int) -> int:
+    """h2, the larger of |U| + |A| + |B| and 1 + the largest chain of U, U
+    the `_future_need` closure: a lower bound on the remaining cumulative
+    cost, proven in exact_pcc's docstring, and 0 when U is empty.
 
     A holds each v in U with a child c in U whose other parent u, also in
     U, descends from v through nodes of U: v is first placed before u, and
     is pebbled again in the round before c, so it fills two future rounds.
     (Through a pebbled node the descent proves nothing: u could be placed
-    in v's first round.) B is mask & late, late the OR of the parents of
+    in v's first round.) B is late & ~U, late the OR of the parents of
     every c in U that has a parent in U: such a c is not placeable next
-    round, so each pebble feeding it fills one more round. A lies in U and
-    B in mask, so the terms count distinct pebble-rounds. One pass over U
-    from low ids to high keeps, for each node of U, its ancestors within U;
-    ids are topological, so a node's parents are settled first.
+    round, so each pebble feeding it fills one more round. The chain of v
+    is 0 if v has no parent in U, else |parents(v)| plus the largest chain
+    of its parents in U. One pass over U from low ids to high keeps, for
+    each node of U, its ancestors within U and, above them, its chain; ids
+    are topological, so a node's parents are settled first, and the
+    largest packed entry of a node's parents holds their largest chain.
     """
+    shift = len(parent_masks)
+    full = (1 << shift) - 1
     anc: dict[int, int] = {}
-    twice = late = 0
+    twice = late = top = 0
     todo = closure
     while todo:
         low = todo & -todo
@@ -185,15 +191,22 @@ def _hold_bound(parent_masks: tuple[int, ...], mask: int, closure: int) -> int:
         inner = parents & closure
         if inner:
             late |= parents
-            up = 0
+            up = hi = 0
             rest = inner
             while rest:
                 p = rest & -rest
                 rest ^= p
-                up |= anc.get(p, 0)
+                e = anc.get(p, 0)
+                up |= e
+                if e > hi:
+                    hi = e
             twice |= inner & up
-            anc[low] = inner | up
-    return closure.bit_count() + twice.bit_count() + (mask & late).bit_count()
+            val = (hi >> shift) + parents.bit_count()
+            anc[low] = (inner | up) & full | val << shift
+            if val > top:
+                top = val
+    h = closure.bit_count() + twice.bit_count() + (late & ~closure).bit_count()
+    return max(h, top + 1) if top else h
 
 
 def _weight_tiers(parent_masks: tuple[int, ...]) -> list[tuple[int, int]]:
@@ -205,13 +218,11 @@ def _weight_tiers(parent_masks: tuple[int, ...]) -> list[tuple[int, int]]:
     return sorted(tiers.items(), reverse=True)
 
 
-def _seq_bound(
-    parent_masks: tuple[int, ...], tiers: list[tuple[int, int]], mask: int, closure: int
-) -> int:
+def _seq_bound(parent_masks: tuple[int, ...], tiers: list[tuple[int, int]], closure: int) -> int:
     """h_seq = 1 + sum of w(c) over U - max of w(c) over the c in U placeable
-    from `mask`, with U the `_future_need` closure, w from `_weight_tiers`,
-    and 0 when U is empty: a lower bound on the remaining cost of a
-    sequential pebbling, proven in exact_pcc's docstring."""
+    now, that is with no parent in U, with U the `_future_need` closure, w
+    from `_weight_tiers`, and 0 when U is empty: a lower bound on the
+    remaining cost of a sequential pebbling, proven in exact_pcc's docstring."""
     if not closure:
         return 0
     total, top = 1, 0
@@ -222,7 +233,7 @@ def _seq_bound(
             while mine and not top:
                 low = mine & -mine
                 mine ^= low
-                if not parent_masks[low.bit_length()] & ~mask:
+                if not parent_masks[low.bit_length()] & closure:
                     top = w
     return total - top
 
@@ -323,15 +334,16 @@ def _children(g, mask, sat, gc, sequential, ub, deadline, closure=None, cap=None
             yield base | sub, ns, feed
 
 
-def _witness(pred, goal: int, n: int, mode: str) -> Pebbling:
-    """Replay the chain of packed keys (mask | sat << n, with any tag above
-    bit 2n) back to the start, 0."""
+def _witness(links, cur: int, n: int, mode: str, ibits: int = 0) -> Pebbling:
+    """Replay links back to the start, link 0. A link is state << ibits | i,
+    the state packed as mask | sat << n (any tag above bit 2n), and
+    links[i] is the link before it; with ibits 0, i is the state itself."""
     full = (1 << n) - 1
+    index = (1 << ibits) - 1 if ibits else -1
     rounds = []
-    cur = goal
     while cur:
-        rounds.append(nodes_of(cur & full))
-        cur = pred[cur]
+        rounds.append(nodes_of(cur >> ibits & full))
+        cur = links[cur & index]
     rounds.reverse()
     return Pebbling(rounds=tuple(rounds), mode=mode)
 
@@ -356,7 +368,8 @@ def exact_pcc(
 
     - h1 = |U|, U the `_future_need` closure: a node of U is placed in this
       round and pays for itself, or stays in the child's closure U'.
-    - h2 = |U| + |A| + |B|, from `_hold_bound`. The U terms go as for h1.
+    - h2, from `_hold_bound`, the larger of |U| + |A| + |B| and the chain
+      term below. The U terms go as for h1.
       A node v of A is in U, with witnesses c and u in U (u a parent of c,
       descending from v through U). Neither c nor u is placeable, since
       each has a parent in U. If v is placed now, it is held in the child,
@@ -384,18 +397,23 @@ def exact_pcc(
       node's parents are all in t, and t holds x. If U' is empty, U is at
       most {x}, and h_seq is at most 1.
 
-    Children are pushed with h1, inherited from their parent's closure at
-    little cost. In parallel mode a state gets h2 the first time it is
-    popped (Lazy A*, Tolpin, Beja, Shimony, Felner and Karpas, IJCAI 2013):
-    if h2 > h1 it goes back on the heap, flagged, at key g + h2, or is
-    dropped if that key is above the incumbent, instead of being expanded.
-    In sequential mode children are pushed with h_seq instead, and states
-    are never re-keyed: each has few children, so h2 costs more time than
-    the expansions it saves. The start's bound is h2, or in sequential mode
-    the larger of h2 and h_seq. Every key is g plus an admissible bound,
-    so the first goal popped is optimal and every popped key is a proven
-    lower bound; keys no longer pop in rising order, so the bound reported
-    is the largest popped.
+    The chain term of h2 is 1 + the heaviest path v1 -> ... -> vk inside U
+    (none when U is empty), each vj after v1 weighing |parents(vj)|. Each
+    such vj has a parent in U, so it is first placed at least two rounds
+    from now: the rounds r(vj) - 1 are distinct and all in the future, each
+    holds every parent of vj, and the last round adds 1. Only v1 can be
+    placed this round. If it is, v2 either keeps a parent in U', and the
+    path goes on from v2, or has all its parents held, so the round pays
+    the |parents(v2)| the path loses; otherwise the path stays in U'.
+
+    Every bound reads the closure alone: a parent of a node of U is
+    pebbled or in U, so a node of U is placeable now exactly when it has no
+    parent in U, and B = late & ~U. The search computes each bound once per
+    closure and pushes each child with h2, or in sequential mode h_seq; the
+    start's bound is h2, or in sequential mode the larger of h2 and h_seq.
+    Every key is g plus an admissible bound, so the first goal popped is
+    optimal and every popped key is a proven lower bound; the bound
+    reported is the largest popped.
 
     exact_pcc_bounded runs the same search, dive included, on (state,
     round) pairs. No bound reads the round, and a horizon only removes
@@ -416,9 +434,8 @@ def exact_pcc(
 
     Raises:
         TooLarge: n exceeds limits.max_nodes.
-        Exhausted: a state or time cap was hit first (dive steps and lazy
-            push-backs count); it carries the proven interval
-            [lower_bound, upper_bound].
+        Exhausted: a state or time cap was hit first (dive steps count);
+            it carries the proven interval [lower_bound, upper_bound].
         Infeasible: no pebbling costs at most cost_cap.
         ValueError: a bad mode.
     """
@@ -464,10 +481,10 @@ def _cost_search(
     ub = top if cost_cap is None else min(cost_cap, top)
     sequential = mode == "sequential"
     start = closure = _future_need(parent_masks, 0, sink_mask)
-    lower = _hold_bound(parent_masks, 0, closure)
+    lower = _hold_bound(parent_masks, closure)
     tiers = _weight_tiers(parent_masks)
     if sequential:
-        lower = max(lower, _seq_bound(parent_masks, tiers, 0, closure))
+        lower = max(lower, _seq_bound(parent_masks, tiers, closure))
     within = "" if t_max is None else f" within {t_max} rounds"
     # A child in round nr must fit the longest chain of its closure into the
     # `horizon - nr` rounds left. Without a horizon nr stays 0 and any
@@ -476,7 +493,7 @@ def _cost_search(
     rstep, horizon = (0, n) if t_max is None else (1, t_max)
     if lower > ub or max(levels(parent_masks, n, start)) > horizon:
         raise _infeasible(within, cost_cap)
-    expanded = pushed = 0
+    expanded = 0
 
     try:
         mask = sat = gc = nr = 0
@@ -511,59 +528,59 @@ def _cost_search(
             ub = incumbent = gc
 
         # A search node, a state in round r (0 without a horizon), is keyed
-        # by one int, mask | sat << n | r << 2n + 1, and the bit below the
-        # round, `lazy`, flags a key whose h is already h2 (lazy is 0 in
-        # sequential mode, which pushes h_seq). Heap items are ints too,
-        # ((f << hbits | h) << kbits | key) << n | closure with h = f - g
-        # <= f <= ub, so they sort as (f, -g, key) tuples would, and a popped
-        # state comes with the closure its pusher already computed.
+        # by mask | sat << n | r << 2n. A heap item is one int, (((f << hbits
+        # | h) << kbits | key) << ibits | i) << n | closure with h = f - g <=
+        # f <= ub, so items sort as (f, -g, key) tuples would, and carry the
+        # closure their pusher computed. i indexes the parent's expansion in
+        # `trail`, where each expansion appends its link, key << ibits | i, so
+        # the witness is replayed from trail alone. `hs` maps closure to bound.
         full = (1 << n) - 1
-        rshift = 2 * n + 1
-        lazy = 0 if sequential else 1 << 2 * n
+        rshift = 2 * n
         kbits, hbits = rshift + horizon.bit_length(), ub.bit_length()
-        nodes = ((1 << kbits) - 1) ^ lazy  # a key without its lazy flag
+        ibits = (limits.max_states + 1).bit_length()
+        lbits = kbits + ibits  # a link: key << ibits | i
         best: dict[int, int] = {0: 0}
-        pred: dict[int, int] = {}
-        heap: list[int] = [((lower << hbits | lower) << kbits | lazy) << n | start]
-        best_get = best.get
+        hs: dict[int, int] = {}
+        trail: list[int] = []
+        heap: list[int] = [(lower << hbits | lower) << lbits + n | start]
+        best_get, hs_get = best.get, hs.get
+        bound = partial(_hold_bound, parent_masks)
+        if sequential:
+            bound = partial(_seq_bound, parent_masks, tiers)
         while heap:
             item = heappop(heap)
             closure = item & full
-            key = item >> n
-            node = key & nodes
-            f, h = divmod(key >> kbits, 1 << hbits)
+            link = item >> n & (1 << lbits) - 1
+            node = link >> ibits
+            f, h = divmod(item >> lbits + n, 1 << hbits)
             gc = f - h
             if gc > best_get(node, gc):
                 continue
             lower = max(lower, f)
             mask, sat = node & full, node >> n & full
             if sat == sink_mask:
-                return SearchResult(gc, _witness(pred, node, n, mode), True, expanded)
-
-            if lazy and not key & lazy:
-                h2 = _hold_bound(parent_masks, mask, closure)
-                if h2 > h:
-                    pushed += 1
-                    _spend(expanded + pushed, limits, deadline)
-                    f = gc + h2
-                    if f <= ub:
-                        heappush(heap, ((f << hbits | h2) << kbits | lazy | node) << n | closure)
-                    continue
+                return SearchResult(gc, _witness(trail, link, n, mode, ibits), True, expanded)
             expanded += 1
-            _spend(expanded + pushed, limits, deadline)
+            _spend(expanded, limits, deadline)
+            i = len(trail) << n  # this expansion's index, in place in an item
+            trail.append(link)
             nr = (node >> rshift) + rstep
             left, tag = horizon - nr, nr << rshift
             for t_mask, ns, feed in _children(g, mask, sat, gc, sequential, ub, deadline, closure):
                 ng = gc + t_mask.bit_count()
                 nkey = t_mask | ns << n | tag
-                if ng < best_get(nkey, ng + 1):
-                    child = _child_closure(parent_masks, closure, t_mask, feed)
-                    size = child.bit_count()
-                    h = _seq_bound(parent_masks, tiers, t_mask, child) if sequential else size
-                    if ng + h <= ub and (size <= left or max(levels(parent_masks, n, child)) <= left):
-                        best[nkey] = ng
-                        pred[nkey] = node
-                        heappush(heap, ((ng + h << hbits | h) << kbits | nkey) << n | child)
+                if ng >= best_get(nkey, ng + 1):
+                    continue
+                child = _child_closure(parent_masks, closure, t_mask, feed)
+                size = child.bit_count()
+                if ng + size > ub or size > left and max(levels(parent_masks, n, child)) > left:
+                    continue  # cut by h1, which h never falls below, or by the horizon
+                h = hs_get(child)
+                if h is None:
+                    h = hs[child] = bound(child)
+                if ng + h <= ub:
+                    best[nkey] = ng
+                    heappush(heap, ((ng + h << hbits | h) << kbits | nkey) << ibits + n | i | child)
     except _Stop as stop:
         raise Exhausted(
             f"{stop} at bound {lower}", expanded, lower, incumbent

@@ -113,7 +113,7 @@ def test_pcc_bounded_state_cap_exit(tmp_path, capsys):
     assert main(["pcc-bounded", "--graph", gf, "--horizon", "16", "--max-states", "50"]) == 3
     err = capsys.readouterr().err
     assert "limit hit: state cap 50 hit at bound" in err
-    assert err.rstrip().endswith("optimum in [23, 68]")
+    assert err.rstrip().endswith("optimum in [25, 68]")
 
 
 def test_min_st_and_min_space(tmp_path, capsys):
@@ -411,7 +411,7 @@ def test_cli_output_is_pinned(tmp_path, capsys):
             out, err = capsys.readouterr()
             record.append(f"{argv}\n{rc}\n{out}\0{err}\0")
     digest = hashlib.sha256("".join(record).encode()).hexdigest()
-    assert digest == "10aa8c859342f40790a377e6deb4cb9204ed1e6b56333f0bb941529aea93a5d7"
+    assert digest == "e310931d2c4d831a2d1928534d10b80769392ef943014af735d871582715b6eb"
 
 
 def test_pcc_bounded_seed_is_a_cost_cap(tmp_path, capsys):

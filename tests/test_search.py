@@ -311,7 +311,7 @@ def test_every_capped_interval_holds_the_optimum():
                         continue
                     assert r.optimum == opt, (g.edges, mode)
                     break
-    assert (intervals, closed) == (2186, 1458)
+    assert (intervals, closed) == (1407, 679)
 
 
 def _unfed_drops(g, pebbling):
@@ -483,7 +483,7 @@ def test_hold_bound_is_admissible_and_consistent():
         succ, sinks = _state_graph(g)
         rem = _remaining_costs(succ, sinks)
         h1 = {s: _closure_by_bfs(g, *s) for s in succ}
-        h2 = {s: search._hold_bound(g.parent_masks, s[0], c) for s, c in h1.items()}
+        h2 = {s: search._hold_bound(g.parent_masks, c) for s, c in h1.items()}
         for s, ts in succ.items():
             assert h1[s].bit_count() <= h2[s] <= rem[s], (g.edges, s)
             raised += h2[s] > h1[s].bit_count()
@@ -505,7 +505,7 @@ def test_sequential_bound_is_admissible_and_consistent():
         rem = _remaining_costs(succ, sinks)
         tiers = search._weight_tiers(g.parent_masks)
         h1 = {s: _closure_by_bfs(g, *s) for s in succ}
-        hs = {s: search._seq_bound(g.parent_masks, tiers, s[0], c) for s, c in h1.items()}
+        hs = {s: search._seq_bound(g.parent_masks, tiers, c) for s, c in h1.items()}
         for s, ts in succ.items():
             assert h1[s].bit_count() <= hs[s] <= rem[s], (g.edges, s)
             raised += hs[s] > h1[s].bit_count()
@@ -514,6 +514,110 @@ def test_sequential_bound_is_admissible_and_consistent():
             transitions += len(ts)
         states += len(succ)
     assert (states, transitions, raised) == (23016, 259945, 7732)
+
+
+def _hold_bound_by_mask(parent_masks, mask, closure):
+    """h2 without its chain term, in the form that reads the state's
+    pebbles: B is mask & late."""
+    anc = {}
+    twice = late = 0
+    todo = closure
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        parents = parent_masks[low.bit_length()]
+        inner = parents & closure
+        if inner:
+            late |= parents
+            up = 0
+            rest = inner
+            while rest:
+                p = rest & -rest
+                rest ^= p
+                up |= anc.get(p, 0)
+            twice |= inner & up
+            anc[low] = inner | up
+    return closure.bit_count() + twice.bit_count() + (mask & late).bit_count()
+
+
+def _seq_bound_by_mask(parent_masks, tiers, mask, closure):
+    """h_seq in the form that tests placeability against the pebbles."""
+    if not closure:
+        return 0
+    total, top = 1, 0
+    for w, nodes in tiers:
+        mine = closure & nodes
+        if mine:
+            total += w * mine.bit_count()
+            while mine and not top:
+                low = mine & -mine
+                mine ^= low
+                if not parent_masks[low.bit_length()] & ~mask:
+                    top = w
+    return total - top
+
+
+def _chain_bound(g, closure):
+    """1 + the heaviest path v1 -> ... -> vk inside the closure U, each vj
+    but the first weighing |parents(vj)|, and 0 when U is empty. Reads only
+    g.parent_sets."""
+    inside = [v for v in range(1, g.n + 1) if closure >> (v - 1) & 1]
+    weight = {}
+    for v in inside:
+        heavier = [weight[u] for u in g.parent_sets[v] if u in weight]
+        weight[v] = max(heavier) + len(g.parent_sets[v]) if heavier else 0
+    return 1 + max(weight.values()) if weight else 0
+
+
+def test_bounds_read_only_the_closure():
+    """A parent of a node of U is pebbled or in U, so a node of U is
+    placeable exactly when it has no parent in U, and mask & late is
+    late & ~U. So the closure-only bounds equal the mask-reading forms on
+    every state of both state graphs of the corpus, h2 once its chain term
+    is put back."""
+    states = 0
+    for g in _bound_corpus():
+        pm = g.parent_masks
+        tiers = search._weight_tiers(pm)
+        for mode in ("parallel", "sequential"):
+            for mask, done in _state_graph(g, mode)[0]:
+                c = _closure_by_bfs(g, mask, done)
+                key = (g.edges, mode, mask, done)
+                old = max(_hold_bound_by_mask(pm, mask, c), _chain_bound(g, c))
+                assert search._hold_bound(pm, c) == old, key
+                assert search._seq_bound(pm, tiers, c) == _seq_bound_by_mask(pm, tiers, mask, c), key
+                states += 1
+    assert states == 2 * 23016
+
+
+def test_chain_term_is_admissible_and_consistent():
+    """h2 with its chain term on the parallel state graphs of
+    layered_random(n, s), n 6 to 8 and s 1 to 5, whose long paths are
+    where the chain term lifts h2: never above the exact remaining cost,
+    never above a round's cost plus the h2 of the state it leads to, and
+    never below the h2 without it. A* with it matches the plain least-cost
+    search in both modes."""
+    states = transitions = raised = 0
+    for n in range(6, 9):
+        for seed in range(1, 6):
+            g = layered_random(n, seed)
+            succ, sinks = _state_graph(g)
+            rem = _remaining_costs(succ, sinks)
+            closures = {s: _closure_by_bfs(g, *s) for s in succ}
+            h2 = {s: search._hold_bound(g.parent_masks, c) for s, c in closures.items()}
+            for s, ts in succ.items():
+                old = _hold_bound_by_mask(g.parent_masks, s[0], closures[s])
+                assert old <= h2[s] <= rem[s], (g.edges, s)
+                raised += h2[s] > old
+                for t in ts:
+                    assert h2[s] <= t[0].bit_count() + h2[t], (g.edges, s, t)
+                transitions += len(ts)
+            states += len(succ)
+            for mode in ("parallel", "sequential"):
+                fast = exact_pcc(g, mode)
+                assert fast.optimum == _least_cost_reference(g, mode).optimum, (g.edges, mode)
+                assert_sound(g, fast, mode)
+    assert (states, transitions, raised) == (2240, 61098, 130)
 
 
 def test_sequential_bound_fits_the_heap_item():
@@ -584,14 +688,14 @@ CE16_PREFIX = ((1,), (2,), (3,), (4,), (5,), (6,), (7,), (8,))
 BOUNDED_JOBS = [
     ("ce16", 16, 27, "no legal pebbling within 16 rounds under cost cap 27"),
     ("ce16", 17, 27, "no legal pebbling within 17 rounds under cost cap 27"),
-    ("ce16", 18, 27, (27, 113, CE16_PREFIX + (
+    ("ce16", 18, 27, (27, 111, CE16_PREFIX + (
         (1, 9), (2, 10), (3, 11), (4, 12), (5, 13), (6, 14), (7, 14), (8, 14), (9, 15), (16,),
     ))),
     ("ce16", 16, 30, (28, 123, CE16_PREFIX + (
         (1, 8, 9), (2, 8, 10), (3, 8, 11), (4, 8, 12), (5, 8, 13), (8, 14), (9, 15), (16,),
     ))),
     ("pyr4", 7, None, (10, 4, ((1, 2, 3, 4), (5, 6, 7), (8, 9), (10,)))),
-    ("lr14-1", 14, 40, (33, 121, (
+    ("lr14-1", 14, 40, (33, 117, (
         (1,), (1, 2), (2, 3), (1, 4), (4, 5), (4, 6), (4, 7), (4, 7, 8), (1, 4, 7, 9),
         (2, 4, 7, 10), (7, 8, 11), (1, 7, 12), (7, 13), (14,),
     ))),
@@ -716,18 +820,18 @@ def test_exhausted_carries_proven_bounds():
 
 
 def test_bounded_exhausted_carries_proven_bounds():
-    # layered_random(14, 1) at t_max = 14: h2(start) is 19, the optimum 33;
+    # layered_random(14, 1) at t_max = 14: h2(start) is 26, the optimum 33;
     # by 50 states the dive has built a pebbling of cost 47 and A* has
-    # popped a key of 24, and 3 states stop it inside the dive
+    # popped a key of 29, and 3 states stop it inside the dive
     g = layered_random(14, 1)
     with pytest.raises(Exhausted) as info:
         exact_pcc_bounded(g, t_max=14, limits=SearchLimits(max_states=50))
     exc = info.value
-    assert (exc.lower_bound, exc.upper_bound) == (24, 47)
-    assert str(exc) == "state cap 50 hit at bound 24; optimum in [24, 47]"
+    assert (exc.lower_bound, exc.upper_bound) == (29, 47)
+    assert str(exc) == "state cap 50 hit at bound 29; optimum in [29, 47]"
     with pytest.raises(Exhausted) as info:
         exact_pcc_bounded(g, t_max=14, limits=SearchLimits(max_states=3))
-    assert (info.value.lower_bound, info.value.upper_bound) == (19, None)
+    assert (info.value.lower_bound, info.value.upper_bound) == (26, None)
     assert exact_pcc_bounded(g, t_max=14).optimum == 33
 
 
