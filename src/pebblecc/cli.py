@@ -38,7 +38,7 @@ from .lp import (
     verify_solution,
     LpSolution,
 )
-from .pebbling import cost, pebbling_from_json, pebbling_to_json, validate
+from .pebbling import MODES, cost, pebbling_from_json, pebbling_to_json, validate
 from .reductions import (
     amplifier_chain_length,
     append_chain,
@@ -366,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
         _arg("--max-states", type=int, default=None),
         _arg("--time-budget", type=float, default=None),
     )
-    SEARCH = (_arg("--mode", choices=("parallel", "sequential"), default="parallel"), *LIMITS)
+    SEARCH = (_arg("--mode", choices=MODES, default="parallel"), *LIMITS)
     SEED = _arg("--seed", type=int, default=None, dest="cost_cap", metavar="SEED",
                 help="cost cap: find the optimum if it is at most SEED, else exit 1")
     CONVENTION = _arg("--convention", choices=("nodes", "edges"), default="nodes")

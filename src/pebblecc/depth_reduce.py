@@ -7,6 +7,7 @@ length convention (nodes vs edges) is always an explicit argument here.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .graph import Dag, OutOfRange, TooLarge, depth, levels, mask_of, nodes_of
@@ -80,14 +81,8 @@ def _disjoint_violations(g: Dag, keep: int, allowed: int) -> int:
         keep &= ~mask_of(_longest_path(g, keep, lvl))
 
 
-class _Budget:
-    def __init__(self, cap: int) -> None:
-        self.left = cap
-
-    def tick(self) -> None:
-        self.left -= 1
-        if self.left < 0:
-            raise TooLarge("reducibility search exceeded its node-visit cap")
+# The search nodes one exact decision may visit before it raises TooLarge.
+_MAX_VISITS = 500_000
 
 
 def _search(
@@ -96,10 +91,12 @@ def _search(
     banned: int,
     budget: int,
     allowed: int,
-    visits: _Budget,
+    visits: Iterator[int],
 ) -> int | None:
-    """A removal mask of at most budget more nodes that caps the depth, or None."""
-    visits.tick()
+    """A removal mask of at most budget more nodes that caps the depth, or
+    None; visits counts down the search nodes left."""
+    if next(visits, None) is None:
+        raise TooLarge("reducibility search exceeded its node-visit cap")
     keep = ((1 << g.n) - 1) & ~removed
     lvl = levels(g.parent_masks, g.n, keep)
     if max(lvl) <= allowed:
@@ -124,18 +121,16 @@ def _search(
     return None
 
 
-def is_reducible(
-    g: Dag, e: int, d: int, convention: str, max_visits: int = 500_000
-) -> ReducibilityResult:
+def is_reducible(g: Dag, e: int, d: int, convention: str) -> ReducibilityResult:
     """Decide whether removing at most e nodes brings the depth down to d.
 
     Witness sets are searched in increasing size, so a reducible verdict
-    carries a smallest witness. Raises TooLarge past max_visits search nodes.
+    carries a smallest witness. Raises TooLarge past _MAX_VISITS search nodes.
     """
     if e < 0 or d < 0:
         raise ValueError("e and d must be nonnegative")
     allowed = _allowed_nodes(d, convention)
-    visits = _Budget(max_visits)
+    visits = iter(range(_MAX_VISITS))
     for size in range(0, min(e, g.n) + 1):
         found = _search(g, 0, 0, size, allowed, visits)
         if found is not None:
@@ -154,14 +149,12 @@ def is_reducible(
     )
 
 
-def min_reducing_set(
-    g: Dag, d: int, convention: str, max_visits: int = 500_000
-) -> tuple[int, frozenset[int]]:
+def min_reducing_set(g: Dag, d: int, convention: str) -> tuple[int, frozenset[int]]:
     """Smallest e with a depth-d reducing set, plus one such set.
 
     Always terminates: removing every node leaves depth 0.
     """
-    witness = is_reducible(g, g.n, d, convention, max_visits).witness_set
+    witness = is_reducible(g, g.n, d, convention).witness_set
     return len(witness), witness
 
 

@@ -187,6 +187,9 @@ def levels(parent_masks, n: int, keep: int) -> list[int]:
 def depth(g: Dag, convention: str = "nodes", excluding=frozenset()) -> int:
     """Length of the longest directed path, by DP over the label order.
 
+    The DP reads parent_sets, so its time and memory are linear in the
+    graph's size; `levels` is the form over bit tables, for node masks.
+
     Args:
         g: the graph.
         convention: "nodes" counts nodes on the path, "edges" counts edges.
@@ -200,11 +203,12 @@ def depth(g: Dag, convention: str = "nodes", excluding=frozenset()) -> int:
     """
     if convention not in ("nodes", "edges"):
         raise ValueError(f"unknown depth convention {convention!r}")
-    keep = (1 << g.n) - 1
-    for v in excluding:
-        if 1 <= v <= g.n:
-            keep &= ~(1 << (v - 1))
-    best = max(levels(g.parent_masks, g.n, keep))
+    skip = frozenset(excluding)
+    lvl = [0] * (g.n + 1)  # lvl[v]: node count of the longest path ending at v
+    for v in range(1, g.n + 1):
+        if v not in skip:
+            lvl[v] = 1 + max(map(lvl.__getitem__, g.parent_sets[v]), default=0)
+    best = max(lvl)
     if convention == "edges":
         return max(best - 1, 0)
     return best

@@ -19,7 +19,7 @@ from heapq import heappop, heappush
 from itertools import chain, combinations, repeat
 
 from .graph import Dag, TooLarge, levels, nodes_of
-from .pebbling import Pebbling
+from .pebbling import MODES, Pebbling
 from .pebbling import cost as pebbling_cost
 
 __all__ = [
@@ -104,8 +104,8 @@ def _check_entry(
     """Validate a search's arguments; return its limits (the defaults for
     None) and the monotonic instant at which a budgeted search gives up."""
     limits = limits or SearchLimits()
-    if mode not in ("parallel", "sequential"):
-        raise ValueError(f"mode must be parallel or sequential, got {mode!r}")
+    if mode not in MODES:
+        raise ValueError(f"mode must be {' or '.join(MODES)}, got {mode!r}")
     if g.n > limits.max_nodes:
         raise TooLarge(
             f"graph has {g.n} nodes, above the configured cap {limits.max_nodes}"
@@ -209,32 +209,24 @@ def _hold_bound(parent_masks: tuple[int, ...], closure: int) -> int:
     return max(h, top + 1) if top else h
 
 
-def _weight_tiers(parent_masks: tuple[int, ...]) -> list[tuple[int, int]]:
-    """(w, nodes) pairs, heaviest first: the nodes v with max(1, |parents(v)|) = w."""
-    tiers: dict[int, int] = {}
-    for v in range(1, len(parent_masks)):
-        w = max(1, parent_masks[v].bit_count())
-        tiers[w] = tiers.get(w, 0) | 1 << (v - 1)
-    return sorted(tiers.items(), reverse=True)
-
-
-def _seq_bound(parent_masks: tuple[int, ...], tiers: list[tuple[int, int]], closure: int) -> int:
+def _seq_bound(parent_masks: tuple[int, ...], closure: int) -> int:
     """h_seq = 1 + sum of w(c) over U - max of w(c) over the c in U placeable
-    now, that is with no parent in U, with U the `_future_need` closure, w
-    from `_weight_tiers`, and 0 when U is empty: a lower bound on the
-    remaining cost of a sequential pebbling, proven in exact_pcc's docstring."""
+    now, that is with no parent in U, with w(c) = max(1, |parents(c)|), U
+    the `_future_need` closure, and 0 when U is empty, in one pass over U: a
+    lower bound on the remaining cost of a sequential pebbling, proven in
+    exact_pcc's docstring."""
     if not closure:
         return 0
     total, top = 1, 0
-    for w, nodes in tiers:
-        mine = closure & nodes
-        if mine:
-            total += w * mine.bit_count()
-            while mine and not top:
-                low = mine & -mine
-                mine ^= low
-                if not parent_masks[low.bit_length()] & closure:
-                    top = w
+    todo = closure
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        parents = parent_masks[low.bit_length()]
+        w = parents.bit_count() or 1
+        total += w
+        if w > top and not parents & closure:
+            top = w
     return total - top
 
 
@@ -482,9 +474,8 @@ def _cost_search(
     sequential = mode == "sequential"
     start = closure = _future_need(parent_masks, 0, sink_mask)
     lower = _hold_bound(parent_masks, closure)
-    tiers = _weight_tiers(parent_masks)
     if sequential:
-        lower = max(lower, _seq_bound(parent_masks, tiers, closure))
+        lower = max(lower, _seq_bound(parent_masks, closure))
     within = "" if t_max is None else f" within {t_max} rounds"
     # A child in round nr must fit the longest chain of its closure into the
     # `horizon - nr` rounds left. Without a horizon nr stays 0 and any
@@ -494,13 +485,23 @@ def _cost_search(
     if lower > ub or max(levels(parent_masks, n, start)) > horizon:
         raise _infeasible(within, cost_cap)
     expanded = 0
+    # A search node, a state in round r (0 without a horizon), is keyed by
+    # mask | sat << n | r << 2n and reached by its link, key << ibits | i,
+    # i the index in `trail` of its parent's expansion. Each expansion, the
+    # dive's too, appends its own link to trail, so every witness is
+    # replayed from trail alone; the start's link is 0.
+    full, rshift = (1 << n) - 1, 2 * n
+    kbits, ibits = rshift + horizon.bit_length(), (limits.max_states + 1).bit_length()
+    lbits = kbits + ibits
+    trail: list[int] = []
 
     try:
-        mask = sat = gc = nr = 0
-        dive: list[int] = []
+        mask = sat = gc = nr = link = 0
         while sat != sink_mask:
             expanded += 1
             _spend(expanded, limits, deadline)
+            i = len(trail)
+            trail.append(link)
             # h1 is consistent, so no child has f below the state's own
             # g + h1, and a goal child at that f has the largest g too
             floor = gc + closure.bit_count()
@@ -520,33 +521,23 @@ def _cost_search(
             if step is None:
                 break  # dead end under the bound or the horizon
             *_, mask, sat, gc, closure = step
-            dive.append(mask)
+            link = (mask | sat << n | nr << rshift) << ibits | i
         else:
             if gc == lower:  # the dive meets the lower bound: proven
-                rounds = tuple(map(nodes_of, dive))
-                return SearchResult(gc, Pebbling(rounds, mode), True, expanded)
+                return SearchResult(gc, _witness(trail, link, n, mode, ibits), True, expanded)
             ub = incumbent = gc
 
-        # A search node, a state in round r (0 without a horizon), is keyed
-        # by mask | sat << n | r << 2n. A heap item is one int, (((f << hbits
-        # | h) << kbits | key) << ibits | i) << n | closure with h = f - g <=
-        # f <= ub, so items sort as (f, -g, key) tuples would, and carry the
-        # closure their pusher computed. i indexes the parent's expansion in
-        # `trail`, where each expansion appends its link, key << ibits | i, so
-        # the witness is replayed from trail alone. `hs` maps closure to bound.
-        full = (1 << n) - 1
-        rshift = 2 * n
-        kbits, hbits = rshift + horizon.bit_length(), ub.bit_length()
-        ibits = (limits.max_states + 1).bit_length()
-        lbits = kbits + ibits  # a link: key << ibits | i
+        # A heap item is one int, ((f << hbits | h) << lbits | link) << n |
+        # closure with h = f - g <= f <= ub: items sort as (f, -g, key) tuples
+        # would and carry their pusher's closure. `hs` maps closure to bound.
+        hbits = ub.bit_length()
         best: dict[int, int] = {0: 0}
         hs: dict[int, int] = {}
-        trail: list[int] = []
         heap: list[int] = [(lower << hbits | lower) << lbits + n | start]
         best_get, hs_get = best.get, hs.get
         bound = partial(_hold_bound, parent_masks)
         if sequential:
-            bound = partial(_seq_bound, parent_masks, tiers)
+            bound = partial(_seq_bound, parent_masks)
         while heap:
             item = heappop(heap)
             closure = item & full
@@ -588,30 +579,21 @@ def _cost_search(
     raise _infeasible(within, cost_cap)
 
 
-def _min_rounds_capped(
-    g: Dag,
-    cap: int,
-    mode: str,
-    limits: SearchLimits,
-    deadline: float | None,
-    expanded_so_far: int,
-) -> tuple[Pebbling, int] | tuple[None, int]:
-    """Fewest rounds to satisfy all sinks using at most cap pebbles at once.
-
-    Plain breadth-first search over the capped configuration graph; returns
-    (witness, expanded) or (None, expanded) when the cap is infeasible.
-    """
-    n = g.n
+def _sweep(g: Dag, mode: str, limits: SearchLimits | None):
+    """The capped sweep behind exact_min_space and exact_min_st: for each
+    space cap s = 1..n, one breadth-first search over the capped
+    configuration graph yields (s, a fewest-rounds witness that never holds
+    more than s pebbles or None, the states expanded so far)."""
+    limits, deadline = _check_entry(g, mode, limits)
+    n, sink_mask = g.n, g.sink_mask
     full = (1 << n) - 1
-    sink_mask = g.sink_mask
     sequential = mode == "sequential"
-    pred: dict[int, int] = {}  # keyed by mask | sat << n, as in exact_pcc
-    frontier = [0]
-    expanded = expanded_so_far
-    try:
-        while frontier:
-            nfront = []
-            for state in frontier:
+    expanded = 0
+    for cap in range(1, n + 1):
+        pred: dict[int, int] = {}  # keyed by mask | sat << n, as in exact_pcc
+        queue, witness = [0], None  # the queue grows while it is read
+        try:
+            for state in queue:
                 expanded += 1
                 _spend(expanded, limits, deadline)
                 for t_mask, ns, _ in _children(
@@ -621,12 +603,14 @@ def _min_rounds_capped(
                     if nstate not in pred:  # the start is never a child
                         pred[nstate] = state
                         if ns == sink_mask:
-                            return _witness(pred, nstate, n, mode), expanded
-                        nfront.append(nstate)
-            frontier = nfront
-    except _Stop as stop:
-        raise Exhausted(f"{stop} at space cap {cap}", expanded) from None
-    return None, expanded
+                            witness = _witness(pred, nstate, n, mode)
+                            break
+                        queue.append(nstate)
+                if witness is not None:
+                    break
+        except _Stop as stop:
+            raise Exhausted(f"{stop} at space cap {cap}", expanded) from None
+        yield cap, witness, expanded
 
 
 def exact_min_st(
@@ -636,20 +620,16 @@ def exact_min_st(
 
     For each space cap s the capped breadth-first sweep yields the fewest
     rounds t(s); the best witness over s is exact. Caps at or above the
-    current best product cannot improve it (t >= 1), so the sweep stops there.
+    current best product cannot improve it (t >= 1), so none is swept.
     """
-    limits, deadline = _check_entry(g, mode, limits)
-    expanded = 0
     best: tuple[int, Pebbling] | None = None
-    for s in range(1, g.n + 1):
-        if best is not None and s >= best[0]:
+    for s, witness, expanded in _sweep(g, mode, limits):
+        if witness is not None:
+            st = pebbling_cost(witness).st
+            if best is None or st < best[0]:
+                best = (st, witness)
+        if best is not None and s + 1 >= best[0]:
             break
-        witness, expanded = _min_rounds_capped(g, s, mode, limits, deadline, expanded)
-        if witness is None:
-            continue
-        st = pebbling_cost(witness).st
-        if best is None or st < best[0]:
-            best = (st, witness)
     assert best is not None, "cap n is always feasible"
     return SearchResult(best[0], best[1], True, expanded)
 
@@ -658,10 +638,7 @@ def exact_min_space(
     g: Dag, mode: str = "parallel", limits: SearchLimits | None = None
 ) -> SearchResult:
     """Smallest s such that some legal pebbling never holds more than s pebbles."""
-    limits, deadline = _check_entry(g, mode, limits)
-    expanded = 0
-    for s in range(1, g.n + 1):
-        witness, expanded = _min_rounds_capped(g, s, mode, limits, deadline, expanded)
+    for s, witness, expanded in _sweep(g, mode, limits):
         if witness is not None:
             return SearchResult(s, witness, True, expanded)
     raise AssertionError("unreachable: cap n is always feasible")

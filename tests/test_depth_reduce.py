@@ -2,6 +2,7 @@ from itertools import combinations
 
 import pytest
 
+from pebblecc import depth_reduce
 from pebblecc.depth_reduce import (
     greedy_reduce,
     is_reducible,
@@ -203,6 +204,7 @@ def test_witness_residual_depth_is_recomputed():
         assert r.residual_depth <= 3
 
 
-def test_visit_cap_raises():
+def test_visit_cap_raises(monkeypatch):
+    monkeypatch.setattr(depth_reduce, "_MAX_VISITS", 5)
     with pytest.raises(TooLarge):
-        min_reducing_set(complete(8), d=1, convention="nodes", max_visits=5)
+        min_reducing_set(complete(8), d=1, convention="nodes")

@@ -171,3 +171,12 @@ def test_depth_matches_networkx():
             expect = nx.dag_longest_path_length(sub) + 1 if len(sub) else 0
             assert depth(g, "nodes", excluding=s) == expect
             assert depth(g, "edges", excluding=s) == max(expect - 1, 0)
+
+
+def test_depth_is_linear_in_the_graph():
+    """depth reads parent_sets: on a long chain it builds no bit table,
+    whose masks would hold n^2 / 2 bits."""
+    g = chain(200_000)
+    assert depth(g, "nodes") == 200_000
+    assert depth(g, "edges", excluding={100_000}) == 99_999
+    assert "parent_masks" not in vars(g)

@@ -503,9 +503,8 @@ def test_sequential_bound_is_admissible_and_consistent():
     for g in _bound_corpus():
         succ, sinks = _state_graph(g, "sequential")
         rem = _remaining_costs(succ, sinks)
-        tiers = search._weight_tiers(g.parent_masks)
         h1 = {s: _closure_by_bfs(g, *s) for s in succ}
-        hs = {s: search._seq_bound(g.parent_masks, tiers, c) for s, c in h1.items()}
+        hs = {s: search._seq_bound(g.parent_masks, c) for s, c in h1.items()}
         for s, ts in succ.items():
             assert h1[s].bit_count() <= hs[s] <= rem[s], (g.edges, s)
             raised += hs[s] > h1[s].bit_count()
@@ -540,8 +539,18 @@ def _hold_bound_by_mask(parent_masks, mask, closure):
     return closure.bit_count() + twice.bit_count() + (mask & late).bit_count()
 
 
+def _weight_tiers(parent_masks):
+    """(w, nodes) pairs, heaviest first: the nodes v with max(1, |parents(v)|) = w."""
+    tiers = {}
+    for v in range(1, len(parent_masks)):
+        w = max(1, parent_masks[v].bit_count())
+        tiers[w] = tiers.get(w, 0) | 1 << (v - 1)
+    return sorted(tiers.items(), reverse=True)
+
+
 def _seq_bound_by_mask(parent_masks, tiers, mask, closure):
-    """h_seq in the form that tests placeability against the pebbles."""
+    """h_seq in the form that tests placeability against the pebbles, by
+    weight tiers from `_weight_tiers`, heaviest first."""
     if not closure:
         return 0
     total, top = 1, 0
@@ -578,14 +587,14 @@ def test_bounds_read_only_the_closure():
     states = 0
     for g in _bound_corpus():
         pm = g.parent_masks
-        tiers = search._weight_tiers(pm)
+        tiers = _weight_tiers(pm)
         for mode in ("parallel", "sequential"):
             for mask, done in _state_graph(g, mode)[0]:
                 c = _closure_by_bfs(g, mask, done)
                 key = (g.edges, mode, mask, done)
                 old = max(_hold_bound_by_mask(pm, mask, c), _chain_bound(g, c))
                 assert search._hold_bound(pm, c) == old, key
-                assert search._seq_bound(pm, tiers, c) == _seq_bound_by_mask(pm, tiers, mask, c), key
+                assert search._seq_bound(pm, c) == _seq_bound_by_mask(pm, tiers, mask, c), key
                 states += 1
     assert states == 2 * 23016
 
@@ -766,6 +775,32 @@ def test_min_space_values():
     assert exact_min_space(chain(7)).optimum == 1
     assert exact_min_space(pyramid(2)).optimum == 2
     assert exact_min_space(pyramid(3)).optimum == 3
+
+
+# (name, graph) -> mode -> (min-space optimum, its expanded_states, min-st
+# optimum, its expanded_states)
+SWEEP_PINS = {
+    "chain4": (chain(4), {"parallel": (1, 4, 4, 12), "sequential": (1, 4, 4, 12)}),
+    "chain6": (chain(6), {"parallel": (1, 6, 6, 35), "sequential": (1, 6, 6, 35)}),
+    "chain8": (chain(8), {"parallel": (1, 8, 8, 98), "sequential": (1, 8, 8, 98)}),
+    "chain10": (chain(10), {"parallel": (1, 10, 10, 309), "sequential": (1, 10, 10, 309)}),
+    "pyr3": (pyramid(3), {"parallel": (3, 26, 9, 53), "sequential": (3, 32, 18, 71)}),
+    "pyr4": (pyramid(4), {"parallel": (4, 165, 16, 390), "sequential": (4, 233, 40, 604)}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_PINS))
+def test_sweep_work_is_pinned(name):
+    """The capped sweep's optima and expansions. min-st stops before the
+    cap s + 1 once s + 1 reaches its best product: on chain(n) the best is
+    n after cap 1, so caps 1..n-1 are swept, and one cap more would add the
+    BFS of cap n (chain(4): 12 -> 16)."""
+    g, pins = SWEEP_PINS[name]
+    for mode, expected in pins.items():
+        space, st = exact_min_space(g, mode), exact_min_st(g, mode)
+        got = (space.optimum, space.expanded_states, st.optimum, st.expanded_states)
+        assert got == expected, mode
+        assert validate(g, space.witness).legal and validate(g, st.witness).legal
 
 
 def test_min_space_witness_is_tight():
