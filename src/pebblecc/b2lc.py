@@ -9,7 +9,7 @@ import json
 import warnings
 from dataclasses import dataclass
 
-from .graph import TooLarge
+from .graph import TooLarge, _from_json
 
 __all__ = [
     "TooLarge",
@@ -304,10 +304,9 @@ def b2lc_to_json(inst: B2lcInstance) -> str:
 
 
 def b2lc_from_json(text: str) -> B2lcInstance:
-    data = json.loads(text)
-    try:
-        n_vars, m = int(data["n_vars"]), int(data["m"])
-        equations = tuple((int(a), int(c), int(b)) for a, c, b in data["equations"])
-    except TypeError as exc:
-        raise ValueError(f"b2lc JSON has the wrong shape: {exc}") from exc
+    n_vars, m, equations = _from_json(text, "b2lc", lambda d: (
+        int(d["n_vars"]),
+        int(d["m"]),
+        tuple((int(a), int(c), int(b)) for a, c, b in d["equations"]),
+    ))
     return B2lcInstance(n_vars=n_vars, m=m, equations=equations)

@@ -15,7 +15,6 @@ from fractions import Fraction
 
 from .acceptance import run_acceptance
 from .b2lc import (
-    B2lcInstance,
     ThreePartitionInstance,
     b2lc_from_json,
     b2lc_to_json,
@@ -23,7 +22,9 @@ from .b2lc import (
     solve_b2lc,
 )
 from .depth_reduce import is_reducible, min_reducing_set
-from .graph import Dag, TooLarge, dag_from_json, dag_to_json, depth, generate
+from .graph import (
+    _GENERATORS, CONVENTIONS, Dag, TooLarge, _from_json, dag_from_json, dag_to_json, depth, generate,
+)
 from .lp import (
     build_pebbling_ip,
     build_reducible_ip,
@@ -77,18 +78,9 @@ def _load_graph(path: str) -> Dag:
     return dag_from_json(_read(path))
 
 
-def _load_shaped(path: str, what: str, build):
-    """build(JSON value at path), with a TypeError from a value of the wrong
-    shape turned into ValueError."""
-    try:
-        return build(json.loads(_read(path)))
-    except TypeError as exc:
-        raise ValueError(f"{what} JSON has the wrong shape: {exc}") from exc
-
-
 def _load_3part(path: str) -> ThreePartitionInstance:
-    elements, n = _load_shaped(
-        path, "3-partition", lambda d: (tuple(int(x) for x in d["elements"]), int(d["n"]))
+    elements, n = _from_json(
+        _read(path), "3-partition", lambda d: (tuple(int(x) for x in d["elements"]), int(d["n"]))
     )
     return ThreePartitionInstance(elements=elements, n=n)
 
@@ -190,8 +182,8 @@ def _cmd_reduce_b2lc(args):
 
 
 def _cmd_reduce_vc(args):
-    n, edges = _load_shaped(
-        args.instance, "undirected graph", lambda d: (int(d["n"]), [tuple(e) for e in d["edges"]])
+    n, edges = _from_json(
+        _read(args.instance), "undirected graph", lambda d: (int(d["n"]), [tuple(e) for e in d["edges"]])
     )
     g, originals = vc_to_reducible(n, edges, args.convention)
     payload = {
@@ -369,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     SEARCH = (_arg("--mode", choices=MODES, default="parallel"), *LIMITS)
     SEED = _arg("--seed", type=int, default=None, dest="cost_cap", metavar="SEED",
                 help="cost cap: find the optimum if it is at most SEED, else exit 1")
-    CONVENTION = _arg("--convention", choices=("nodes", "edges"), default="nodes")
+    CONVENTION = _arg("--convention", choices=CONVENTIONS, default="nodes")
     HORIZON = _arg("--horizon", type=int, default=None)
     PEBBLING = _arg("pebbling", help="pebbling JSON file")
     INSTANCE = _arg("instance", help="instance JSON file")
@@ -379,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     _command(
         sub, "gen", "generate a graph as JSON", _cmd_gen,
-        _arg("kind", choices=("chain", "pyramid", "complete", "layered_random")),
+        _arg("kind", choices=tuple(_GENERATORS)),
         _arg("params", nargs="+", help="generator arguments (sizes)"),
         _arg("--seed", type=int, default=None),
         json=False,

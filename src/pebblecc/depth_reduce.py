@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .graph import Dag, OutOfRange, TooLarge, depth, levels, mask_of, nodes_of
+from .graph import CONVENTIONS, Dag, OutOfRange, TooLarge, depth, levels, mask_of, nodes_of
 
 __all__ = [
     "ReducibilityResult",
@@ -39,11 +39,9 @@ class ReducibilityResult:
 
 def _allowed_nodes(d: int, convention: str) -> int:
     """Max node count of a permitted path: depth <= d translated to nodes."""
-    if convention == "nodes":
-        return d
-    if convention == "edges":
-        return d + 1
-    raise ValueError(f"unknown depth convention {convention!r}")
+    if convention not in CONVENTIONS:
+        raise ValueError(f"unknown depth convention {convention!r}")
+    return d + (convention == "edges")
 
 
 def _longest_path(g: Dag, keep: int, lvl: list[int]) -> list[int]:

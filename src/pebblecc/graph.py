@@ -32,6 +32,10 @@ __all__ = [
 ]
 
 
+# the two ways to measure a path: by its nodes or by its edges
+CONVENTIONS = ("nodes", "edges")
+
+
 class BackwardEdge(ValueError):
     """Raised for an edge (u, v) with u >= v, which the label order forbids."""
 
@@ -201,7 +205,7 @@ def depth(g: Dag, convention: str = "nodes", excluding=frozenset()) -> int:
     Returns:
         The longest-path length; 0 if every node is excluded.
     """
-    if convention not in ("nodes", "edges"):
+    if convention not in CONVENTIONS:
         raise ValueError(f"unknown depth convention {convention!r}")
     skip = frozenset(excluding)
     lvl = [0] * (g.n + 1)  # lvl[v]: node count of the longest path ending at v
@@ -295,11 +299,19 @@ def dag_to_json(g: Dag) -> str:
     return json.dumps({"n": g.n, "edges": [list(e) for e in g.edges]})
 
 
-def dag_from_json(text: str) -> Dag:
+def _from_json(text: str, what: str, build):
+    """build(the JSON value of text), with a TypeError from a value of the
+    wrong shape turned into ValueError."""
     data = json.loads(text)
     try:
-        n, edges = int(data["n"]), [(int(u), int(v)) for u, v in data["edges"]]
+        return build(data)
     except TypeError as exc:
-        raise ValueError(f"graph JSON has the wrong shape: {exc}") from exc
+        raise ValueError(f"{what} JSON has the wrong shape: {exc}") from exc
+
+
+def dag_from_json(text: str) -> Dag:
+    n, edges = _from_json(
+        text, "graph", lambda d: (int(d["n"]), [(int(u), int(v)) for u, v in d["edges"]])
+    )
     return build_dag(n, edges)
 

@@ -12,7 +12,7 @@ import json
 import random
 from dataclasses import dataclass
 
-from .graph import Dag, OutOfRange
+from .graph import Dag, OutOfRange, _from_json
 
 __all__ = [
     "Pebbling",
@@ -156,12 +156,11 @@ def pebbling_to_json(p: Pebbling) -> str:
 
 
 def pebbling_from_json(text: str) -> Pebbling:
-    data = json.loads(text)
-    try:
-        rounds = tuple(tuple(int(v) for v in r) for r in data["rounds"])
-    except TypeError as exc:
-        raise ValueError(f"pebbling JSON has the wrong shape: {exc}") from exc
-    return Pebbling(rounds=rounds, mode=data.get("mode", "parallel"))
+    rounds, mode = _from_json(text, "pebbling", lambda d: (
+        tuple(tuple(int(v) for v in r) for r in d["rounds"]),
+        d.get("mode", "parallel"),
+    ))
+    return Pebbling(rounds=rounds, mode=mode)
 
 
 def __getattr__(name: str):

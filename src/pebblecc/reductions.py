@@ -10,9 +10,10 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass, field
+from itertools import accumulate, cycle
 
 from .b2lc import B2lcInstance, B2lcWitness, ThreePartitionInstance, _assemble_witness, b2lc_to_json
-from .graph import Dag, build_dag, dag_to_json
+from .graph import CONVENTIONS, Dag, build_dag, dag_to_json
 from .pebbling import Pebbling
 
 __all__ = [
@@ -58,32 +59,90 @@ class InvalidWitness(ValueError):
 
 @dataclass(frozen=True)
 class ReductionLayout:
-    """The gadget graph of a covering instance plus its coordinate labelling.
+    """The gadget graph of a covering instance, built on construction, with
+    closed-form node ids.
 
-    Coordinates are strings: "C/i/j/z" is node z of copy j of variable i's
-    chain, "E/i/a" is node a of equation i's chain, "M/i/p" is position p of
-    variable i's long path, and "sink" is the single sink. label_map is a
-    bijection from coordinates to node ids.
+    Ids run in one fixed order, which is topological: variable chains by
+    (i, j, z), then equation chains by (i, a), then paths by (i, p), then the
+    sink. var_chain(i, j, z) is node z of copy j of variable i's chain,
+    eq_chain(i, a) is node a of equation i's chain, path_node(i, p) is
+    position p of variable i's long path, and sink_id is the single sink.
+    label_map is a view built on access: it maps the coordinate strings
+    "C/i/j/z", "E/i/a", "M/i/p" and "sink" to those ids, in id order.
+
+    Raises:
+        DegenerateEquation: if some offset c_i satisfies c_i >= c.
+        ValueError: if c < 1 or tau < 1.
     """
 
-    graph: Dag
     instance: B2lcInstance
     tau: int
-    c: int
-    label_map: dict[str, int] = field(repr=False)
+    c: int = field(init=False)
+    graph: Dag = field(init=False)
+    # eq_chain(i, a) is _eq_base[i - 1] + a; _eq_base[k] is the last id before the paths
+    _eq_base: tuple[int, ...] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        inst, tau = self.instance, self.tau
+        offsets = [c_i for _, c_i, _ in inst.equations]
+        c = sum(offsets)
+        if c < 1:
+            raise ValueError("the offsets sum to 0; the gadget needs c >= 1")
+        for idx, c_i in enumerate(offsets):
+            if c_i >= c:
+                raise DegenerateEquation(idx)
+        if tau < 1:
+            raise ValueError(f"need tau >= 1, got {tau}")
+        n = inst.n_vars
+        base = tuple(accumulate((c - c_i for c_i in offsets), initial=n * tau * c))
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "_eq_base", base)
+
+        # each chain or path is a run of consecutive ids, up to node 1 of the
+        # next run; every equation chain and every path ends in the sink
+        sink = self.path_node(n + 1, 1)
+        edges: list[tuple[int, int]] = []
+        for i in range(1, n + 1):
+            path = range(self.path_node(i, 1), self.path_node(i + 1, 1))
+            edges += zip(path, [*path[1:], sink])
+            for j in range(1, tau + 1):
+                chain = self._chain(i, j)
+                edges += zip(chain, chain[1:])
+                edges += zip(cycle(chain), path)  # position p + qc hangs off position p
+        for i, (alpha, c_i, beta) in enumerate(inst.equations, start=1):
+            run = range(self.eq_chain(i, 1), self.eq_chain(i + 1, 1))
+            edges += zip(run, [*run[1:], sink])
+            for j in range(1, tau + 1):  # node a hangs off alpha's a and beta's a + c_i
+                edges += zip(self._chain(alpha, j), run)
+                edges += zip(self._chain(beta, j)[c_i:], run)
+        object.__setattr__(self, "graph", build_dag(sink, edges))
 
     def var_chain(self, i: int, j: int, z: int) -> int:
-        return self.label_map[f"C/{i}/{j}/{z}"]
+        return ((i - 1) * self.tau + j - 1) * self.c + z
 
     def eq_chain(self, i: int, a: int) -> int:
-        return self.label_map[f"E/{i}/{a}"]
+        return self._eq_base[i - 1] + a
 
     def path_node(self, i: int, p: int) -> int:
-        return self.label_map[f"M/{i}/{p}"]
+        return self._eq_base[-1] + (i - 1) * self.c * self.instance.m + p
 
     @property
     def sink_id(self) -> int:
-        return self.label_map["sink"]
+        return self.graph.n
+
+    def _chain(self, i: int, j: int) -> range:
+        """The ids of copy j of variable i's chain, in chain order."""
+        return range(self.var_chain(i, j, 1), self.var_chain(i, j + 1, 1))
+
+    @property
+    def label_map(self) -> dict[str, int]:
+        inst, tau, c = self.instance, self.tau, self.c
+        vs = range(1, inst.n_vars + 1)
+        keys = [f"C/{i}/{j}/{z}" for i in vs for j in range(1, tau + 1) for z in range(1, c + 1)]
+        keys += [f"E/{i}/{a}" for i, (_, c_i, _) in enumerate(inst.equations, start=1)
+                 for a in range(1, c - c_i + 1)]
+        keys += [f"M/{i}/{p}" for i in vs for p in range(1, c * inst.m + 1)]
+        return dict(zip(keys + ["sink"], range(1, self.graph.n + 1)))
 
     def pebbling_cost_bound(self) -> int:
         """Cumulative-cost guarantee of the witness-driven pebbling schedule."""
@@ -186,23 +245,15 @@ def reduction_pebbling(layout: ReductionLayout, w: B2lcWitness) -> Pebbling:
                 r = a[y][i] + z - 1
                 for j in range(1, tau + 1):
                     put(layout.var_chain(i, j, z), r)
-            for p in range(1, c + 1):
-                pos = (y - 1) * c + p
-                placed = a[y][i] + p
-                if p < c:
-                    put(layout.path_node(i, pos), placed)
-                else:
-                    hold_until = a[y + 1][i] if y < m else release
-                    put(layout.path_node(i, pos), placed, hold_until)
-    for i, eq in enumerate(inst.equations, start=1):
-        alpha, c_i, _beta = eq
+            for p in range(1, c):
+                put(layout.path_node(i, (y - 1) * c + p), a[y][i] + p)
+            # the pass's last position is held until the next pass starts
+            put(layout.path_node(i, y * c), a[y][i] + c, a[y + 1][i] if y < m else release)
+    for i, (alpha, c_i, _beta) in enumerate(inst.equations, start=1):
         y = group_of[i - 1]
-        for e_pos in range(1, c - c_i + 1):
-            placed = a[y][alpha] + e_pos
-            if e_pos < c - c_i:
-                put(layout.eq_chain(i, e_pos), placed)
-            else:
-                put(layout.eq_chain(i, e_pos), placed, release)
+        for e_pos in range(1, c - c_i):
+            put(layout.eq_chain(i, e_pos), a[y][alpha] + e_pos)
+        put(layout.eq_chain(i, c - c_i), a[y][alpha] + c - c_i, release)
     put(layout.sink_id, release + 1)
 
     return Pebbling(rounds=tuple(tuple(sorted(r)) for r in rounds))
@@ -224,32 +275,23 @@ def sync_normalize(layout: ReductionLayout, p: Pebbling) -> Pebbling:
     chain cost becomes tau times the cheapest copy's, so cc never increases,
     and the transform is idempotent.
     """
-    inst = layout.instance
-    copies = range(1, layout.tau + 1)
-    where = {
-        layout.var_chain(i, j, z): (i, j, z)
-        for i in range(1, inst.n_vars + 1)
-        for j in copies
-        for z in range(1, layout.c + 1)
-    }
-    load: dict[tuple[int, int], int] = {}
+    tau, c = layout.tau, layout.c
+    chains = range(1, layout.var_chain(layout.instance.n_vars, tau, c) + 1)
+    # chain id v is node (v - 1) % c + 1 of copy j of variable i, where
+    # (v - 1) // c = (i - 1) * tau + j - 1 numbers the copies in order
+    load = [0] * (len(chains) // c)
     for rnd in p.rounds:
         for v in rnd:
-            if v in where:
-                i, j, _ = where[v]
-                load[i, j] = load.get((i, j), 0) + 1
-    best = {
-        i: min(copies, key=lambda j: load.get((i, j), 0))
-        for i in range(1, inst.n_vars + 1)
-    }
+            if v in chains:
+                load[(v - 1) // c] += 1
+    best = {min(range(q, q + tau), key=load.__getitem__) for q in range(0, len(load), tau)}
     new_rounds = []
     for rnd in p.rounds:
-        kept = [v for v in rnd if v not in where]
+        kept = [v for v in rnd if v not in chains]
         for v in rnd:
-            if v in where:
-                i, j, z = where[v]
-                if j == best[i]:
-                    kept.extend(layout.var_chain(i, k, z) for k in copies)
+            if v in chains and (v - 1) // c in best:
+                i, z = (v - 1) // (tau * c) + 1, (v - 1) % c + 1
+                kept.extend(range(layout.var_chain(i, 1, z), layout.var_chain(i + 1, 1, z), c))
         new_rounds.append(tuple(kept))
     return Pebbling(rounds=tuple(new_rounds), mode=p.mode)
 
@@ -307,81 +349,15 @@ def b2lc_to_graph(inst: B2lcInstance, tau: int | None = None) -> ReductionLayout
     position p in all copies; one sink fed by the last node of every equation
     chain and every path.
 
-    Node ids are assigned in the documented deterministic order (variable
-    chains by (i, j, z), equation chains by (i, a), paths by (i, p), then the
-    sink), which is already topological, so no relabelling happens.
+    The graph is built here, at once, on the closed-form ids of
+    ReductionLayout; their order is already topological, so no relabelling
+    happens. tau defaults to default_tau(inst).
 
     Raises:
         DegenerateEquation: if some offset c_i satisfies c_i >= c.
-        ValueError: if c < 1.
+        ValueError: if c < 1 or tau < 1.
     """
-    offsets = [c_i for _, c_i, _ in inst.equations]
-    c = sum(offsets)
-    if c < 1:
-        raise ValueError("the offsets sum to 0; the gadget needs c >= 1")
-    for idx, c_i in enumerate(offsets):
-        if c_i >= c:
-            raise DegenerateEquation(idx)
-    if tau is None:
-        tau = default_tau(inst)
-    if tau < 1:
-        raise ValueError(f"need tau >= 1, got {tau}")
-
-    n, m, k = inst.n_vars, inst.m, inst.k
-    label_map: dict[str, int] = {}
-    nid = 0
-
-    def fresh(coord: str) -> int:
-        nonlocal nid
-        nid += 1
-        label_map[coord] = nid
-        return nid
-
-    edges: list[tuple[int, int]] = []
-    for i in range(1, n + 1):
-        for j in range(1, tau + 1):
-            prev = None
-            for z in range(1, c + 1):
-                cur = fresh(f"C/{i}/{j}/{z}")
-                if prev is not None:
-                    edges.append((prev, cur))
-                prev = cur
-    for i in range(1, k + 1):
-        alpha, c_i, beta = inst.equations[i - 1]
-        prev = None
-        for a in range(1, c - c_i + 1):
-            cur = fresh(f"E/{i}/{a}")
-            if prev is not None:
-                edges.append((prev, cur))
-            for l in range(1, tau + 1):
-                edges.append((label_map[f"C/{alpha}/{l}/{a}"], cur))
-                edges.append((label_map[f"C/{beta}/{l}/{a + c_i}"], cur))
-            prev = cur
-    for i in range(1, n + 1):
-        prev = None
-        for p in range(1, c * m + 1):
-            cur = fresh(f"M/{i}/{p}")
-            if prev is not None:
-                edges.append((prev, cur))
-            p_local = (p - 1) % c + 1
-            for j in range(1, tau + 1):
-                edges.append((label_map[f"C/{i}/{j}/{p_local}"], cur))
-            prev = cur
-    sink = fresh("sink")
-    for i in range(1, k + 1):
-        edges.append((label_map[f"E/{i}/{c - offsets[i - 1]}"], sink))
-    for i in range(1, n + 1):
-        edges.append((label_map[f"M/{i}/{c * m}"], sink))
-
-    expected = tau * n * c + sum(c - c_i for c_i in offsets) + n * c * m + 1
-    assert nid == expected, f"node count {nid} != formula {expected}"
-    return ReductionLayout(
-        graph=build_dag(nid, edges),
-        instance=inst,
-        tau=tau,
-        c=c,
-        label_map=label_map,
-    )
+    return ReductionLayout(inst, default_tau(inst) if tau is None else tau)
 
 
 def vc_to_reducible(
@@ -395,6 +371,12 @@ def vc_to_reducible(
     L internal edges, hence L+1 nodes. Either way one extra edge joins the
     chain to its vertex, and labels stay topological.
 
+    Vertex i's in-chain, the vertex and its out-chain are one path of
+    span = n + 2*extra nodes (extra is 1 under "edges", else 0). The paths
+    follow each other in vertex order, so vertex i has the id
+    (i-1)*span + n - i + extra + 1, and the edges are those paths plus one
+    edge between vertex ids per undirected edge.
+
     A bare vertex path then has n nodes (n+1 edges under "edges"), while a
     path through edge (i, j), i < j, has n+1+(j-i) >= n+2 nodes (n+3 or
     more edges under "edges"). Removing vertex i leaves chains shorter than
@@ -406,7 +388,7 @@ def vc_to_reducible(
         (dag, originals) where originals marks the ids of the n input
         vertices inside the decorated DAG.
     """
-    if convention not in ("nodes", "edges"):
+    if convention not in CONVENTIONS:
         raise ValueError(f"unknown length convention {convention!r}")
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -417,30 +399,11 @@ def vc_to_reducible(
         undirected.add((min(a, b), max(a, b)))
 
     extra = 1 if convention == "edges" else 0
-    out_edges: list[tuple[int, int]] = []
-    vertex_id: dict[int, int] = {}
-    nid = 0
-    for i in range(1, n + 1):
-        in_len = (n - i) + extra
-        prev = None
-        for _ in range(in_len):
-            nid += 1
-            if prev is not None:
-                out_edges.append((prev, nid))
-            prev = nid
-        nid += 1
-        vertex_id[i] = nid
-        if prev is not None:
-            out_edges.append((prev, nid))
-        prev = nid
-        out_len = (i - 1) + extra
-        for _ in range(out_len):
-            nid += 1
-            out_edges.append((prev, nid))
-            prev = nid
-    for a, b in sorted(undirected):
-        out_edges.append((vertex_id[a], vertex_id[b]))
-    return build_dag(nid, out_edges), frozenset(vertex_id.values())
+    span = n + 2 * extra
+    vertex_id = [(i - 1) * span + n - i + extra + 1 for i in range(1, n + 1)]
+    out_edges = [(v, v + 1) for v in range(1, n * span) if v % span]
+    out_edges += [(vertex_id[a - 1], vertex_id[b - 1]) for a, b in sorted(undirected)]
+    return build_dag(n * span, out_edges), frozenset(vertex_id)
 
 
 def reduce_indegree(g: Dag, delta: int = 2, *, with_map: bool = False):

@@ -1,22 +1,26 @@
 import json
 import random
+import warnings
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
 from pebblecc.b2lc import B2lcInstance, ThreePartitionInstance, solve_3partition, solve_b2lc
 from pebblecc.graph import build_dag, chain, depth, pyramid
+from pebblecc.pebbling import Pebbling, random_legal_pebbling
 from pebblecc.reductions import (
     AmbiguousSink,
     DegenerateEquation,
     NotDivisibleWarning,
     ReductionLayout,
+    default_tau,
     amplifier_chain_length,
     append_chain,
     b2lc_to_graph,
     counterexample_dag,
-    default_tau,
     layout_to_json,
     reduce_indegree,
+    sync_normalize,
     threepartition_to_b2lc,
     vc_to_reducible,
 )
@@ -30,7 +34,6 @@ def verify_layout(layout: ReductionLayout) -> None:
     assert c == sum(offsets)
     expected_nodes = tau * n * c + sum(c - ci for ci in offsets) + n * c * m + 1
     assert g.n == expected_nodes
-    assert sorted(layout.label_map.values()) == list(range(1, g.n + 1))
 
     for i in range(1, n + 1):
         for j in range(1, tau + 1):
@@ -314,3 +317,228 @@ def test_counterexample_edges_exact():
     want |= {(i, i + 9) for i in range(1, 6)}
     want |= {(8, 15), (9, 16)}
     assert set(g.edges) == want
+
+
+# ---------------------------------------------------------------------------
+# Reference constructions: the gadget builders as they stood when node ids
+# came from a counter and a string-keyed label map. They are the oracle for
+# the closed-form ids of ReductionLayout and vc_to_reducible.
+
+
+def _reference_b2lc_to_graph(inst, tau=None):
+    """(graph, tau, c, label_map) of the covering gadget, one string per node."""
+    offsets = [c_i for _, c_i, _ in inst.equations]
+    c = sum(offsets)
+    if c < 1:
+        raise ValueError("the offsets sum to 0; the gadget needs c >= 1")
+    for idx, c_i in enumerate(offsets):
+        if c_i >= c:
+            raise DegenerateEquation(idx)
+    if tau is None:
+        tau = default_tau(inst)
+    if tau < 1:
+        raise ValueError(f"need tau >= 1, got {tau}")
+
+    n, m, k = inst.n_vars, inst.m, inst.k
+    label_map = {}
+    nid = 0
+
+    def fresh(coord):
+        nonlocal nid
+        nid += 1
+        label_map[coord] = nid
+        return nid
+
+    edges = []
+    for i in range(1, n + 1):
+        for j in range(1, tau + 1):
+            prev = None
+            for z in range(1, c + 1):
+                cur = fresh(f"C/{i}/{j}/{z}")
+                if prev is not None:
+                    edges.append((prev, cur))
+                prev = cur
+    for i in range(1, k + 1):
+        alpha, c_i, beta = inst.equations[i - 1]
+        prev = None
+        for a in range(1, c - c_i + 1):
+            cur = fresh(f"E/{i}/{a}")
+            if prev is not None:
+                edges.append((prev, cur))
+            for l in range(1, tau + 1):
+                edges.append((label_map[f"C/{alpha}/{l}/{a}"], cur))
+                edges.append((label_map[f"C/{beta}/{l}/{a + c_i}"], cur))
+            prev = cur
+    for i in range(1, n + 1):
+        prev = None
+        for p in range(1, c * m + 1):
+            cur = fresh(f"M/{i}/{p}")
+            if prev is not None:
+                edges.append((prev, cur))
+            p_local = (p - 1) % c + 1
+            for j in range(1, tau + 1):
+                edges.append((label_map[f"C/{i}/{j}/{p_local}"], cur))
+            prev = cur
+    sink = fresh("sink")
+    for i in range(1, k + 1):
+        edges.append((label_map[f"E/{i}/{c - offsets[i - 1]}"], sink))
+    for i in range(1, n + 1):
+        edges.append((label_map[f"M/{i}/{c * m}"], sink))
+
+    expected = tau * n * c + sum(c - c_i for c_i in offsets) + n * c * m + 1
+    assert nid == expected, f"node count {nid} != formula {expected}"
+    return build_dag(nid, edges), tau, c, label_map
+
+
+def _reference_sync_normalize(label_map, n_vars, tau, c, p):
+    """sync_normalize over the string label map, with its reverse dict."""
+    copies = range(1, tau + 1)
+    where = {
+        label_map[f"C/{i}/{j}/{z}"]: (i, j, z)
+        for i in range(1, n_vars + 1)
+        for j in copies
+        for z in range(1, c + 1)
+    }
+    load = {}
+    for rnd in p.rounds:
+        for v in rnd:
+            if v in where:
+                i, j, _ = where[v]
+                load[i, j] = load.get((i, j), 0) + 1
+    best = {i: min(copies, key=lambda j: load.get((i, j), 0)) for i in range(1, n_vars + 1)}
+    new_rounds = []
+    for rnd in p.rounds:
+        kept = [v for v in rnd if v not in where]
+        for v in rnd:
+            if v in where:
+                i, j, z = where[v]
+                if j == best[i]:
+                    kept.extend(label_map[f"C/{i}/{k}/{z}"] for k in copies)
+        new_rounds.append(tuple(kept))
+    return Pebbling(rounds=tuple(new_rounds), mode=p.mode)
+
+
+def _reference_vc_to_reducible(n, edges, convention="nodes"):
+    if convention not in ("nodes", "edges"):
+        raise ValueError(f"unknown length convention {convention!r}")
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    undirected = set()
+    for a, b in edges:
+        if not (1 <= a <= n and 1 <= b <= n) or a == b:
+            raise ValueError(f"bad undirected edge ({a}, {b})")
+        undirected.add((min(a, b), max(a, b)))
+
+    extra = 1 if convention == "edges" else 0
+    out_edges = []
+    vertex_id = {}
+    nid = 0
+    for i in range(1, n + 1):
+        in_len = (n - i) + extra
+        prev = None
+        for _ in range(in_len):
+            nid += 1
+            if prev is not None:
+                out_edges.append((prev, nid))
+            prev = nid
+        nid += 1
+        vertex_id[i] = nid
+        if prev is not None:
+            out_edges.append((prev, nid))
+        prev = nid
+        out_len = (i - 1) + extra
+        for _ in range(out_len):
+            nid += 1
+            out_edges.append((prev, nid))
+            prev = nid
+    for a, b in sorted(undirected):
+        out_edges.append((vertex_id[a], vertex_id[b]))
+    return build_dag(nid, out_edges), frozenset(vertex_id.values())
+
+
+def _assert_layout_matches_reference(inst, tau, pebblings):
+    layout = b2lc_to_graph(inst, tau)
+    graph, ref_tau, c, label_map = _reference_b2lc_to_graph(inst, tau)
+    assert (layout.graph, layout.tau, layout.c) == (graph, ref_tau, c)
+    assert list(layout.label_map.items()) == list(label_map.items())
+    assert layout.sink_id == label_map["sink"]
+    for p in pebblings(layout.graph):
+        want = _reference_sync_normalize(label_map, inst.n_vars, ref_tau, c, p)
+        assert sync_normalize(layout, p) == want
+    return layout
+
+
+def _random_rounds(g, seed, t=3):
+    """t rounds of random node ids: sync_normalize is a pure id transform, so
+    the pebbling it reads need not be legal."""
+    rng = random.Random(seed)
+    return Pebbling(rounds=tuple(
+        tuple(v for v in range(1, g.n + 1) if rng.random() < 0.3) for _ in range(t)
+    ))
+
+
+def test_gadget_matches_reference_on_reduction_chain_instances():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        insts = [
+            threepartition_to_b2lc(ThreePartitionInstance(elements=elems, n=n))
+            for n in (1, 2)
+            for elems in combinations_with_replacement(range(1, 5), 3 * n)
+        ]
+    assert len(insts) == 104
+    seed = 0
+    for inst in insts:
+        for tau in (1, 2, 3):
+            _assert_layout_matches_reference(
+                inst, tau, lambda g: [_random_rounds(g, seed % 20)]
+            )
+            seed += 1
+
+
+def test_sync_matches_reference_on_random_legal_pebblings():
+    for inst in (
+        B2lcInstance(n_vars=3, m=1, equations=((1, 1, 2), (2, 2, 3))),
+        B2lcInstance(n_vars=2, m=1, equations=((1, 1, 2), (2, 1, 1))),
+        B2lcInstance(n_vars=2, m=2, equations=((1, 2, 2), (1, 1, 2))),
+    ):
+        for tau in (1, 2, 3):
+            _assert_layout_matches_reference(
+                inst, tau, lambda g: [random_legal_pebbling(g, seed=s) for s in range(20)]
+            )
+
+
+def test_default_tau_gadget_matches_reference():
+    # 4 variables, budget 2, offsets summing to 7: default tau 226, 6,406 nodes
+    inst = B2lcInstance(n_vars=4, m=2, equations=((1, 2, 2), (2, 1, 3), (3, 3, 4), (4, 1, 1)))
+    layout = _assert_layout_matches_reference(
+        inst, None, lambda g: [_random_rounds(g, s) for s in range(2)]
+    )
+    assert (layout.tau, layout.graph.n) == (226, 6406)
+
+
+def test_vc_gadget_matches_reference_on_every_small_graph():
+    for v in range(1, 6):
+        pairs = list(combinations(range(1, v + 1), 2))
+        for r in range(len(pairs) + 1):
+            for es in combinations(pairs, r):
+                for convention in ("nodes", "edges"):
+                    got = vc_to_reducible(v, es, convention)
+                    assert got == _reference_vc_to_reducible(v, es, convention)
+
+
+def test_gadget_errors_match_reference():
+    for build, reference, args in [
+        *((b2lc_to_graph, _reference_b2lc_to_graph, a) for a in [
+            (B2lcInstance(n_vars=2, m=1, equations=((1, 0, 2),)), None),
+            (B2lcInstance(n_vars=2, m=1, equations=((1, 3, 2), (2, 0, 1))), 2),
+            (B2lcInstance(n_vars=2, m=1, equations=((1, 1, 2), (2, 1, 1))), 0),
+        ]),
+        *((vc_to_reducible, _reference_vc_to_reducible, a) for a in [
+            (0, []), (2, [(1, 1)]), (2, [(1, 3)]), (2, [], "hops"),
+        ]),
+    ]:
+        with pytest.raises(ValueError) as got:
+            build(*args)
+        with pytest.raises(ValueError) as want:
+            reference(*args)
+        assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
