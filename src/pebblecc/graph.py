@@ -105,6 +105,11 @@ class Dag:
         """The sinks as a bitmask."""
         return mask_of(self.sinks)
 
+    @cached_property
+    def source_mask(self) -> int:
+        """The sources as a bitmask."""
+        return mask_of(self.sources)
+
     def parents(self, v: int) -> frozenset[int]:
         if not 1 <= v <= self.n:
             raise OutOfRange(v, self.n)

@@ -230,61 +230,72 @@ def _seq_bound(parent_masks: tuple[int, ...], closure: int) -> int:
     return total - top
 
 
-def _placeable(g: Dag, mask: int) -> int:
-    parent_masks = g.parent_masks
-    out = 0
-    for v in range(1, g.n + 1):
-        bit = 1 << (v - 1)
-        if not mask & bit and parent_masks[v] & ~mask == 0:
-            out |= bit
-    return out
-
-
-def _submasks(mask: int):
-    """Every subset of mask, from mask itself down to 0."""
-    sub = mask
-    while True:
-        yield sub
-        if not sub:
-            return
-        sub = (sub - 1) & mask
-
-
 def _children(g, mask, sat, gc, sequential, ub, deadline, closure=None, cap=None):
     """Successors of state (mask, sat), reached at cost gc, as (t_mask, ns, feed).
 
     A round places a nonempty set of placeable nodes (one in sequential mode)
     and retains a subset of the pebbles; finished sinks are never re-placed
-    or held. A pebble is dropped only in a round that places one of its
-    children. If a round drops a non-sink pebble and places none of its
-    children, taking that pebble out of the round before keeps the pebbling
-    legal and costs one less (and a round left with no placement can go
-    too), so every min-cost pebbling follows the rule, under any horizon or
-    cost cap. The pebbles that feed no node of the new set are therefore
-    forced: always kept, with only subsets of the rest enumerated.
+    or held. A placeable node is an unpebbled source or a child of a pebble
+    with every parent pebbled, so only those are tested. A pebble is
+    dropped only in a round that places one of its children. If a round
+    drops a non-sink pebble and places none of its children, taking that
+    pebble out of the round before keeps the pebbling legal and costs one
+    less (and a round left with no placement can go too), so every min-cost
+    pebbling follows the rule, under any horizon or cost cap. The pebbles
+    that feed no node of the new set, the parents of its nodes, are
+    therefore forced: always kept, with only subsets of the rest enumerated.
 
-    The cost searches pass ub and the state's closure, `_future_need` of
-    its unfinished sinks. A placed node has all its parents pebbled, so no
-    closure path runs through a new set: known = closure & ~new is the
-    closure of (mask | new), with no walk. A new set whose floor
-    gc + |new| + |known| exceeds ub is skipped, and the retained set is cut
-    to the slack. feed holds the free pebbles with a child in known; those
-    a child drops are the only new starts of its closure, which
-    `_child_closure` completes when a caller reads it. cap is set only by
-    the capped sweep, the one search with a space cap: no round holds more
-    than cap pebbles. The sweep minimises rounds, not cost: it takes no ub
-    or closure, forces nothing and retains as many pebbles as fit (more
-    pebbles, same sinks done, never need more rounds); its feed is 0. Sets
-    are enumerated lazily, and the clock is read every 1024 sets tried so
-    that one expansion cannot overrun the deadline.
+    Placements are not limited to the closure U, `_future_need` of the
+    unfinished sinks. On the 8-node CLOSURE_TRAP of the tests, every
+    least-cost parallel pebbling places a node outside U: one pebble on 2
+    stands in for those on its children 3 and 4, which the round drops and
+    2 rebuilds later. Holding 3 and 4 instead, or 2's parent 1 for a later
+    2, costs one more. In sequential mode the rule has no proof.
+
+    The cost searches pass ub and the state's closure. A placed node has
+    all its parents pebbled, so no closure path runs through a new set:
+    known = closure & ~new is the closure of (mask | new), with no walk.
+    feed holds the free pebbles with a child in known; those a child drops
+    are the only new starts of its closure, which `_child_closure`
+    completes when a caller reads it. A child's h1 floor is its cost plus
+    its closure, and a feed pebble counts once either way: kept, it is in
+    the round; dropped, it is in the child's closure. So a new set whose
+    floor gc + |new| + |forced| + |known| + |feed| exceeds ub is skipped,
+    and a kept set may hold only as many free pebbles outside feed as the
+    slack left; every child cut here is one the callers' h1 cut drops. cap
+    is set only by the capped sweep, the one search with a space cap: no
+    round holds more than cap pebbles. The sweep minimises rounds, not
+    cost: it takes no ub or closure, forces nothing and retains as many
+    pebbles as fit (more pebbles, same sinks done, never need more rounds);
+    its feed is 0. Sets are enumerated lazily, and the clock is read every
+    1024 sets tried so that one expansion cannot overrun the deadline.
     """
-    avail = _placeable(g, mask) & ~sat
-    sink_mask = g.sink_mask
+    parent_masks, child_masks, sink_mask = g.parent_masks, g.child_masks, g.sink_mask
     retainable = mask & ~sat
-    rbits = [1 << (v - 1) for v in nodes_of(retainable)]
-    # each retainable pebble with its children, and with those in the closure
-    rkids = [(b, g.child_masks[b.bit_length()]) for b in rbits]
-    ckids = [(b, kids & closure) for b, kids in rkids if kids & closure] if closure else []
+    cand = g.source_mask
+    rest = mask
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        cand |= child_masks[low.bit_length()]
+    cand &= ~(mask | sat)
+    avail = 0
+    while cand:
+        low = cand & -cand
+        cand ^= low
+        if not parent_masks[low.bit_length()] & ~mask:
+            avail |= low
+    # each retainable pebble with a child in the closure, mapped to those children
+    ckids: dict[int, int] = {}
+    rest = retainable if closure else 0
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        kids = child_masks[low.bit_length()] & closure
+        if kids:
+            ckids[low] = kids
+    fed = sum(ckids)
+    rbits = [1 << (v - 1) for v in nodes_of(retainable)] if cap is not None else []
     feed = 0
     tried = 0
     probe = avail
@@ -300,29 +311,56 @@ def _children(g, mask, sat, gc, sequential, ub, deadline, closure=None, cap=None
             raise _Stop("time budget hit")
         nsize = new.bit_count()
         if cap is None:
-            fbits = [b for b, kids in rkids if kids & new]
-            free = sum(fbits)
+            if sequential:
+                free = parent_masks[new.bit_length()] & retainable
+            else:
+                free = 0  # the pebbles that are parents of new
+                rest = new
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    free |= parent_masks[low.bit_length()] & retainable
             forced = retainable ^ free
             known = closure & ~new
             rcap = ub - gc - nsize - known.bit_count() - forced.bit_count()
+            rest = free & fed
+            feed = 0
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                if ckids[low] & known:
+                    feed |= low
+            slack = rcap - feed.bit_count()
         else:
-            free, forced, fbits = retainable, 0, rbits
-            rcap = cap - nsize
-        if rcap < 0:
+            free, forced = retainable, 0
+            rcap = slack = cap - nsize
+        if slack < 0:
             continue
-        if ckids:
-            feed = sum(b for b, kids in ckids if kids & known) & free
         ns = sat | (new & sink_mask)
         base = new | forced
-        if rcap >= len(fbits):
-            subs = _submasks(free) if cap is None else (free,)
-        else:
+        if rcap < free.bit_count():
+            fbits = rbits if cap is not None else [1 << (v - 1) for v in nodes_of(free)]
             sizes = range(rcap + 1) if cap is None else range(rcap, rcap + 1)
             subs = map(sum, chain.from_iterable(map(combinations, repeat(fbits), sizes)))
+        elif cap is not None:
+            subs = (free,)
+        else:
+            sub = free
+            while True:  # every subset of free, from free itself down to 0
+                tried += 1
+                if not tried & 1023 and deadline is not None and time.monotonic() > deadline:
+                    raise _Stop("time budget hit")
+                yield base | sub, ns, feed
+                if not sub:
+                    break
+                sub = (sub - 1) & free
+            continue
         for sub in subs:
             tried += 1
             if not tried & 1023 and deadline is not None and time.monotonic() > deadline:
                 raise _Stop("time budget hit")
+            if feed and (sub & ~feed).bit_count() > slack:
+                continue
             yield base | sub, ns, feed
 
 
@@ -420,9 +458,13 @@ def exact_pcc(
     least (g + h1, -g); its cost is the incumbent that cuts children with
     g + h1 above it, and a dive that costs the start's bound is returned as
     proven without A*. Pruning (pure-discard elimination, a pebble dropped
-    only in a round that places one of its children, incumbent cuts) never
-    excludes an optimal plan; the test suite checks the search against a
-    plain least-cost enumeration on small graphs.
+    only in a round that places one of its children, incumbent cuts, and
+    the h1 floor of `_children`, which counts a feed pebble whether it is
+    kept or dropped) never excludes an optimal plan. Placements are not
+    limited to the closure: `_children` names a graph on which that rule
+    loses the parallel optimum. The test suite checks the search against a
+    plain least-cost enumeration on small graphs and against an outside
+    MILP solver on 12 to 18 nodes.
 
     Raises:
         TooLarge: n exceeds limits.max_nodes.
@@ -478,11 +520,21 @@ def _cost_search(
         lower = max(lower, _seq_bound(parent_masks, closure))
     within = "" if t_max is None else f" within {t_max} rounds"
     # A child in round nr must fit the longest chain of its closure into the
-    # `horizon - nr` rounds left. Without a horizon nr stays 0 and any
-    # closure fits, as its chain is at most its size, n. A start bound above
+    # `horizon - nr` rounds left; a closure no larger than that fits at
+    # once. Without a horizon nr stays 0 and every closure fits, as its size
+    # is at most n. The longest chain reads the closure alone, like the
+    # bounds, so `longest` computes it once per closure. A start bound above
     # ub is a proof that nothing fits the caps.
     rstep, horizon = (0, n) if t_max is None else (1, t_max)
-    if lower > ub or max(levels(parent_masks, n, start)) > horizon:
+    chains: dict[int, int] = {}
+
+    def longest(closure: int) -> int:
+        top = chains.get(closure)
+        if top is None:
+            top = chains[closure] = max(levels(parent_masks, n, closure))
+        return top
+
+    if lower > ub or longest(start) > horizon:
         raise _infeasible(within, cost_cap)
     expanded = 0
     # A search node, a state in round r (0 without a horizon), is keyed by
@@ -513,7 +565,7 @@ def _cost_search(
                 child = _child_closure(parent_masks, closure, t_mask, feed)
                 f = ng + child.bit_count()
                 if f <= ub and (step is None or (f, -ng) < step[:2]) and (
-                    f - ng <= left or max(levels(parent_masks, n, child)) <= left
+                    f - ng <= left or longest(child) <= left
                 ):
                     step = (f, -ng, t_mask, ns, ng, child)
                     if f == ng == floor:
@@ -564,7 +616,7 @@ def _cost_search(
                     continue
                 child = _child_closure(parent_masks, closure, t_mask, feed)
                 size = child.bit_count()
-                if ng + size > ub or size > left and max(levels(parent_masks, n, child)) > left:
+                if ng + size > ub or size > left and longest(child) > left:
                     continue  # cut by h1, which h never falls below, or by the horizon
                 h = hs_get(child)
                 if h is None:

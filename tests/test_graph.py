@@ -30,6 +30,7 @@ def test_mask_codec_round_trips():
         assert nodes_of(mask_of(nodes)) == nodes
     g = counterexample_dag()
     assert nodes_of(g.sink_mask) == g.sinks
+    assert nodes_of(g.source_mask) == g.sources
 
 
 def test_build_chain_of_three():
@@ -163,6 +164,7 @@ def test_depth_matches_networkx():
             assert g.parent_masks[v] == sum(1 << (u - 1) for u in g.parent_sets[v])
         assert g.parent_masks[0] == 0
         assert g.sink_mask == sum(1 << (s - 1) for s in g.sinks)
+        assert g.source_mask == sum(1 << (s - 1) for s in g.sources)
         # depth of an induced subgraph; ids outside [1, n] are ignored
         rng = random.Random(seed)
         for _ in range(5):

@@ -1,0 +1,77 @@
+"""The pebbling integer program, solved by an outside MILP solver, as an
+oracle for the bounded search on graphs too large for the test-side
+enumerators (12 to 18 nodes).
+
+It shares no pruning rule with the search: HiGHS (through SciPy) solves the
+model `build_pebbling_ip` builds, read from its stored columns, and the
+solution is checked as a pebbling in its own right. The package itself
+never imports SciPy; without it these tests skip.
+"""
+
+import pytest
+
+from pebblecc.b2lc import B2lcInstance
+from pebblecc.graph import layered_random
+from pebblecc.lp import build_pebbling_ip
+from pebblecc.pebbling import Pebbling, cost, validate
+from pebblecc.reductions import b2lc_to_graph, counterexample_dag
+from pebblecc.search import exact_pcc_bounded
+
+scipy_optimize = pytest.importorskip("scipy.optimize")
+scipy_sparse = pytest.importorskip("scipy.sparse")
+
+
+def _solve_ip(g, horizon):
+    """Solve build_pebbling_ip(g, horizon) with HiGHS; return the optimum
+    and the pebbling its x variables spell, trailing empty rounds dropped.
+
+    Rows are read as stored, already scaled: row i is
+    sum(row_coeffs[i][j] * x[row_vars[i][j]]) relations[i] rhs[i].
+    """
+    m = build_pebbling_ip(g, horizon)
+    nv = len(m.names)
+    cost_vec = [0] * nv
+    for i, c in zip(m.obj_vars, m.obj_coeffs):
+        cost_vec[i] += c
+    rows = [r for r, idx in enumerate(m.row_vars) for _ in idx]
+    cols = [i for idx in m.row_vars for i in idx]
+    vals = [c for coeffs in m.row_coeffs for c in coeffs]
+    a = scipy_sparse.csr_array((vals, (rows, cols)), shape=(len(m.row_vars), nv))
+    inf = float("inf")
+    lo = [-inf if rel == "<=" else b for rel, b in zip(m.relations, m.rhs)]
+    hi = [inf if rel == ">=" else b for rel, b in zip(m.relations, m.rhs)]
+    res = scipy_optimize.milp(
+        cost_vec,
+        constraints=scipy_optimize.LinearConstraint(a, lo, hi),
+        integrality=[1] * m.n_integral + [0] * (nv - m.n_integral),
+        bounds=scipy_optimize.Bounds(m.lower, m.upper),
+    )
+    assert res.success, res.message
+    x = {name: round(value) for name, value in zip(m.names, res.x)}
+    rounds = [
+        tuple(v for v in range(1, g.n + 1) if x[f"x_{v}_{t}"]) for t in range(1, horizon + 1)
+    ]
+    while rounds and not rounds[-1]:
+        rounds.pop()
+    return round(res.fun), Pebbling(tuple(rounds), "parallel")
+
+
+SYNC_GADGET = b2lc_to_graph(
+    B2lcInstance(n_vars=2, m=1, equations=((1, 1, 2), (2, 1, 1))), tau=2
+).graph
+CORPUS = {"ce16": counterexample_dag(), "sync-gadget15": SYNC_GADGET}
+CORPUS.update((f"lr{n}-1", layered_random(n, 1)) for n in (12, 14, 16, 18))
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_ip_optimum_matches_the_bounded_search(name):
+    """The MILP optimum of the pebbling program with horizon n + 1 is the
+    cost of a legal pebbling of at most n + 1 rounds, and equals
+    exact_pcc_bounded(g, n + 1)."""
+    g = CORPUS[name]
+    horizon = g.n + 1
+    optimum, pebbling = _solve_ip(g, horizon)
+    assert validate(g, pebbling).legal, (name, pebbling.rounds)
+    assert pebbling.t <= horizon
+    assert cost(pebbling).cc == optimum
+    assert exact_pcc_bounded(g, horizon).optimum == optimum, name

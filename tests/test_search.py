@@ -13,6 +13,7 @@ from pebblecc.graph import (
     complete,
     depth,
     layered_random,
+    mask_of,
     pyramid,
 )
 from pebblecc.pebbling import Pebbling, cost, validate
@@ -513,6 +514,106 @@ def test_sequential_bound_is_admissible_and_consistent():
             transitions += len(ts)
         states += len(succ)
     assert (states, transitions, raised) == (23016, 259945, 7732)
+
+
+# 1 -> 2 -> {3, 4}; {1, 3, 4} -> 5 -> 6; {3, 6} -> 7 and {4, 6} -> 8: the
+# pebble on 2 can stand in for the two on 3 and 4 while 6 is built
+CLOSURE_TRAP = build_dag(
+    8, [(1, 2), (2, 3), (2, 4), (1, 5), (3, 5), (4, 5), (5, 6), (3, 7), (4, 8), (6, 7), (6, 8)]
+)
+
+
+def _closure_rounds(g, succ):
+    """The transitions of `succ` that place only nodes of the source
+    state's closure (from a backward BFS) and drop a non-sink pebble only in
+    a round that places one of its children. Reads only g.n, g.edges and
+    g.parent_sets."""
+    _, parents = _bit_tables(g)
+    children = [sum(1 << w for w in range(g.n) if parents[w] >> v & 1) for v in range(g.n)]
+    kept = {}
+    for s, ts in succ.items():
+        closure = _closure_by_bfs(g, *s)
+        kept[s] = []
+        for t in ts:
+            new, dropped = t[0] & ~s[0], s[0] & ~t[0]
+            fed = all(
+                not children[v] or children[v] & new
+                for v in range(g.n)
+                if dropped >> v & 1
+            )
+            if fed and not new & ~closure:
+                kept[s].append(t)
+    return kept
+
+
+def _costs_by_rounds(succ, sinks, k_max):
+    """Entry k maps each state to its least cost to a goal within k rounds
+    (None if there is none)."""
+    rem = {s: 0 if s[1] == sinks else None for s in succ}
+    out = [rem]
+    for _ in range(k_max):
+        prev, rem = rem, {}
+        for s, ts in succ.items():
+            options = [t[0].bit_count() + prev[t] for t in ts if prev[t] is not None]
+            rem[s] = 0 if s[1] == sinks else min(options, default=None)
+        out.append(rem)
+    return out
+
+
+def _fewest_rounds(succ, sinks, cap):
+    """Breadth-first distance from the empty state to a goal through states
+    that hold at most cap pebbles, or None."""
+    dist = {(0, 0): 0}
+    queue = [(0, 0)]
+    for s in queue:
+        if s[1] == sinks:
+            return dist[s]
+        for t in succ[s]:
+            if t[0].bit_count() <= cap and t not in dist:
+                dist[t] = dist[s] + 1
+                queue.append(t)
+    return None
+
+
+def test_placing_only_closure_nodes_loses_the_parallel_optimum():
+    """Placing only nodes of the closure U (the unfinished sinks and their
+    ancestors through unpebbled nodes), even with the drop rule, loses the
+    parallel optimum of CLOSURE_TRAP: 12 becomes 13. The optimum's round 4
+    places 2 while U = {5, 6, 7, 8}; round 4 drops 3 and 4 to place 5, and
+    2 rebuilds both for 7 and 8. Holding 3 and 4 instead, or 1 for a later
+    2, costs one more. The search places nodes outside U, and its witness
+    shows it. Checked on the exhaustive state graphs with the test-side
+    enumerators, for least cost, least cost within k rounds and fewest
+    rounds under each space cap: the rule moves only the parallel costs."""
+    g = CLOSURE_TRAP
+    r = exact_pcc(g)
+    assert (r.optimum, _least_cost_reference(g).optimum) == (12, 12)
+    assert r.witness.rounds == ((1,), (2,), (1, 3, 4), (2, 5), (3, 4, 6), (7, 8))
+    assert _closure_by_bfs(g, mask_of((1, 3, 4)), 0) == mask_of((5, 6, 7, 8))
+    seen = {}
+    for mode in ("parallel", "sequential"):
+        succ, sinks = _state_graph(g, mode)
+        kept = _closure_rounds(g, succ)
+        full_rounds = _costs_by_rounds(succ, sinks, g.n + 1)
+        kept_rounds = _costs_by_rounds(kept, sinks, g.n + 1)
+        start = (0, 0)
+        seen[mode] = (
+            len(succ),
+            sum(map(len, succ.values())),
+            sum(map(len, kept.values())),
+            _remaining_costs(succ, sinks)[start],
+            _remaining_costs(kept, sinks).get(start),
+            [k for k in range(g.n + 2) if full_rounds[k][start] != kept_rounds[k][start]],
+            [
+                c
+                for c in range(1, g.n + 1)
+                if _fewest_rounds(succ, sinks, c) != _fewest_rounds(kept, sinks, c)
+            ],
+        )
+    assert seen == {
+        "parallel": (510, 22204, 2338, 12, 13, [6, 7, 8, 9], []),
+        "sequential": (510, 9979, 1383, 19, 19, [], []),
+    }
 
 
 def _hold_bound_by_mask(parent_masks, mask, closure):
