@@ -36,7 +36,7 @@ from .reductions import (
     threepartition_to_b2lc,
     vc_to_reducible,
 )
-from .search import Infeasible, SearchLimits, exact_min_space, exact_min_st, exact_pcc, exact_pcc_bounded
+from .search import Infeasible, exact_min_space, exact_min_st, exact_pcc, exact_pcc_bounded
 
 __all__ = ["CheckOutcome", "ACCEPTANCE_CHECKS", "run_acceptance"]
 
@@ -145,7 +145,7 @@ def _check_reduction_chain() -> tuple[bool, str]:
                 inst3 = ThreePartitionInstance(elements=elems, n=n)
                 direct, _ = solve_3partition(inst3)
                 b2lc = threepartition_to_b2lc(inst3)
-                covered, w = solve_b2lc(b2lc, cap=20_000_000)
+                covered, w = solve_b2lc(b2lc)
                 if direct and not covered:
                     return False, f"lost yes-instance n={n} {elems}"
                 if inst3.promise_satisfied:
@@ -235,7 +235,7 @@ def _check_sync_properties() -> tuple[bool, str]:
             first_break = verdict.first_violation
     spot_inst = B2lcInstance(n_vars=2, m=1, equations=((1, 1, 2), (2, 1, 1)))
     spot = b2lc_to_graph(spot_inst, tau=2)
-    res = exact_pcc(spot.graph, limits=SearchLimits(max_states=80_000_000))
+    res = exact_pcc(spot.graph)
     spot_ok = (
         res.proven
         and res.optimum == 19

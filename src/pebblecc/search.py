@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from heapq import heappop, heappush
 from itertools import chain, combinations, repeat
 
@@ -67,21 +67,24 @@ class _Stop(Exception):
     """A cap fired; each search turns it into Exhausted with its own counts."""
 
 
+_MAX_NODES = 24  # every search refuses a larger graph
+
+
 @dataclass(frozen=True)
 class SearchLimits:
     """The work caps every exact search reads.
 
-    max_nodes caps the graph's size. max_states caps the states expanded,
-    the dive's steps included. time_budget is in seconds of wall clock;
-    0.0 stops at the first check. A negative or NaN cap raises ValueError.
+    max_states caps the states expanded, the dive's steps included.
+    time_budget is in seconds of wall clock; 0.0 stops at the first check.
+    A negative or NaN cap raises ValueError. Every search also refuses a
+    graph of more than 24 nodes, a built-in cap.
     """
 
-    max_nodes: int = 24
     max_states: int = 2_000_000
     time_budget: float | None = None
 
     def __post_init__(self) -> None:
-        for name in ("max_nodes", "max_states", "time_budget"):
+        for name in ("max_states", "time_budget"):
             value = getattr(self, name)
             if value is not None and not value >= 0:  # NaN fails too
                 raise ValueError(f"{name} must be nonnegative, got {value}")
@@ -106,10 +109,8 @@ def _check_entry(
     limits = limits or SearchLimits()
     if mode not in MODES:
         raise ValueError(f"mode must be {' or '.join(MODES)}, got {mode!r}")
-    if g.n > limits.max_nodes:
-        raise TooLarge(
-            f"graph has {g.n} nodes, above the configured cap {limits.max_nodes}"
-        )
+    if g.n > _MAX_NODES:
+        raise TooLarge(f"graph has {g.n} nodes, above the configured cap {_MAX_NODES}")
     deadline = None if limits.time_budget is None else time.monotonic() + limits.time_budget
     return limits, deadline
 
@@ -332,18 +333,17 @@ def _children(g, mask, sat, gc, sequential, ub, deadline, closure=None, cap=None
                     feed |= low
             slack = rcap - feed.bit_count()
         else:
-            free, forced = retainable, 0
+            forced = 0
             rcap = slack = cap - nsize
         if slack < 0:
             continue
         ns = sat | (new & sink_mask)
         base = new | forced
-        if rcap < free.bit_count():
-            fbits = rbits if cap is not None else [1 << (v - 1) for v in nodes_of(free)]
-            sizes = range(rcap + 1) if cap is None else range(rcap, rcap + 1)
-            subs = map(sum, chain.from_iterable(map(combinations, repeat(fbits), sizes)))
-        elif cap is not None:
-            subs = (free,)
+        if cap is not None:
+            subs = map(sum, combinations(rbits, min(rcap, len(rbits))))
+        elif rcap < free.bit_count():
+            fbits = [1 << (v - 1) for v in nodes_of(free)]
+            subs = map(sum, chain.from_iterable(map(combinations, repeat(fbits), range(rcap + 1))))
         else:
             sub = free
             while True:  # every subset of free, from free itself down to 0
@@ -364,12 +364,12 @@ def _children(g, mask, sat, gc, sequential, ub, deadline, closure=None, cap=None
             yield base | sub, ns, feed
 
 
-def _witness(links, cur: int, n: int, mode: str, ibits: int = 0) -> Pebbling:
+def _witness(links, cur: int, n: int, mode: str, ibits: int) -> Pebbling:
     """Replay links back to the start, link 0. A link is state << ibits | i,
     the state packed as mask | sat << n (any tag above bit 2n), and
-    links[i] is the link before it; with ibits 0, i is the state itself."""
+    links[i] is the link before it, that of the state expanded i-th."""
     full = (1 << n) - 1
-    index = (1 << ibits) - 1 if ibits else -1
+    index = (1 << ibits) - 1
     rounds = []
     while cur:
         rounds.append(nodes_of(cur >> ibits & full))
@@ -438,12 +438,14 @@ def exact_pcc(
 
     Every bound reads the closure alone: a parent of a node of U is
     pebbled or in U, so a node of U is placeable now exactly when it has no
-    parent in U, and B = late & ~U. The search computes each bound once per
-    closure and pushes each child with h2, or in sequential mode h_seq; the
-    start's bound is h2, or in sequential mode the larger of h2 and h_seq.
-    Every key is g plus an admissible bound, so the first goal popped is
-    optimal and every popped key is a proven lower bound; the bound
-    reported is the largest popped.
+    parent in U, and B = late & ~U. The search uses one bound, h2, or in
+    sequential mode h_seq, computed once per closure, for the start and
+    every child. At the start h2 never exceeds h_seq = |sources| + |E|: U
+    is every node, so B is empty; a node of A is a parent of some c other
+    than c's last parent in id order, so |U| + |A| <= |sources| + |E|; and
+    1 + chain <= 1 + |E|, with at least one source. Every key is g plus an
+    admissible bound, so the first goal popped is optimal and every popped
+    key is a proven lower bound; the bound reported is the largest popped.
 
     exact_pcc_bounded runs the same search, dive included, on (state,
     round) pairs. No bound reads the round, and a horizon only removes
@@ -467,7 +469,7 @@ def exact_pcc(
     MILP solver on 12 to 18 nodes.
 
     Raises:
-        TooLarge: n exceeds limits.max_nodes.
+        TooLarge: n exceeds the built-in cap of 24 nodes.
         Exhausted: a state or time cap was hit first (dive steps count);
             it carries the proven interval [lower_bound, upper_bound].
         Infeasible: no pebbling costs at most cost_cap.
@@ -515,25 +517,17 @@ def _cost_search(
     ub = top if cost_cap is None else min(cost_cap, top)
     sequential = mode == "sequential"
     start = closure = _future_need(parent_masks, 0, sink_mask)
-    lower = _hold_bound(parent_masks, closure)
-    if sequential:
-        lower = max(lower, _seq_bound(parent_masks, closure))
+    bound = cache(partial(_seq_bound if sequential else _hold_bound, parent_masks))
+    lower = bound(start)
     within = "" if t_max is None else f" within {t_max} rounds"
     # A child in round nr must fit the longest chain of its closure into the
     # `horizon - nr` rounds left; a closure no larger than that fits at
     # once. Without a horizon nr stays 0 and every closure fits, as its size
     # is at most n. The longest chain reads the closure alone, like the
-    # bounds, so `longest` computes it once per closure. A start bound above
-    # ub is a proof that nothing fits the caps.
+    # bound, so both are computed once per closure. A start bound above ub
+    # is a proof that nothing fits the caps.
     rstep, horizon = (0, n) if t_max is None else (1, t_max)
-    chains: dict[int, int] = {}
-
-    def longest(closure: int) -> int:
-        top = chains.get(closure)
-        if top is None:
-            top = chains[closure] = max(levels(parent_masks, n, closure))
-        return top
-
+    longest = cache(lambda closure: max(levels(parent_masks, n, closure)))
     if lower > ub or longest(start) > horizon:
         raise _infeasible(within, cost_cap)
     expanded = 0
@@ -581,15 +575,11 @@ def _cost_search(
 
         # A heap item is one int, ((f << hbits | h) << lbits | link) << n |
         # closure with h = f - g <= f <= ub: items sort as (f, -g, key) tuples
-        # would and carry their pusher's closure. `hs` maps closure to bound.
+        # would and carry their pusher's closure.
         hbits = ub.bit_length()
         best: dict[int, int] = {0: 0}
-        hs: dict[int, int] = {}
         heap: list[int] = [(lower << hbits | lower) << lbits + n | start]
-        best_get, hs_get = best.get, hs.get
-        bound = partial(_hold_bound, parent_masks)
-        if sequential:
-            bound = partial(_seq_bound, parent_masks)
+        best_get = best.get
         while heap:
             item = heappop(heap)
             closure = item & full
@@ -618,9 +608,7 @@ def _cost_search(
                 size = child.bit_count()
                 if ng + size > ub or size > left and longest(child) > left:
                     continue  # cut by h1, which h never falls below, or by the horizon
-                h = hs_get(child)
-                if h is None:
-                    h = hs[child] = bound(child)
+                h = bound(child)
                 if ng + h <= ub:
                     best[nkey] = ng
                     heappush(heap, ((ng + h << hbits | h) << kbits | nkey) << ibits + n | i | child)
@@ -640,24 +628,28 @@ def _sweep(g: Dag, mode: str, limits: SearchLimits | None):
     n, sink_mask = g.n, g.sink_mask
     full = (1 << n) - 1
     sequential = mode == "sequential"
+    # the queue holds links, as exact_pcc's trail does: state << ibits | i, i
+    # the queue index of the state's parent, so i < expanded <= max_states
+    ibits = (limits.max_states + 1).bit_length()
     expanded = 0
     for cap in range(1, n + 1):
-        pred: dict[int, int] = {}  # keyed by mask | sat << n, as in exact_pcc
+        seen: set[int] = set()  # states, mask | sat << n, as in exact_pcc
         queue, witness = [0], None  # the queue grows while it is read
         try:
-            for state in queue:
+            for i, link in enumerate(queue):
                 expanded += 1
                 _spend(expanded, limits, deadline)
+                state = link >> ibits
                 for t_mask, ns, _ in _children(
                     g, state & full, state >> n, 0, sequential, None, deadline, cap=cap
                 ):
                     nstate = t_mask | ns << n
-                    if nstate not in pred:  # the start is never a child
-                        pred[nstate] = state
+                    if nstate not in seen:  # the start is never a child
+                        seen.add(nstate)
                         if ns == sink_mask:
-                            witness = _witness(pred, nstate, n, mode)
+                            witness = _witness(queue, nstate << ibits | i, n, mode, ibits)
                             break
-                        queue.append(nstate)
+                        queue.append(nstate << ibits | i)
                 if witness is not None:
                     break
         except _Stop as stop:

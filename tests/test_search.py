@@ -506,6 +506,8 @@ def test_sequential_bound_is_admissible_and_consistent():
         rem = _remaining_costs(succ, sinks)
         h1 = {s: _closure_by_bfs(g, *s) for s in succ}
         hs = {s: search._seq_bound(g.parent_masks, c) for s, c in h1.items()}
+        pm, U = g.parent_masks, (1 << g.n) - 1  # the empty state's closure: every node
+        assert search._hold_bound(pm, U) <= search._seq_bound(pm, U) == len(g.sources) + len(g.edges)
         for s, ts in succ.items():
             assert h1[s].bit_count() <= hs[s] <= rem[s], (g.edges, s)
             raised += hs[s] > h1[s].bit_count()
@@ -930,10 +932,11 @@ def test_determinism():
     assert a.expanded_states == b.expanded_states
 
 
-def test_node_cap():
+def test_node_cap(monkeypatch):
     with pytest.raises(TooLarge):
         exact_pcc(chain(25))
-    assert exact_pcc(chain(25), limits=SearchLimits(max_nodes=32)).optimum == 25
+    monkeypatch.setattr(search, "_MAX_NODES", 32)
+    assert exact_pcc(chain(25)).optimum == 25
 
 
 def test_state_cap_exhausts():
@@ -1002,7 +1005,7 @@ def test_unachievable_seed_is_infeasible():
 
 
 def test_negative_limits_rejected():
-    for field in ("max_nodes", "max_states", "time_budget"):
+    for field in ("max_states", "time_budget"):
         with pytest.raises(ValueError, match=field):
             SearchLimits(**{field: -1})
     with pytest.raises(ValueError, match="time_budget"):
@@ -1010,7 +1013,7 @@ def test_negative_limits_rejected():
     assert SearchLimits(time_budget=0.0).time_budget == 0.0
 
 
-def test_every_limit_binds_every_search():
+def test_every_limit_binds_every_search(monkeypatch):
     g = chain(2)
     searches = (
         exact_pcc,
@@ -1019,8 +1022,9 @@ def test_every_limit_binds_every_search():
         exact_min_space,
     )
     for run in searches:
-        with pytest.raises(TooLarge):
-            run(g, limits=SearchLimits(max_nodes=1))
+        with monkeypatch.context() as m, pytest.raises(TooLarge):
+            m.setattr(search, "_MAX_NODES", 1)
+            run(g, limits=SearchLimits())
         for limits in (SearchLimits(max_states=0), SearchLimits(time_budget=0.0)):
             with pytest.raises(Exhausted):
                 run(g, limits=limits)
