@@ -18,7 +18,7 @@ from functools import cache, partial
 from heapq import heappop, heappush
 from itertools import chain, combinations, repeat
 
-from .graph import Dag, TooLarge, levels, nodes_of
+from .graph import Dag, TooLarge, depth, levels, nodes_of
 from .pebbling import MODES, Pebbling
 from .pebbling import cost as pebbling_cost
 
@@ -39,8 +39,10 @@ class Exhausted(RuntimeError):
 
     From exact_pcc and exact_pcc_bounded, the optimum is proven to lie in
     [lower_bound, upper_bound]; upper_bound is the cost of the cheapest
-    pebbling the search built (its dive), or None. expanded counts the
-    states expanded, the dive's steps included.
+    pebbling the search built (its dive), or None. exact_min_space and
+    exact_min_st carry their own proven intervals, whose upper end is
+    likewise None or a witness the sweep built. expanded counts the states
+    expanded, the dive's steps included.
     """
 
     def __init__(
@@ -621,9 +623,19 @@ def _cost_search(
 
 def _sweep(g: Dag, mode: str, limits: SearchLimits | None):
     """The capped sweep behind exact_min_space and exact_min_st: for each
-    space cap s = 1..n, one breadth-first search over the capped
-    configuration graph yields (s, a fewest-rounds witness that never holds
-    more than s pebbles or None, the states expanded so far)."""
+    space cap s = max(1, max in-degree)..n, one breadth-first search over
+    the capped configuration graph yields (s, a fewest-rounds witness that
+    never holds more than s pebbles or None, the states expanded so far).
+
+    Every cap below the largest in-degree is infeasible, so none is swept:
+    every node is placed, as it is a sink or an ancestor of one, and the
+    round before a node is placed holds all its parents.
+
+    A cap hit while cap c is swept raises Exhausted with the interval
+    [c, ?]: every cap below c was ruled out above or swept completely, so
+    for exact_min_space, which stops at the first witness, the least space
+    is proven to lie there.
+    """
     limits, deadline = _check_entry(g, mode, limits)
     n, sink_mask = g.n, g.sink_mask
     full = (1 << n) - 1
@@ -632,7 +644,7 @@ def _sweep(g: Dag, mode: str, limits: SearchLimits | None):
     # the queue index of the state's parent, so i < expanded <= max_states
     ibits = (limits.max_states + 1).bit_length()
     expanded = 0
-    for cap in range(1, n + 1):
+    for cap in range(max(1, g.max_indeg), n + 1):
         seen: set[int] = set()  # states, mask | sat << n, as in exact_pcc
         queue, witness = [0], None  # the queue grows while it is read
         try:
@@ -653,7 +665,7 @@ def _sweep(g: Dag, mode: str, limits: SearchLimits | None):
                 if witness is not None:
                     break
         except _Stop as stop:
-            raise Exhausted(f"{stop} at space cap {cap}", expanded) from None
+            raise Exhausted(f"{stop} at space cap {cap}", expanded, cap) from None
         yield cap, witness, expanded
 
 
@@ -663,17 +675,45 @@ def exact_min_st(
     """Minimum space-time product t * max-space over all legal pebblings.
 
     For each space cap s the capped breadth-first sweep yields the fewest
-    rounds t(s); the best witness over s is exact. Caps at or above the
-    current best product cannot improve it (t >= 1), so none is swept.
+    rounds t(s); the best witness over s is exact. Let rounds be n in
+    sequential mode and depth(g), counting nodes, in parallel mode. A
+    pebbling whose peak space is sigma has st >= max(sigma * rounds, n):
+
+    - every node is a sink or an ancestor of one, so it is placed at least
+      once;
+    - a sequential round places at most one node, so t >= n;
+    - along a longest path each node is first placed in a later round than
+      the one before it, so t >= depth;
+    - a round holds at most sigma pebbles, so it places at most sigma
+      nodes, and t >= ceil(n / sigma).
+
+    So no cap s + 1 or above can beat a best product at or below
+    max((s + 1) * rounds, n), and the sweep stops there.
+
+    Raises:
+        Exhausted: a state or time cap was hit while cap c was swept. Every
+            cap below c was swept or is infeasible (see `_sweep`), so the
+            optimum is proven to lie in
+            [max(c * rounds, n), best], best the least product of a witness
+            the sweep built (above that floor, or the sweep would have
+            stopped before cap c), or in [max(c * rounds, n), ?] before any
+            witness.
     """
+    rounds = g.n if mode == "sequential" else depth(g)
     best: tuple[int, Pebbling] | None = None
-    for s, witness, expanded in _sweep(g, mode, limits):
-        if witness is not None:
-            st = pebbling_cost(witness).st
-            if best is None or st < best[0]:
-                best = (st, witness)
-        if best is not None and s + 1 >= best[0]:
-            break
+    try:
+        for s, witness, expanded in _sweep(g, mode, limits):
+            if witness is not None:
+                st = pebbling_cost(witness).st
+                if best is None or st < best[0]:
+                    best = (st, witness)
+            if best is not None and max((s + 1) * rounds, g.n) >= best[0]:
+                break
+    except Exhausted as stop:  # its interval [c, ?] is min-space's
+        floor = max(stop.lower_bound * rounds, g.n)
+        message = str(stop).partition(";")[0]
+        hi = None if best is None else best[0]
+        raise Exhausted(message, stop.expanded, floor, hi) from None
     assert best is not None, "cap n is always feasible"
     return SearchResult(best[0], best[1], True, expanded)
 
@@ -681,7 +721,12 @@ def exact_min_st(
 def exact_min_space(
     g: Dag, mode: str = "parallel", limits: SearchLimits | None = None
 ) -> SearchResult:
-    """Smallest s such that some legal pebbling never holds more than s pebbles."""
+    """Smallest s such that some legal pebbling never holds more than s pebbles.
+
+    Raises:
+        Exhausted: a state or time cap was hit while cap c was swept; no
+            smaller cap fits a pebbling, so the optimum lies in [c, ?].
+    """
     for s, witness, expanded in _sweep(g, mode, limits):
         if witness is not None:
             return SearchResult(s, witness, True, expanded)

@@ -411,7 +411,7 @@ def test_cli_output_is_pinned(tmp_path, capsys):
             out, err = capsys.readouterr()
             record.append(f"{argv}\n{rc}\n{out}\0{err}\0")
     digest = hashlib.sha256("".join(record).encode()).hexdigest()
-    assert digest == "e310931d2c4d831a2d1928534d10b80769392ef943014af735d871582715b6eb"
+    assert digest == "dd3f5919459234c90d6ff404912407f2dc190ec8a304f373aec2cc6fb8d92ca2"
 
 
 def test_pcc_bounded_seed_is_a_cost_cap(tmp_path, capsys):

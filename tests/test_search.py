@@ -883,27 +883,84 @@ def test_min_space_values():
 # (name, graph) -> mode -> (min-space optimum, its expanded_states, min-st
 # optimum, its expanded_states)
 SWEEP_PINS = {
-    "chain4": (chain(4), {"parallel": (1, 4, 4, 12), "sequential": (1, 4, 4, 12)}),
-    "chain6": (chain(6), {"parallel": (1, 6, 6, 35), "sequential": (1, 6, 6, 35)}),
-    "chain8": (chain(8), {"parallel": (1, 8, 8, 98), "sequential": (1, 8, 8, 98)}),
-    "chain10": (chain(10), {"parallel": (1, 10, 10, 309), "sequential": (1, 10, 10, 309)}),
-    "pyr3": (pyramid(3), {"parallel": (3, 26, 9, 53), "sequential": (3, 32, 18, 71)}),
-    "pyr4": (pyramid(4), {"parallel": (4, 165, 16, 390), "sequential": (4, 233, 40, 604)}),
+    "chain4": (chain(4), {"parallel": (1, 4, 4, 4), "sequential": (1, 4, 4, 4)}),
+    "chain6": (chain(6), {"parallel": (1, 6, 6, 6), "sequential": (1, 6, 6, 6)}),
+    "chain8": (chain(8), {"parallel": (1, 8, 8, 8), "sequential": (1, 8, 8, 8)}),
+    "chain10": (chain(10), {"parallel": (1, 10, 10, 10), "sequential": (1, 10, 10, 10)}),
+    "pyr3": (pyramid(3), {"parallel": (3, 22, 9, 22), "sequential": (3, 28, 18, 28)}),
+    "pyr4": (pyramid(4), {"parallel": (4, 160, 16, 160), "sequential": (4, 228, 40, 228)}),
 }
 
 
 @pytest.mark.parametrize("name", sorted(SWEEP_PINS))
 def test_sweep_work_is_pinned(name):
-    """The capped sweep's optima and expansions. min-st stops before the
-    cap s + 1 once s + 1 reaches its best product: on chain(n) the best is
-    n after cap 1, so caps 1..n-1 are swept, and one cap more would add the
-    BFS of cap n (chain(4): 12 -> 16)."""
+    """The capped sweep's optima and expansions. The sweep starts at the
+    largest in-degree, and min-st stops before cap s + 1 once
+    max((s + 1) * rounds, n) reaches its best product, rounds being n in
+    sequential mode and the depth in parallel mode. On chain(n) the best is
+    n after cap 1 and the floor of cap 2 is 2n, so only cap 1 is swept; on
+    the pyramids min-st stops after the min-space cap, at the floor of the
+    next cap (pyramid(4), parallel: 16 <= max(5 * 4, 10))."""
     g, pins = SWEEP_PINS[name]
     for mode, expected in pins.items():
         space, st = exact_min_space(g, mode), exact_min_st(g, mode)
         got = (space.optimum, space.expanded_states, st.optimum, st.expanded_states)
         assert got == expected, mode
         assert validate(g, space.witness).legal and validate(g, st.witness).legal
+
+
+def test_sweep_bounds_keep_every_optimum():
+    """Both ends of the sweep's bounds, on graphs shallower than they are
+    wide (layered_random has depth n): min-st equals the least witness st
+    over every cap the sweep yields, read with no early stop, and the
+    enumerator finds no pebbling in fewer pebbles than the largest
+    in-degree, the cap the sweep starts at."""
+    rng = random.Random(25)
+    corpus = [pyramid(k) for k in (2, 3, 4)] + [complete(k) for k in range(2, 7)]
+    corpus += [build_dag(n, []) for n in range(1, 7)] + [CLOSURE_TRAP]
+    for _ in range(200):
+        n, p = rng.randint(1, 9), rng.random()
+        pairs = [(u, v) for v in range(2, n + 1) for u in range(1, v)]
+        corpus.append(build_dag(n, [e for e in pairs if rng.random() < p]))
+    for g in corpus:
+        for mode in ("parallel", "sequential"):
+            sweep = search._sweep(g, mode, None)
+            full = min(cost(w).st for _, w, _ in sweep if w is not None)
+            assert exact_min_st(g, mode).optimum == full, (g.n, g.edges, mode)
+            if g.max_indeg >= 2:
+                with pytest.raises(Infeasible):
+                    _least_cost_reference(g, mode, max_space=g.max_indeg - 1)
+
+
+def test_sweep_exhausted_carries_proven_bounds():
+    """A cap hit while cap c is swept proves that no smaller cap fits a
+    better pebbling: min-space lies in [c, ?], and min-st in
+    [max(c * rounds, n), best], best the st of a witness the sweep built."""
+    # pyramid(4): caps 2 and 3 fit no pebbling (23 and 106 states expanded
+    # by their ends), cap 4 does; in parallel mode rounds is the depth, 4
+    g = pyramid(4)
+    with pytest.raises(Exhausted) as info:
+        exact_min_space(g, limits=SearchLimits(max_states=50))
+    assert (info.value.lower_bound, info.value.upper_bound) == (3, None)
+    assert str(info.value) == "state cap 50 hit at space cap 3; optimum in [3, ?]"
+    assert exact_min_space(g).optimum == 4
+    with pytest.raises(Exhausted) as info:
+        exact_min_st(g, limits=SearchLimits(max_states=50))
+    assert (info.value.lower_bound, info.value.upper_bound) == (12, None)
+    assert exact_min_st(g).optimum == 16
+    # layered_random(7, 102), sequential (rounds = n = 7): cap 2 builds a
+    # pebbling of st 22 in 17 expansions, and cap 3 one of st 21, the optimum
+    g = layered_random(7, 102)
+    cap, witness, expanded = next(search._sweep(g, "sequential", None))
+    assert (cap, cost(witness).st, expanded) == (2, 22, 17)
+    with pytest.raises(Exhausted) as info:
+        exact_min_st(g, "sequential", SearchLimits(max_states=20))
+    assert (info.value.lower_bound, info.value.upper_bound) == (21, 22)
+    assert str(info.value) == "state cap 20 hit at space cap 3; optimum in [21, 22]"
+    with pytest.raises(Exhausted) as info:
+        exact_min_st(g, "sequential", SearchLimits(max_states=5))
+    assert (info.value.lower_bound, info.value.upper_bound) == (14, None)
+    assert exact_min_st(g, "sequential").optimum == 21
 
 
 def test_min_space_witness_is_tight():
