@@ -11,6 +11,7 @@ import json
 import random
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable
 
 __all__ = [
     "BackwardEdge",
@@ -99,6 +100,43 @@ class Dag:
         for u, v in self.edges:
             cm[u] |= 1 << (v - 1)
         return tuple(cm)
+
+    @cached_property
+    def ready(self) -> Callable[[int], int]:
+        """ready(mask) is the set of nodes whose parents all lie in mask,
+        sources included: the nodes that are no child of a node outside
+        mask. It reads byte tables of child masks, one lookup per 8 nodes
+        (3 at n <= 24): entry b of table j is the OR of child_masks[v] over
+        the nodes v = 8j + i + 1 with bit i set in b."""
+        cm, n = self.child_masks, self.n
+        full = (1 << n) - 1
+        tables = []
+        for j in range(0, n, 8):
+            table = [0] * 256
+            same: dict[int, int] = {}  # one int object per value
+            for b in range(1, 256):
+                low = b & -b
+                v = j + low.bit_length()
+                value = table[b ^ low] | (cm[v] if v <= n else 0)
+                table[b] = same.setdefault(value, value)
+            tables.append(tuple(table))
+        if n <= 24:
+            t0, t1, t2 = tables + [(0,) * 256] * (3 - len(tables))
+
+            def ready(mask: int) -> int:
+                out = ~mask
+                return ~(t0[out & 255] | t1[out >> 8 & 255] | t2[out >> 16 & 255]) & full
+
+            return ready
+
+        def ready_any(mask: int) -> int:
+            out, rest = 0, ~mask
+            for table in tables:
+                out |= table[rest & 255]
+                rest >>= 8
+            return ~out & full
+
+        return ready_any
 
     @cached_property
     def sink_mask(self) -> int:

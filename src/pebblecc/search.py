@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass
 from functools import cache, partial
 from heapq import heappop, heappush
-from itertools import chain, combinations, repeat
+from itertools import combinations
 
 from .graph import Dag, TooLarge, depth, levels, nodes_of
 from .pebbling import MODES, Pebbling
@@ -233,20 +233,61 @@ def _seq_bound(parent_masks: tuple[int, ...], closure: int) -> int:
     return total - top
 
 
-def _children(g, mask, sat, gc, sequential, ub, deadline, closure=None, cap=None):
-    """Successors of state (mask, sat), reached at cost gc, as (t_mask, ns, feed).
+def _stuck(child_masks: tuple[int, ...], idle: int, avail: int) -> bool:
+    """Whether some pebble in idle has no child in avail."""
+    while idle:
+        low = idle & -idle
+        if not child_masks[low.bit_length()] & avail:
+            return True
+        idle ^= low
+    return False
+
+
+def _new_sets(avail: int, sequential: bool, cap: int | None):
+    """The sets a round may place, all nonempty subsets of avail: in
+    sequential mode each node alone, lowest id first; otherwise the subsets
+    of at most cap nodes (any number with cap None), in descending numeric
+    order. The next such subset below new is (new - 1) & avail with its
+    lowest bits cleared down to cap nodes, so no larger set is tried."""
+    if sequential:
+        while avail:
+            low = avail & -avail
+            yield low
+            avail ^= low
+        return
+    new = avail
+    while new:
+        if cap is not None:
+            for _ in range(new.bit_count() - cap):
+                new &= new - 1
+        yield new
+        new = (new - 1) & avail
+
+
+def _children(g, mask, sat, gc, sequential, ub, deadline, closure=None, cap=None, idle=False):
+    """Successors of state (mask, sat), reached at cost gc, one family
+    (base, free, ns, feed) per new set: its children are base | sub for the
+    subsets sub of free, and ns is their finished sinks.
 
     A round places a nonempty set of placeable nodes (one in sequential mode)
     and retains a subset of the pebbles; finished sinks are never re-placed
-    or held. A placeable node is an unpebbled source or a child of a pebble
-    with every parent pebbled, so only those are tested. A pebble is
-    dropped only in a round that places one of its children. If a round
-    drops a non-sink pebble and places none of its children, taking that
-    pebble out of the round before keeps the pebbling legal and costs one
-    less (and a round left with no placement can go too), so every min-cost
-    pebbling follows the rule, under any horizon or cost cap. The pebbles
-    that feed no node of the new set, the parents of its nodes, are
-    therefore forced: always kept, with only subsets of the rest enumerated.
+    or held. The placeable nodes, the unpebbled and unfinished nodes whose
+    parents are all pebbled, are read with `Dag.ready`, and so are the idle
+    pebbles below. A pebble is dropped only in a round that places one of
+    its children. If a round drops a non-sink pebble and places none of its
+    children, taking that pebble out of the round before keeps the pebbling
+    legal and costs one less (and a round left with no placement can go
+    too), so every min-cost pebbling follows the rule, under any horizon or
+    cost cap. The pebbles that feed no node of the new set, the parents of
+    its nodes, are therefore forced: base is the new set and the forced
+    pebbles, and free the pebbles that are parents of the new set.
+
+    With idle set (A* in parallel mode) the idle-pebble rule of exact_pcc's
+    docstring applies too: an idle pebble is one that is no finished sink
+    and has all its parents pebbled, and a new set that places no child of
+    some idle pebble is skipped, so a state with an idle pebble that has no
+    placeable child yields nothing (A* never stores one: the dead-end cut).
+    The rule is false in sequential mode.
 
     Placements are not limited to the closure U, `_future_need` of the
     unfinished sinks. On the 8-node CLOSURE_TRAP of the tests, every
@@ -257,37 +298,30 @@ def _children(g, mask, sat, gc, sequential, ub, deadline, closure=None, cap=None
 
     The cost searches pass ub and the state's closure. A placed node has
     all its parents pebbled, so no closure path runs through a new set:
-    known = closure & ~new is the closure of (mask | new), with no walk.
+    known = closure & ~base is the closure of (mask | new), with no walk.
     feed holds the free pebbles with a child in known; those a child drops
     are the only new starts of its closure, which `_child_closure`
     completes when a caller reads it. A child's h1 floor is its cost plus
     its closure, and a feed pebble counts once either way: kept, it is in
-    the round; dropped, it is in the child's closure. So a new set whose
-    floor gc + |new| + |forced| + |known| + |feed| exceeds ub is skipped,
-    and a kept set may hold only as many free pebbles outside feed as the
-    slack left; every child cut here is one the callers' h1 cut drops. cap
-    is set only by the capped sweep, the one search with a space cap: no
-    round holds more than cap pebbles. The sweep minimises rounds, not
-    cost: it takes no ub or closure, forces nothing and retains as many
-    pebbles as fit (more pebbles, same sinks done, never need more rounds);
-    its feed is 0. Sets are enumerated lazily, and the clock is read every
-    1024 sets tried so that one expansion cannot overrun the deadline.
+    the round; dropped, it is in the child's closure. So the child
+    base | feed has the family's least (f, -g) (exact_pcc's docstring), and
+    a new set is skipped when that child's floor
+    gc + |base| + |feed| + |known| exceeds ub; a caller keeps a subset only
+    if it holds no more free pebbles outside feed than the slack left.
+    cap is set only by the capped sweep, the one search with a space cap:
+    no round holds more than cap pebbles, so only new sets of at most cap
+    nodes are built. The sweep minimises rounds, not cost: it takes no ub or
+    closure, forces nothing and retains as many pebbles as fit (more
+    pebbles, same sinks done, never need more rounds); its free is every
+    retainable pebble and its feed 0. New sets are built lazily, and the
+    clock is read every 1024 sets so that one expansion cannot overrun the
+    deadline; the callers read it as often over the subsets they walk.
     """
     parent_masks, child_masks, sink_mask = g.parent_masks, g.child_masks, g.sink_mask
     retainable = mask & ~sat
-    cand = g.source_mask
-    rest = mask
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        cand |= child_masks[low.bit_length()]
-    cand &= ~(mask | sat)
-    avail = 0
-    while cand:
-        low = cand & -cand
-        cand ^= low
-        if not parent_masks[low.bit_length()] & ~mask:
-            avail |= low
+    ready = g.ready(mask)
+    avail = ready & ~(mask | sat)
+    need = ready & retainable if idle else 0  # the idle pebbles
     # each retainable pebble with a child in the closure, mapped to those children
     ckids: dict[int, int] = {}
     rest = retainable if closure else 0
@@ -298,72 +332,37 @@ def _children(g, mask, sat, gc, sequential, ub, deadline, closure=None, cap=None
         if kids:
             ckids[low] = kids
     fed = sum(ckids)
-    rbits = [1 << (v - 1) for v in nodes_of(retainable)] if cap is not None else []
-    feed = 0
     tried = 0
-    probe = avail
-    while probe:
-        if sequential:
-            new = probe & -probe
-            probe ^= new
-        else:
-            new = probe
-            probe = (probe - 1) & avail
+    for new in _new_sets(avail, sequential, cap):
         tried += 1
         if not tried & 1023 and deadline is not None and time.monotonic() > deadline:
             raise _Stop("time budget hit")
-        nsize = new.bit_count()
-        if cap is None:
-            if sequential:
-                free = parent_masks[new.bit_length()] & retainable
-            else:
-                free = 0  # the pebbles that are parents of new
-                rest = new
-                while rest:
-                    low = rest & -rest
-                    rest ^= low
-                    free |= parent_masks[low.bit_length()] & retainable
-            forced = retainable ^ free
-            known = closure & ~new
-            rcap = ub - gc - nsize - known.bit_count() - forced.bit_count()
-            rest = free & fed
-            feed = 0
+        ns = sat | (new & sink_mask)
+        if cap is not None:
+            yield new, retainable, ns, 0
+            continue
+        if sequential:
+            free = parent_masks[new.bit_length()] & retainable
+        else:
+            free = 0  # the pebbles that are parents of new
+            rest = new
             while rest:
                 low = rest & -rest
                 rest ^= low
-                if ckids[low] & known:
-                    feed |= low
-            slack = rcap - feed.bit_count()
-        else:
-            forced = 0
-            rcap = slack = cap - nsize
-        if slack < 0:
-            continue
-        ns = sat | (new & sink_mask)
-        base = new | forced
-        if cap is not None:
-            subs = map(sum, combinations(rbits, min(rcap, len(rbits))))
-        elif rcap < free.bit_count():
-            fbits = [1 << (v - 1) for v in nodes_of(free)]
-            subs = map(sum, chain.from_iterable(map(combinations, repeat(fbits), range(rcap + 1))))
-        else:
-            sub = free
-            while True:  # every subset of free, from free itself down to 0
-                tried += 1
-                if not tried & 1023 and deadline is not None and time.monotonic() > deadline:
-                    raise _Stop("time budget hit")
-                yield base | sub, ns, feed
-                if not sub:
-                    break
-                sub = (sub - 1) & free
-            continue
-        for sub in subs:
-            tried += 1
-            if not tried & 1023 and deadline is not None and time.monotonic() > deadline:
-                raise _Stop("time budget hit")
-            if feed and (sub & ~feed).bit_count() > slack:
-                continue
-            yield base | sub, ns, feed
+                free |= parent_masks[low.bit_length()] & retainable
+            if need & ~free:
+                continue  # an idle pebble with no child placed
+        base = new | (retainable ^ free)
+        known = closure & ~new
+        rest = free & fed
+        feed = 0
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if ckids[low] & known:
+                feed |= low
+        if gc + base.bit_count() + feed.bit_count() + known.bit_count() <= ub:
+            yield base, free, ns, feed
 
 
 def _witness(links, cur: int, n: int, mode: str, ibits: int) -> Pebbling:
@@ -449,26 +448,81 @@ def exact_pcc(
     admissible bound, so the first goal popped is optimal and every popped
     key is a proven lower bound; the bound reported is the largest popped.
 
+    The idle-pebble rule, A* in parallel mode only. A pebble p of a round
+    is idle if it is no finished sink and all its parents are in the round
+    (a held sink is finished, so p is no sink and has a child). Let P be a
+    least-cost pebbling and p idle in its round r, not the last. If round
+    r + 1 places no child of p, it drops p, which the drop rule of
+    `_children` already excludes, or keeps it. Then take p out of round r:
+    round r + 1 now places p, which is legal, as p's parents are all in
+    round r; no node placed in round r + 1 is a child of p, so none needed
+    p in round r; and what round r places or keeps reads only round r - 1.
+    The result is legal, finishes the same sinks in the same rounds, and
+    costs one less (if round r is left empty, it can go: round r + 1 then
+    holds only sources, all placed anew). So every round of P after a state
+    that is no goal places a child of each of that state's idle pebbles,
+    under any horizon, as the rounds do not grow, and under any cost cap,
+    as the cost falls. `_children` skips every new set that breaks the
+    rule. The dead-end cut follows: a child that is no goal and holds an
+    idle pebble with no placeable child has no round that keeps the rule,
+    so no least-cost pebbling passes through it, and A* never stores it.
+    In sequential mode the rule is false, since round r + 1 would place two
+    nodes: on the edges (1, 3), (2, 3), (1, 4), the round that first holds
+    both sources 1 and 2 places one of them while the other is idle in the
+    round before, so it places no child of that one, and no sequential
+    pebbling keeps the rule, though one costs 6.
+
+    Why A* stays exact. Every least-cost pebbling (within the horizon and
+    the cost cap) keeps the drop rule and the idle rule, or the exchanges
+    above would make it cheaper, and one of fewest rounds has no empty
+    round, so its states form a path in the graph whose edges are the
+    rounds that keep both rules. On that subgraph each remaining cost is at
+    least the full graph's, so every bound stays admissible, and each of
+    its edges is an edge of the full graph, so every bound stays
+    consistent. A* on the subgraph therefore pops first a goal at the
+    subgraph's optimum, which is the full optimum, and every key it pops is
+    at most that optimum: a proven lower bound, under any horizon or cost
+    cap.
+
     exact_pcc_bounded runs the same search, dive included, on (state,
     round) pairs. No bound reads the round, and a horizon only removes
     pebblings, so all stay admissible; each step of a pair is a round of
     its state, so all stay consistent. A child is kept only if the longest
     chain in its closure fits the rounds left, which removes only states
-    that cannot finish in time, and the drop rule of `_children` holds
+    that cannot finish in time, and the drop rule and the idle rule hold
     under any horizon. So the first goal popped is the bounded optimum, and
     every popped key is a proven lower bound on it.
 
+    The family lemma. `_children` yields one family (base, free, ns, feed)
+    per new set, whose children are base | sub for the subsets sub of free.
+    known = closure & ~base is the closure of base | feed, which drops no
+    feed pebble, so that child's g + h1 is F = gc + |base| + |feed| +
+    |known|. Every child's closure holds known and each feed pebble it
+    drops (an unpebbled node with a child in known), so its g + h1 is at
+    least F + |sub - feed|: keeping a pebble outside feed adds 1 to the
+    floor, and dropping a feed pebble keeps the floor at best but lowers
+    g. So base | feed is the family's one child of least (g + h1, -g), and
+    its closure, known, is the family's smallest.
+
     A greedy dive first walks from the empty state, always to the child of
-    least (g + h1, -g); its cost is the incumbent that cuts children with
+    least (g + h1, -g), the first such in the generator's order. By the
+    family lemma it reads only base | feed from each family: no other
+    child of the family can beat it, and if its closure fails the horizon
+    test, so does every larger one. So the dive reads one child per new set
+    and keeps neither the idle rule nor the dead-end cut: it needs only
+    some legal pebbling. Its cost is the incumbent that cuts children with
     g + h1 above it, and a dive that costs the start's bound is returned as
     proven without A*. Pruning (pure-discard elimination, a pebble dropped
-    only in a round that places one of its children, incumbent cuts, and
-    the h1 floor of `_children`, which counts a feed pebble whether it is
-    kept or dropped) never excludes an optimal plan. Placements are not
-    limited to the closure: `_children` names a graph on which that rule
-    loses the parallel optimum. The test suite checks the search against a
-    plain least-cost enumeration on small graphs and against an outside
-    MILP solver on 12 to 18 nodes.
+    only in a round that places one of its children, the idle-pebble rule,
+    the dead-end cut, incumbent cuts, and the h1 floor of `_children`,
+    which counts a feed pebble whether it is kept or dropped, so a family
+    whose F exceeds the incumbent is skipped whole, and A* keeps a subset
+    only if its pebbles outside feed fit the slack left) never excludes an
+    optimal plan. Placements are not limited to the closure: `_children`
+    names a graph on which that rule loses the parallel optimum. The test
+    suite checks the search against a plain least-cost enumeration on
+    small graphs, checks the idle rule on exhaustive state graphs, and
+    checks the search against an outside MILP solver on 12 to 20 nodes.
 
     Raises:
         TooLarge: n exceeds the built-in cap of 24 nodes.
@@ -507,17 +561,21 @@ def _cost_search(
     limits: SearchLimits | None,
     cost_cap: int | None,
     t_max: int | None,
+    idle_rule: bool = True,
 ) -> SearchResult:
-    """exact_pcc, or with t_max set exact_pcc_bounded."""
+    """exact_pcc, or with t_max set exact_pcc_bounded. idle_rule=False
+    turns off the idle-pebble rule and the dead-end cut, so that the tests
+    can compare the optima with and without them."""
     limits, deadline = _check_entry(g, mode, limits)
     if t_max is not None and t_max < 0:
         raise ValueError("t_max must be nonnegative")
     n = g.n
-    parent_masks, sink_mask = g.parent_masks, g.sink_mask
+    parent_masks, child_masks, sink_mask, ready = g.parent_masks, g.child_masks, g.sink_mask, g.ready
     incumbent = None
     top = n * (n + 1) // 2 if t_max is None else n * t_max
     ub = top if cost_cap is None else min(cost_cap, top)
     sequential = mode == "sequential"
+    idle = idle_rule and not sequential  # A* keeps to the idle-pebble rule in parallel mode
     start = closure = _future_need(parent_masks, 0, sink_mask)
     bound = cache(partial(_seq_bound if sequential else _hold_bound, parent_masks))
     lower = bound(start)
@@ -556,13 +614,14 @@ def _cost_search(
             nr += rstep
             left = horizon - nr
             step = None
-            for t_mask, ns, feed in _children(g, mask, sat, gc, sequential, ub, deadline, closure):
+            # each family's least (f, -g) child keeps its feed, and its
+            # closure is known; no other child of the family can be taken
+            for base, _, ns, feed in _children(g, mask, sat, gc, sequential, ub, deadline, closure):
+                t_mask = base | feed
                 ng = gc + t_mask.bit_count()
-                child = _child_closure(parent_masks, closure, t_mask, feed)
+                child = closure & ~base
                 f = ng + child.bit_count()
-                if f <= ub and (step is None or (f, -ng) < step[:2]) and (
-                    f - ng <= left or longest(child) <= left
-                ):
+                if (step is None or (f, -ng) < step[:2]) and (f - ng <= left or longest(child) <= left):
                     step = (f, -ng, t_mask, ns, ng, child)
                     if f == ng == floor:
                         break  # no later child can beat it
@@ -582,6 +641,7 @@ def _cost_search(
         best: dict[int, int] = {0: 0}
         heap: list[int] = [(lower << hbits | lower) << lbits + n | start]
         best_get = best.get
+        tried = 0  # subsets walked, for the clock
         while heap:
             item = heappop(heap)
             closure = item & full
@@ -601,19 +661,43 @@ def _cost_search(
             trail.append(link)
             nr = (node >> rshift) + rstep
             left, tag = horizon - nr, nr << rshift
-            for t_mask, ns, feed in _children(g, mask, sat, gc, sequential, ub, deadline, closure):
-                ng = gc + t_mask.bit_count()
-                nkey = t_mask | ns << n | tag
-                if ng >= best_get(nkey, ng + 1):
-                    continue
-                child = _child_closure(parent_masks, closure, t_mask, feed)
-                size = child.bit_count()
-                if ng + size > ub or size > left and longest(child) > left:
-                    continue  # cut by h1, which h never falls below, or by the horizon
-                h = bound(child)
-                if ng + h <= ub:
-                    best[nkey] = ng
-                    heappush(heap, ((ng + h << hbits | h) << kbits | nkey) << ibits + n | i | child)
+            for base, free, ns, feed in _children(
+                g, mask, sat, gc, sequential, ub, deadline, closure, idle=idle
+            ):
+                known = closure & ~base
+                g0 = gc + base.bit_count()
+                stag = ns << n | tag
+                cut = idle and ns != sink_mask  # the dead-end cut applies
+                # a kept subset holds at most slack free pebbles outside feed
+                other = free ^ feed
+                slack = ub - g0 - known.bit_count() - feed.bit_count()
+                tight = other.bit_count() > slack
+                sub = free + 1
+                while sub:  # every subset of free, from free itself down to 0
+                    sub = (sub - 1) & free
+                    tried += 1
+                    if not tried & 1023 and deadline is not None and time.monotonic() > deadline:
+                        raise _Stop("time budget hit")
+                    if tight and (sub & other).bit_count() > slack:
+                        continue
+                    t_mask = base | sub
+                    ng = g0 + sub.bit_count()
+                    nkey = t_mask | stag
+                    if ng >= best_get(nkey, ng + 1):
+                        continue
+                    if cut:
+                        r = ready(t_mask)
+                        held = r & t_mask & ~ns
+                        if held and _stuck(child_masks, held, r & ~(t_mask | ns)):
+                            continue
+                    child = _child_closure(parent_masks, closure, t_mask, feed) if feed & ~sub else known
+                    size = child.bit_count()
+                    if ng + size > ub or size > left and longest(child) > left:
+                        continue  # cut by h1, which h never falls below, or by the horizon
+                    h = bound(child)
+                    if ng + h <= ub:
+                        best[nkey] = ng
+                        heappush(heap, ((ng + h << hbits | h) << kbits | nkey) << ibits + n | i | child)
     except _Stop as stop:
         raise Exhausted(
             f"{stop} at bound {lower}", expanded, lower, incumbent
@@ -647,21 +731,29 @@ def _sweep(g: Dag, mode: str, limits: SearchLimits | None):
     for cap in range(max(1, g.max_indeg), n + 1):
         seen: set[int] = set()  # states, mask | sat << n, as in exact_pcc
         queue, witness = [0], None  # the queue grows while it is read
+        tried = 0  # kept sets walked, for the clock
         try:
             for i, link in enumerate(queue):
                 expanded += 1
                 _spend(expanded, limits, deadline)
                 state = link >> ibits
-                for t_mask, ns, _ in _children(
+                rbits = [1 << (v - 1) for v in nodes_of(state & ~(state >> n) & full)]
+                for new, _, ns, _ in _children(
                     g, state & full, state >> n, 0, sequential, None, deadline, cap=cap
                 ):
-                    nstate = t_mask | ns << n
-                    if nstate not in seen:  # the start is never a child
-                        seen.add(nstate)
-                        if ns == sink_mask:
-                            witness = _witness(queue, nstate << ibits | i, n, mode, ibits)
-                            break
-                        queue.append(nstate << ibits | i)
+                    for kept in combinations(rbits, min(cap - new.bit_count(), len(rbits))):
+                        tried += 1
+                        if not tried & 1023 and deadline is not None and time.monotonic() > deadline:
+                            raise _Stop("time budget hit")
+                        nstate = new | sum(kept) | ns << n
+                        if nstate not in seen:  # the start is never a child
+                            seen.add(nstate)
+                            if ns == sink_mask:
+                                witness = _witness(queue, nstate << ibits | i, n, mode, ibits)
+                                break
+                            queue.append(nstate << ibits | i)
+                    if witness is not None:
+                        break
                 if witness is not None:
                     break
         except _Stop as stop:

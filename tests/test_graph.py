@@ -173,6 +173,10 @@ def test_depth_matches_networkx():
             expect = nx.dag_longest_path_length(sub) + 1 if len(sub) else 0
             assert depth(g, "nodes", excluding=s) == expect
             assert depth(g, "edges", excluding=s) == max(expect - 1, 0)
+            # ready(mask) holds the nodes whose parents all lie in mask
+            mask = rng.getrandbits(g.n)
+            held = set(nodes_of(mask))
+            assert nodes_of(g.ready(mask)) == tuple(v for v in range(1, g.n + 1) if g.parent_sets[v] <= held)
 
 
 def test_depth_is_linear_in_the_graph():

@@ -1,6 +1,6 @@
 """The pebbling integer program, solved by an outside MILP solver, as an
 oracle for the bounded search on graphs too large for the test-side
-enumerators (12 to 18 nodes).
+enumerators (12 to 20 nodes).
 
 It shares no pruning rule with the search: HiGHS (through SciPy) solves the
 model `build_pebbling_ip` builds, read from its stored columns, and the
@@ -61,6 +61,7 @@ SYNC_GADGET = b2lc_to_graph(
 ).graph
 CORPUS = {"ce16": counterexample_dag(), "sync-gadget15": SYNC_GADGET}
 CORPUS.update((f"lr{n}-1", layered_random(n, 1)) for n in (12, 14, 16, 18))
+CORPUS["lr20-253228484"] = layered_random(20, 253228484)
 
 
 @pytest.mark.parametrize("name", CORPUS)

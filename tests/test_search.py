@@ -312,7 +312,7 @@ def test_every_capped_interval_holds_the_optimum():
                         continue
                     assert r.optimum == opt, (g.edges, mode)
                     break
-    assert (intervals, closed) == (1407, 679)
+    assert (intervals, closed) == (1403, 675)
 
 
 def _unfed_drops(g, pebbling):
@@ -380,10 +380,13 @@ def _closure_by_bfs(g, pebbles, done):
 
 def test_inherited_closures_match_a_backward_bfs(monkeypatch):
     """Each child's closure is its parent's less the new set, plus a walk
-    from the dropped pebbles that feed it. Checked, for every child the
-    generator yields inside exact_pcc and exact_pcc_bounded, against a plain
-    backward BFS over the edge list: the state's closure, the floor identity
-    closure(mask | new) == closure & ~new, and the completed child closure."""
+    from the dropped pebbles that feed it. Checked, for every child of
+    every family the generator yields inside exact_pcc and
+    exact_pcc_bounded (base | sub for each subset sub of free), against a
+    plain backward BFS over the edge list: the state's closure, the floor
+    identity closure(mask | new) == closure & ~new, and the completed child
+    closure. The family lemma holds too: base | feed is the one child of
+    least (cost + closure, -cost)."""
     real = search._children
     counts = {"states": 0, "children": 0, "seeded": 0}
 
@@ -392,15 +395,23 @@ def test_inherited_closures_match_a_backward_bfs(monkeypatch):
         g, mask, sat, closure = a["g"], a["mask"], a["sat"], a["closure"]
         assert closure == _closure_by_bfs(g, mask, sat), (g.edges, mask, sat)
         counts["states"] += 1
-        for t_mask, ns, feed in real(*args, **kwargs):
-            key = (g.edges, mask, sat, t_mask)
-            new = t_mask & ~mask
-            assert closure & ~new == _closure_by_bfs(g, mask | new, ns), key
-            child = search._child_closure(g.parent_masks, closure, t_mask, feed)
-            assert child == _closure_by_bfs(g, t_mask, ns), key
-            counts["children"] += 1
-            counts["seeded"] += feed & ~t_mask != 0
-            yield t_mask, ns, feed
+        for base, free, ns, feed in real(*args, **kwargs):
+            new = base & ~mask
+            assert closure & ~new == _closure_by_bfs(g, mask | new, ns), (g.edges, mask, sat, new)
+            keys = []
+            for sub in range(free + 1):
+                if sub & ~free:
+                    continue
+                t_mask = base | sub
+                child = search._child_closure(g.parent_masks, closure, t_mask, feed)
+                assert child == _closure_by_bfs(g, t_mask, ns), (g.edges, mask, sat, t_mask)
+                keys.append((t_mask.bit_count() + child.bit_count(), -t_mask.bit_count(), sub))
+                counts["children"] += 1
+                counts["seeded"] += feed & ~t_mask != 0
+            keys.sort()
+            unique = len(keys) == 1 or keys[1][:2] > keys[0][:2]
+            assert keys[0][2] == feed and unique, (g.edges, mask, sat, new)
+            yield base, free, ns, feed
 
     monkeypatch.setattr(search, "_children", checked)
     rng = random.Random(10)
@@ -618,6 +629,85 @@ def test_placing_only_closure_nodes_loses_the_parallel_optimum():
     }
 
 
+def _idle_rounds(g, succ):
+    """The transitions of `succ` that place a child of every idle pebble of
+    the source state: a held pebble that is no finished sink and has all its
+    parents held. Reads only g.n and g.parent_sets."""
+    _, parents = _bit_tables(g)
+    children = [sum(1 << w for w in range(g.n) if parents[w] >> v & 1) for v in range(g.n)]
+    kept = {}
+    for (held, done), ts in succ.items():
+        idle = [v for v in range(g.n) if (held & ~done) >> v & 1 and parents[v] & ~held == 0]
+        kept[held, done] = [t for t in ts if all(children[v] & t[0] & ~held for v in idle)]
+    return kept
+
+
+def _trap_gadget(m, p):
+    """CLOSURE_TRAP's shape with m children under the hub, at the end of a
+    chain of p nodes: 1 -> ... -> p -> hub -> c1..cm; {p, c1..cm} -> join
+    -> x; {ci, x} -> sink i. _trap_gadget(2, 1) is CLOSURE_TRAP."""
+    hub = p + 1
+    kids = list(range(hub + 1, hub + m + 1))
+    join, x = hub + m + 1, hub + m + 2
+    edges = [(i, i + 1) for i in range(1, hub)] + [(hub, c) for c in kids] + [(p, join), (join, x)]
+    edges += [(c, join) for c in kids]
+    edges += [e for i, c in enumerate(kids, x + 1) for e in ((c, i), (x, i))]
+    return build_dag(x + m, edges)
+
+
+# the trap family with 2, 3 or 4 children under the hub, up to 14 nodes;
+# on each, placing only closure nodes loses one unit of the parallel optimum
+TRAP_GADGETS = [_trap_gadget(m, p) for m in (2, 3, 4) for p in range(1, 12 - 2 * m) if (m, p) != (2, 1)]
+
+
+def test_idle_pebble_rule_keeps_every_parallel_optimum():
+    """A pebble of round r that is no finished sink and has all its parents
+    in round r is idle: a round after it that places none of its children
+    and keeps it can take it over from round r, for one less. So keeping
+    only the rounds that place a child of every idle pebble keeps the least
+    cost and the least cost within k rounds, k up to the depth + 2: checked
+    on the exhaustive parallel state graphs of all 1,099 DAGs of up to 5
+    nodes and of CLOSURE_TRAP with the test-side enumerators. On the trap
+    gadgets of 9-14 nodes, whose state graphs are too large to list, the
+    search with and without the rule (and its dead-end cut) agrees,
+    unbounded and at each horizon from the depth to n + 1. In sequential
+    mode the rule is false: on (1, 3), (2, 3), (1, 4) the round that first
+    holds both sources places one of them while the other is idle, so no
+    pebbling is left where 6 was."""
+    corpus = []
+    for n in range(1, 6):
+        pairs = [(u, v) for v in range(2, n + 1) for u in range(1, v)]
+        for bits in range(1 << len(pairs)):
+            corpus.append(build_dag(n, [e for i, e in enumerate(pairs) if bits >> i & 1]))
+    assert len(corpus) == 1099
+    start = (0, 0)
+    states = transitions = kept_transitions = 0
+    for g in corpus + [CLOSURE_TRAP]:
+        succ, sinks = _state_graph(g)
+        kept = _idle_rounds(g, succ)
+        full_rounds = _costs_by_rounds(succ, sinks, depth(g) + 2)
+        kept_rounds = _costs_by_rounds(kept, sinks, depth(g) + 2)
+        assert [c[start] for c in full_rounds] == [c[start] for c in kept_rounds], g.edges
+        assert _remaining_costs(succ, sinks)[start] == _remaining_costs(kept, sinks)[start], g.edges
+        states += len(succ)
+        transitions += sum(map(len, succ.values()))
+        kept_transitions += sum(map(len, kept.values()))
+    assert (states, transitions, kept_transitions) == (65888, 716345, 341910)
+    assert _trap_gadget(2, 1) == CLOSURE_TRAP
+    assert [g.n for g in TRAP_GADGETS] == [9, 10, 11, 12, 13, 14, 10, 11, 12, 13, 14, 12, 13, 14]
+    for g in TRAP_GADGETS:
+        for t_max in [None, *range(depth(g), g.n + 2)]:
+            ruled = search._cost_search(g, "parallel", None, None, t_max)
+            plain = search._cost_search(g, "parallel", None, None, t_max, idle_rule=False)
+            assert ruled.optimum == plain.optimum, (g.edges, t_max)
+            assert_sound(g, ruled)
+    g = build_dag(4, [(1, 3), (2, 3), (1, 4)])
+    succ, sinks = _state_graph(g, "sequential")
+    kept = _idle_rounds(g, succ)
+    assert (_remaining_costs(succ, sinks)[start], _remaining_costs(kept, sinks).get(start)) == (6, None)
+    assert exact_pcc(g, "sequential").optimum == 6
+
+
 def _hold_bound_by_mask(parent_masks, mask, closure):
     """h2 without its chain term, in the form that reads the state's
     pebbles: B is mask & late."""
@@ -800,14 +890,14 @@ CE16_PREFIX = ((1,), (2,), (3,), (4,), (5,), (6,), (7,), (8,))
 BOUNDED_JOBS = [
     ("ce16", 16, 27, "no legal pebbling within 16 rounds under cost cap 27"),
     ("ce16", 17, 27, "no legal pebbling within 17 rounds under cost cap 27"),
-    ("ce16", 18, 27, (27, 111, CE16_PREFIX + (
+    ("ce16", 18, 27, (27, 92, CE16_PREFIX + (
         (1, 9), (2, 10), (3, 11), (4, 12), (5, 13), (6, 14), (7, 14), (8, 14), (9, 15), (16,),
     ))),
-    ("ce16", 16, 30, (28, 123, CE16_PREFIX + (
+    ("ce16", 16, 30, (28, 96, CE16_PREFIX + (
         (1, 8, 9), (2, 8, 10), (3, 8, 11), (4, 8, 12), (5, 8, 13), (8, 14), (9, 15), (16,),
     ))),
     ("pyr4", 7, None, (10, 4, ((1, 2, 3, 4), (5, 6, 7), (8, 9), (10,)))),
-    ("lr14-1", 14, 40, (33, 117, (
+    ("lr14-1", 14, 40, (33, 92, (
         (1,), (1, 2), (2, 3), (1, 4), (4, 5), (4, 6), (4, 7), (4, 7, 8), (1, 4, 7, 9),
         (2, 4, 7, 10), (7, 8, 11), (1, 7, 12), (7, 13), (14,),
     ))),
@@ -1018,13 +1108,13 @@ def test_exhausted_carries_proven_bounds():
 def test_bounded_exhausted_carries_proven_bounds():
     # layered_random(14, 1) at t_max = 14: h2(start) is 26, the optimum 33;
     # by 50 states the dive has built a pebbling of cost 47 and A* has
-    # popped a key of 29, and 3 states stop it inside the dive
+    # popped a key of 30, and 3 states stop it inside the dive
     g = layered_random(14, 1)
     with pytest.raises(Exhausted) as info:
         exact_pcc_bounded(g, t_max=14, limits=SearchLimits(max_states=50))
     exc = info.value
-    assert (exc.lower_bound, exc.upper_bound) == (29, 47)
-    assert str(exc) == "state cap 50 hit at bound 29; optimum in [29, 47]"
+    assert (exc.lower_bound, exc.upper_bound) == (30, 47)
+    assert str(exc) == "state cap 50 hit at bound 30; optimum in [30, 47]"
     with pytest.raises(Exhausted) as info:
         exact_pcc_bounded(g, t_max=14, limits=SearchLimits(max_states=3))
     assert (info.value.lower_bound, info.value.upper_bound) == (26, None)
