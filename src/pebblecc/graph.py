@@ -102,41 +102,17 @@ class Dag:
         return tuple(cm)
 
     @cached_property
-    def ready(self) -> Callable[[int], int]:
-        """ready(mask) is the set of nodes whose parents all lie in mask,
-        sources included: the nodes that are no child of a node outside
-        mask. It reads byte tables of child masks, one lookup per 8 nodes
-        (3 at n <= 24): entry b of table j is the OR of child_masks[v] over
-        the nodes v = 8j + i + 1 with bit i set in b."""
-        cm, n = self.child_masks, self.n
-        full = (1 << n) - 1
-        tables = []
-        for j in range(0, n, 8):
-            table = [0] * 256
-            same: dict[int, int] = {}  # one int object per value
-            for b in range(1, 256):
-                low = b & -b
-                v = j + low.bit_length()
-                value = table[b ^ low] | (cm[v] if v <= n else 0)
-                table[b] = same.setdefault(value, value)
-            tables.append(tuple(table))
-        if n <= 24:
-            t0, t1, t2 = tables + [(0,) * 256] * (3 - len(tables))
+    def parents_of(self) -> Callable[[int], int]:
+        """parents_of(mask) is the set of parents of the nodes in mask: the
+        nodes with a child in mask."""
+        return _union_of(self.parent_masks, self.n)
 
-            def ready(mask: int) -> int:
-                out = ~mask
-                return ~(t0[out & 255] | t1[out >> 8 & 255] | t2[out >> 16 & 255]) & full
-
-            return ready
-
-        def ready_any(mask: int) -> int:
-            out, rest = 0, ~mask
-            for table in tables:
-                out |= table[rest & 255]
-                rest >>= 8
-            return ~out & full
-
-        return ready_any
+    @cached_property
+    def children_of(self) -> Callable[[int], int]:
+        """children_of(mask) is the set of children of the nodes in mask.
+        The nodes whose parents all lie in mask, sources included, are
+        ~children_of(~mask) & full, full the mask of all n nodes."""
+        return _union_of(self.child_masks, self.n)
 
     @cached_property
     def sink_mask(self) -> int:
@@ -167,6 +143,40 @@ class Dag:
     @cached_property
     def sources(self) -> tuple[int, ...]:
         return tuple(v for v in range(1, self.n + 1) if not self.parent_sets[v])
+
+
+def _union_of(masks: tuple[int, ...], n: int) -> Callable[[int], int]:
+    """The map mask -> OR of masks[v] over the nodes v in mask. Bits above
+    n are ignored, so a complemented mask reads as the nodes outside it.
+    It reads byte tables, one lookup per 8 nodes (3 at n <= 24): entry b of
+    table j is the OR of masks[v] over the nodes v = 8j + i + 1 with bit i
+    set in b."""
+    tables = []
+    for j in range(0, n, 8):
+        table = [0] * 256
+        same: dict[int, int] = {}  # one int object per value
+        for b in range(1, 256):
+            low = b & -b
+            v = j + low.bit_length()
+            value = table[b ^ low] | (masks[v] if v <= n else 0)
+            table[b] = same.setdefault(value, value)
+        tables.append(tuple(table))
+    if n <= 24:
+        t0, t1, t2 = tables + [(0,) * 256] * (3 - len(tables))
+
+        def union(mask: int) -> int:
+            return t0[mask & 255] | t1[mask >> 8 & 255] | t2[mask >> 16 & 255]
+
+        return union
+
+    def union_any(mask: int) -> int:
+        out = 0
+        for table in tables:
+            out |= table[mask & 255]
+            mask >>= 8
+        return out
+
+    return union_any
 
 
 def mask_of(nodes) -> int:

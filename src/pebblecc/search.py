@@ -3,11 +3,13 @@
 This is the brute-force oracle the rest of the package leans on: one A*
 search for minimum cumulative cost, with or without a horizon on the rounds,
 and capped breadth-first sweeps for space-time and minimum-space optima.
-All of them expand states through one successor generator. States
-are (pebble bitmask, satisfied-sink bitmask) pairs, and every search stores
-them packed into one int, mask | sat << n; every returned witness replays
-the predecessor chain as literal rounds, so it can be revalidated
-independently.
+The cost searches expand states through one successor generator,
+`_children`; it and the sweep build new sets with `_new_sets` and read the
+placeable nodes and the parents of a node set from the `Dag` tables
+(`Dag.children_of`, `Dag.parents_of`). States are (pebble bitmask,
+satisfied-sink bitmask) pairs, and every search stores them packed into
+one int, mask | sat << n; every returned witness replays the predecessor
+chain as literal rounds, so it can be revalidated independently.
 """
 
 from __future__ import annotations
@@ -76,16 +78,19 @@ _MAX_NODES = 24  # every search refuses a larger graph
 class SearchLimits:
     """The work caps every exact search reads.
 
-    max_states caps the states expanded, the dive's steps included.
-    time_budget is in seconds of wall clock; 0.0 stops at the first check.
-    A negative or NaN cap raises ValueError. Every search also refuses a
-    graph of more than 24 nodes, a built-in cap.
+    max_states caps the states expanded, the dive's steps included; it
+    must be an int, and a bool or a float raises TypeError. time_budget is
+    in seconds of wall clock; 0.0 stops at the first check. A negative or
+    NaN cap raises ValueError. Every search also refuses a graph of more
+    than 24 nodes, a built-in cap.
     """
 
     max_states: int = 2_000_000
     time_budget: float | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.max_states, int) or isinstance(self.max_states, bool):
+            raise TypeError(f"max_states must be an int, got {self.max_states!r}")
         for name in ("max_states", "time_budget"):
             value = getattr(self, name)
             if value is not None and not value >= 0:  # NaN fails too
@@ -131,25 +136,24 @@ def _spend(expanded: int, limits: SearchLimits, deadline: float | None) -> None:
         raise _Stop("time budget hit")
 
 
-def _future_need(parent_masks: tuple[int, ...], pebbles: int, need: int) -> int:
-    """Backward closure of `need` through unpebbled nodes.
+def _future_need(parents_of, pebbles: int, need: int) -> int:
+    """Backward closure of `need` through unpebbled nodes, parents_of the
+    graph's `Dag.parents_of`.
 
     Every node in the closure must occupy at least one future round, so its
-    popcount lower-bounds the remaining cumulative cost. The walk visits only
-    the closure's own nodes, highest id first; ids are topological, so every
-    node is settled before its parents and visited once.
+    popcount lower-bounds the remaining cumulative cost. The walk adds one
+    layer at a time: the unpebbled parents of the last layer that are not
+    in the closure yet.
     """
     closure = todo = need
     unpebbled = ~pebbles
     while todo:
-        v = todo.bit_length()
-        add = parent_masks[v] & unpebbled
-        closure |= add
-        todo = (todo ^ 1 << (v - 1)) | add
+        todo = parents_of(todo) & unpebbled & ~closure
+        closure |= todo
     return closure
 
 
-def _child_closure(parent_masks: tuple[int, ...], closure: int, t_mask: int, feed: int) -> int:
+def _child_closure(parents_of, closure: int, t_mask: int, feed: int) -> int:
     """The closure of child t_mask, from its parent's closure and the `feed`
     that `_children` yields with it.
 
@@ -161,7 +165,7 @@ def _child_closure(parent_masks: tuple[int, ...], closure: int, t_mask: int, fee
     seeds = feed & ~t_mask
     if not seeds:
         return known
-    return known | _future_need(parent_masks, t_mask | known, seeds)
+    return known | _future_need(parents_of, t_mask | known, seeds)
 
 
 def _hold_bound(parent_masks: tuple[int, ...], closure: int) -> int:
@@ -233,16 +237,6 @@ def _seq_bound(parent_masks: tuple[int, ...], closure: int) -> int:
     return total - top
 
 
-def _stuck(child_masks: tuple[int, ...], idle: int, avail: int) -> bool:
-    """Whether some pebble in idle has no child in avail."""
-    while idle:
-        low = idle & -idle
-        if not child_masks[low.bit_length()] & avail:
-            return True
-        idle ^= low
-    return False
-
-
 def _new_sets(avail: int, sequential: bool, cap: int | None):
     """The sets a round may place, all nonempty subsets of avail: in
     sequential mode each node alone, lowest id first; otherwise the subsets
@@ -264,23 +258,24 @@ def _new_sets(avail: int, sequential: bool, cap: int | None):
         new = (new - 1) & avail
 
 
-def _children(g, mask, sat, gc, sequential, ub, deadline, closure=None, cap=None, idle=False):
-    """Successors of state (mask, sat), reached at cost gc, one family
-    (base, free, ns, feed) per new set: its children are base | sub for the
-    subsets sub of free, and ns is their finished sinks.
+def _children(g, mask, sat, gc, sequential, ub, deadline, closure, idle=False):
+    """Successors of state (mask, sat), reached at cost gc with closure
+    `closure`, one family (base, free, ns, feed) per new set: its children
+    are base | sub for the subsets sub of free, and ns is their finished
+    sinks.
 
     A round places a nonempty set of placeable nodes (one in sequential mode)
     and retains a subset of the pebbles; finished sinks are never re-placed
-    or held. The placeable nodes, the unpebbled and unfinished nodes whose
-    parents are all pebbled, are read with `Dag.ready`, and so are the idle
-    pebbles below. A pebble is dropped only in a round that places one of
-    its children. If a round drops a non-sink pebble and places none of its
-    children, taking that pebble out of the round before keeps the pebbling
-    legal and costs one less (and a round left with no placement can go
-    too), so every min-cost pebbling follows the rule, under any horizon or
-    cost cap. The pebbles that feed no node of the new set, the parents of
-    its nodes, are therefore forced: base is the new set and the forced
-    pebbles, and free the pebbles that are parents of the new set.
+    or held. The placeable nodes are the unpebbled and unfinished nodes
+    whose parents are all pebbled. A pebble is dropped only in a round that
+    places one of its children. If a round drops a non-sink pebble and
+    places none of its children, taking that pebble out of the round before
+    keeps the pebbling legal and costs one less (and a round left with no
+    placement can go too), so every min-cost pebbling follows the rule,
+    under any horizon or cost cap. The pebbles that feed no node of the new
+    set, the parents of its nodes, are therefore forced: base is the new set
+    and the forced pebbles, and free the pebbles that are parents of the
+    new set.
 
     With idle set (A* in parallel mode) the idle-pebble rule of exact_pcc's
     docstring applies too: an idle pebble is one that is no finished sink
@@ -296,73 +291,38 @@ def _children(g, mask, sat, gc, sequential, ub, deadline, closure=None, cap=None
     2 rebuilds later. Holding 3 and 4 instead, or 2's parent 1 for a later
     2, costs one more. In sequential mode the rule has no proof.
 
-    The cost searches pass ub and the state's closure. A placed node has
-    all its parents pebbled, so no closure path runs through a new set:
-    known = closure & ~base is the closure of (mask | new), with no walk.
-    feed holds the free pebbles with a child in known; those a child drops
-    are the only new starts of its closure, which `_child_closure`
-    completes when a caller reads it. A child's h1 floor is its cost plus
-    its closure, and a feed pebble counts once either way: kept, it is in
-    the round; dropped, it is in the child's closure. So the child
-    base | feed has the family's least (f, -g) (exact_pcc's docstring), and
-    a new set is skipped when that child's floor
-    gc + |base| + |feed| + |known| exceeds ub; a caller keeps a subset only
-    if it holds no more free pebbles outside feed than the slack left.
-    cap is set only by the capped sweep, the one search with a space cap:
-    no round holds more than cap pebbles, so only new sets of at most cap
-    nodes are built. The sweep minimises rounds, not cost: it takes no ub or
-    closure, forces nothing and retains as many pebbles as fit (more
-    pebbles, same sinks done, never need more rounds); its free is every
-    retainable pebble and its feed 0. New sets are built lazily, and the
-    clock is read every 1024 sets so that one expansion cannot overrun the
-    deadline; the callers read it as often over the subsets they walk.
+    A placed node has all its parents pebbled, so no closure path runs
+    through a new set: known = closure & ~base is the closure of
+    (mask | new), with no walk. feed holds the free pebbles with a child in
+    known; those a child drops are the only new starts of its closure,
+    which `_child_closure` completes when a caller reads it. A child's h1
+    floor is its cost plus its closure, and a feed pebble counts once
+    either way: kept, it is in the round; dropped, it is in the child's
+    closure. So the child base | feed has the family's least (f, -g)
+    (exact_pcc's docstring), and a new set is skipped when that child's
+    floor gc + |base| + |feed| + |known| exceeds ub; a caller keeps a
+    subset only if it holds no more free pebbles outside feed than the
+    slack left. New sets are built lazily, and the clock is read every 1024
+    sets so that one expansion cannot overrun the deadline; the callers
+    read it as often over the subsets they walk.
     """
-    parent_masks, child_masks, sink_mask = g.parent_masks, g.child_masks, g.sink_mask
+    parents_of, sink_mask = g.parents_of, g.sink_mask
     retainable = mask & ~sat
-    ready = g.ready(mask)
-    avail = ready & ~(mask | sat)
+    ready = ~g.children_of(~mask) & (1 << g.n) - 1
     need = ready & retainable if idle else 0  # the idle pebbles
-    # each retainable pebble with a child in the closure, mapped to those children
-    ckids: dict[int, int] = {}
-    rest = retainable if closure else 0
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        kids = child_masks[low.bit_length()] & closure
-        if kids:
-            ckids[low] = kids
-    fed = sum(ckids)
     tried = 0
-    for new in _new_sets(avail, sequential, cap):
+    for new in _new_sets(ready & ~(mask | sat), sequential, None):
         tried += 1
         if not tried & 1023 and deadline is not None and time.monotonic() > deadline:
             raise _Stop("time budget hit")
-        ns = sat | (new & sink_mask)
-        if cap is not None:
-            yield new, retainable, ns, 0
-            continue
-        if sequential:
-            free = parent_masks[new.bit_length()] & retainable
-        else:
-            free = 0  # the pebbles that are parents of new
-            rest = new
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                free |= parent_masks[low.bit_length()] & retainable
-            if need & ~free:
-                continue  # an idle pebble with no child placed
+        free = parents_of(new) & retainable
+        if need & ~free:
+            continue  # an idle pebble with no child placed
         base = new | (retainable ^ free)
         known = closure & ~new
-        rest = free & fed
-        feed = 0
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            if ckids[low] & known:
-                feed |= low
+        feed = free & parents_of(known)
         if gc + base.bit_count() + feed.bit_count() + known.bit_count() <= ub:
-            yield base, free, ns, feed
+            yield base, free, sat | (new & sink_mask), feed
 
 
 def _witness(links, cur: int, n: int, mode: str, ibits: int) -> Pebbling:
@@ -569,14 +529,14 @@ def _cost_search(
     limits, deadline = _check_entry(g, mode, limits)
     if t_max is not None and t_max < 0:
         raise ValueError("t_max must be nonnegative")
-    n = g.n
-    parent_masks, child_masks, sink_mask, ready = g.parent_masks, g.child_masks, g.sink_mask, g.ready
+    n, sink_mask = g.n, g.sink_mask
+    parent_masks, parents_of, children_of = g.parent_masks, g.parents_of, g.children_of
     incumbent = None
     top = n * (n + 1) // 2 if t_max is None else n * t_max
     ub = top if cost_cap is None else min(cost_cap, top)
     sequential = mode == "sequential"
     idle = idle_rule and not sequential  # A* keeps to the idle-pebble rule in parallel mode
-    start = closure = _future_need(parent_masks, 0, sink_mask)
+    start = closure = _future_need(parents_of, 0, sink_mask)
     bound = cache(partial(_seq_bound if sequential else _hold_bound, parent_masks))
     lower = bound(start)
     within = "" if t_max is None else f" within {t_max} rounds"
@@ -685,12 +645,11 @@ def _cost_search(
                     nkey = t_mask | stag
                     if ng >= best_get(nkey, ng + 1):
                         continue
-                    if cut:
-                        r = ready(t_mask)
-                        held = r & t_mask & ~ns
-                        if held and _stuck(child_masks, held, r & ~(t_mask | ns)):
+                    if cut:  # an idle pebble with no placeable child
+                        r = ~children_of(~t_mask) & full
+                        if r & t_mask & ~ns & ~parents_of(r & ~(t_mask | ns)):
                             continue
-                    child = _child_closure(parent_masks, closure, t_mask, feed) if feed & ~sub else known
+                    child = _child_closure(parents_of, closure, t_mask, feed) if feed & ~sub else known
                     size = child.bit_count()
                     if ng + size > ub or size > left and longest(child) > left:
                         continue  # cut by h1, which h never falls below, or by the horizon
@@ -711,6 +670,11 @@ def _sweep(g: Dag, mode: str, limits: SearchLimits | None):
     the capped configuration graph yields (s, a fewest-rounds witness that
     never holds more than s pebbles or None, the states expanded so far).
 
+    The sweep minimises rounds, not cost, so it forces nothing: a round
+    places a new set of at most s nodes, from `_new_sets`, and retains as
+    many pebbles as fit (more pebbles, same sinks done, never need more
+    rounds).
+
     Every cap below the largest in-degree is infeasible, so none is swept:
     every node is placed, as it is a sink or an ancestor of one, and the
     round before a node is placed holds all its parents.
@@ -721,7 +685,7 @@ def _sweep(g: Dag, mode: str, limits: SearchLimits | None):
     is proven to lie there.
     """
     limits, deadline = _check_entry(g, mode, limits)
-    n, sink_mask = g.n, g.sink_mask
+    n, children_of, sink_mask = g.n, g.children_of, g.sink_mask
     full = (1 << n) - 1
     sequential = mode == "sequential"
     # the queue holds links, as exact_pcc's trail does: state << ibits | i, i
@@ -737,10 +701,11 @@ def _sweep(g: Dag, mode: str, limits: SearchLimits | None):
                 expanded += 1
                 _spend(expanded, limits, deadline)
                 state = link >> ibits
-                rbits = [1 << (v - 1) for v in nodes_of(state & ~(state >> n) & full)]
-                for new, _, ns, _ in _children(
-                    g, state & full, state >> n, 0, sequential, None, deadline, cap=cap
-                ):
+                mask, sat = state & full, state >> n
+                rbits = [1 << (v - 1) for v in nodes_of(mask & ~sat)]
+                ready = ~children_of(~mask) & full
+                for new in _new_sets(ready & ~(mask | sat), sequential, cap):
+                    ns = sat | (new & sink_mask)
                     for kept in combinations(rbits, min(cap - new.bit_count(), len(rbits))):
                         tried += 1
                         if not tried & 1023 and deadline is not None and time.monotonic() > deadline:

@@ -173,10 +173,16 @@ def test_depth_matches_networkx():
             expect = nx.dag_longest_path_length(sub) + 1 if len(sub) else 0
             assert depth(g, "nodes", excluding=s) == expect
             assert depth(g, "edges", excluding=s) == max(expect - 1, 0)
-            # ready(mask) holds the nodes whose parents all lie in mask
+            # parents_of and children_of OR the sets over a mask's nodes;
+            # a complemented mask reads as the nodes outside it
             mask = rng.getrandbits(g.n)
             held = set(nodes_of(mask))
-            assert nodes_of(g.ready(mask)) == tuple(v for v in range(1, g.n + 1) if g.parent_sets[v] <= held)
+            for m, inside in ((mask, held), (~mask, set(range(1, g.n + 1)) - held)):
+                assert g.parents_of(m) == mask_of(set().union(*(g.parent_sets[v] for v in inside)))
+                assert g.children_of(m) == mask_of(set().union(*(g.child_sets[v] for v in inside)))
+            # the nodes whose parents all lie in mask
+            ready = ~g.children_of(~mask) & (1 << g.n) - 1
+            assert nodes_of(ready) == tuple(v for v in range(1, g.n + 1) if g.parent_sets[v] <= held)
 
 
 def test_depth_is_linear_in_the_graph():

@@ -1,6 +1,6 @@
 """The pebbling integer program, solved by an outside MILP solver, as an
-oracle for the bounded search on graphs too large for the test-side
-enumerators (12 to 20 nodes).
+oracle for the bounded search and the capped sweep on graphs too large for
+the test-side enumerators (12 to 20 nodes).
 
 It shares no pruning rule with the search: HiGHS (through SciPy) solves the
 model `build_pebbling_ip` builds, read from its stored columns, and the
@@ -15,15 +15,17 @@ from pebblecc.graph import layered_random
 from pebblecc.lp import build_pebbling_ip
 from pebblecc.pebbling import Pebbling, cost, validate
 from pebblecc.reductions import b2lc_to_graph, counterexample_dag
-from pebblecc.search import exact_pcc_bounded
+from pebblecc.search import _sweep, exact_pcc_bounded
 
 scipy_optimize = pytest.importorskip("scipy.optimize")
 scipy_sparse = pytest.importorskip("scipy.sparse")
 
 
-def _solve_ip(g, horizon):
+def _solve_ip(g, horizon, space=None):
     """Solve build_pebbling_ip(g, horizon) with HiGHS; return the optimum
-    and the pebbling its x variables spell, trailing empty rounds dropped.
+    and the pebbling its x variables spell, trailing empty rounds dropped,
+    or None if the program is infeasible. With space set, each round t
+    gets one more row, sum over v of x_v_t <= space.
 
     Rows are read as stored, already scaled: row i is
     sum(row_coeffs[i][j] * x[row_vars[i][j]]) relations[i] rhs[i].
@@ -33,19 +35,28 @@ def _solve_ip(g, horizon):
     cost_vec = [0] * nv
     for i, c in zip(m.obj_vars, m.obj_coeffs):
         cost_vec[i] += c
-    rows = [r for r, idx in enumerate(m.row_vars) for _ in idx]
-    cols = [i for idx in m.row_vars for i in idx]
-    vals = [c for coeffs in m.row_coeffs for c in coeffs]
-    a = scipy_sparse.csr_array((vals, (rows, cols)), shape=(len(m.row_vars), nv))
+    row_vars, row_coeffs = list(m.row_vars), list(m.row_coeffs)
     inf = float("inf")
     lo = [-inf if rel == "<=" else b for rel, b in zip(m.relations, m.rhs)]
     hi = [inf if rel == ">=" else b for rel, b in zip(m.relations, m.rhs)]
+    if space is not None:  # x_v_t has index (v - 1)(horizon + 1) + t
+        for t in range(1, horizon + 1):
+            row_vars.append([(v - 1) * (horizon + 1) + t for v in range(1, g.n + 1)])
+            row_coeffs.append([1] * g.n)
+            lo.append(-inf)
+            hi.append(space)
+    rows = [r for r, idx in enumerate(row_vars) for _ in idx]
+    cols = [i for idx in row_vars for i in idx]
+    vals = [c for coeffs in row_coeffs for c in coeffs]
+    a = scipy_sparse.csr_array((vals, (rows, cols)), shape=(len(row_vars), nv))
     res = scipy_optimize.milp(
         cost_vec,
         constraints=scipy_optimize.LinearConstraint(a, lo, hi),
         integrality=[1] * m.n_integral + [0] * (nv - m.n_integral),
         bounds=scipy_optimize.Bounds(m.lower, m.upper),
     )
+    if res.status == 2:
+        return None
     assert res.success, res.message
     x = {name: round(value) for name, value in zip(m.names, res.x)}
     rounds = [
@@ -76,3 +87,30 @@ def test_ip_optimum_matches_the_bounded_search(name):
     assert pebbling.t <= horizon
     assert cost(pebbling).cc == optimum
     assert exact_pcc_bounded(g, horizon).optimum == optimum, name
+
+
+@pytest.mark.parametrize("name", ("lr12-1", "lr14-1", "ce16"))
+def test_ip_rounds_match_the_capped_sweep(name):
+    """At each space cap c from the largest in-degree to 2 above it, the
+    sweep's fewest rounds t(c) are the fewest the MILP allows under the
+    rows sum over v of x_v_t <= c: feasible at horizon t(c), with a legal
+    pebbling that never holds more than c pebbles, and infeasible at
+    t(c) - 1. A cap the sweep finds infeasible is not checked, as that
+    would need an unbounded horizon. (Pyramids are left out: a 40-round
+    infeasibility proof for pyramid(4) at cap 3 runs for minutes.)"""
+    g = CORPUS[name]
+    checked = 0
+    for cap, witness, _ in _sweep(g, "parallel", None):
+        if cap > g.max_indeg + 2:
+            break
+        if witness is None:
+            continue
+        rounds = witness.t
+        solved = _solve_ip(g, rounds, cap)
+        assert solved is not None, (name, cap, rounds)
+        _, pebbling = solved
+        assert validate(g, pebbling).legal, (name, cap, pebbling.rounds)
+        assert max(map(len, pebbling.rounds)) <= cap
+        assert _solve_ip(g, rounds - 1, cap) is None, (name, cap, rounds)
+        checked += 1
+    assert checked >= 2, name

@@ -403,7 +403,7 @@ def test_inherited_closures_match_a_backward_bfs(monkeypatch):
                 if sub & ~free:
                     continue
                 t_mask = base | sub
-                child = search._child_closure(g.parent_masks, closure, t_mask, feed)
+                child = search._child_closure(g.parents_of, closure, t_mask, feed)
                 assert child == _closure_by_bfs(g, t_mask, ns), (g.edges, mask, sat, t_mask)
                 keys.append((t_mask.bit_count() + child.bit_count(), -t_mask.bit_count(), sub))
                 counts["children"] += 1
@@ -1157,6 +1157,10 @@ def test_negative_limits_rejected():
             SearchLimits(**{field: -1})
     with pytest.raises(ValueError, match="time_budget"):
         SearchLimits(time_budget=float("nan"))  # would never expire
+    # a float cap would fail mid-search, and True would cap at 1 state
+    for value in (1e6, True):
+        with pytest.raises(TypeError, match="max_states"):
+            SearchLimits(max_states=value)
     assert SearchLimits(time_budget=0.0).time_budget == 0.0
 
 
