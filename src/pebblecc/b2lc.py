@@ -8,6 +8,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass
+from itertools import combinations
 
 from .graph import TooLarge, _from_json
 
@@ -249,7 +250,9 @@ def solve_3partition(
 
     Returns (True, triples) where each triple is 0-based indices into
     inst.elements summing to T/n, or (False, None). An instance whose total
-    is not divisible by n is an immediate no.
+    is not divisible by n is an immediate no. The splits are tried in
+    lexicographic order, each as its triples sorted within and by their
+    smallest index, so the triples are the first such split that fits.
 
     Raises:
         TooLarge: if inst.n exceeds _THREE_PARTITION_CAP.
@@ -259,38 +262,24 @@ def solve_3partition(
     total = inst.total
     if total % inst.n:
         return False, None
-    target = total // inst.n
-    xs = inst.elements
-    size = 3 * inst.n
-    used = [False] * size
-    triples: list[tuple[int, int, int]] = []
+    target, xs = total // inst.n, inst.elements
 
-    def backtrack() -> bool:
-        try:
-            first = used.index(False)
-        except ValueError:
-            return True
-        used[first] = True
-        for j in range(first + 1, size):
-            if used[j] or xs[first] + xs[j] > target:
-                continue
-            used[j] = True
-            rest = target - xs[first] - xs[j]
-            for l in range(j + 1, size):
-                if not used[l] and xs[l] == rest:
-                    used[l] = True
-                    triples.append((first, j, l))
-                    if backtrack():
-                        return True
-                    triples.pop()
-                    used[l] = False
-            used[j] = False
-        used[first] = False
-        return False
+    def split(rest: tuple[int, ...]) -> tuple[tuple[int, int, int], ...] | None:
+        """The first split of the indices in rest into triples that sum to
+        target: the smallest index goes with each pair of the others in
+        turn, or None if no split fits."""
+        if not rest:
+            return ()
+        first, *others = rest
+        for j, l in combinations(others, 2):
+            if xs[first] + xs[j] + xs[l] == target:
+                tail = split(tuple(i for i in others if i != j and i != l))
+                if tail is not None:
+                    return ((first, j, l), *tail)
+        return None
 
-    if backtrack():
-        return True, tuple(triples)
-    return False, None
+    triples = split(tuple(range(3 * inst.n)))
+    return (False, None) if triples is None else (True, triples)
 
 
 def b2lc_to_json(inst: B2lcInstance) -> str:

@@ -119,18 +119,10 @@ class Dag:
         """The sinks as a bitmask."""
         return mask_of(self.sinks)
 
-    @cached_property
-    def source_mask(self) -> int:
-        """The sources as a bitmask."""
-        return mask_of(self.sources)
-
     def parents(self, v: int) -> frozenset[int]:
         if not 1 <= v <= self.n:
             raise OutOfRange(v, self.n)
         return self.parent_sets[v]
-
-    def indeg(self, v: int) -> int:
-        return len(self.parents(v))
 
     @cached_property
     def max_indeg(self) -> int:

@@ -428,6 +428,10 @@ class GapReport:
 def gap_report(g: Dag, limits=None, cost_cap=None) -> GapReport:
     """Tabulate the staircase objective against exact (or fallback) pcc.
 
+    The objective is read from verify_solution on the relaxed pebbling
+    program at the staircase horizon, like every other LP number; a
+    staircase point that program rejects raises RuntimeError.
+
     limits and cost_cap pass to exact_pcc, which raises Infeasible when the
     optimum is above cost_cap. If the search exhausts its limits, the cost
     of the cheapest pebbling it built stands in, or the trivial
@@ -436,9 +440,11 @@ def gap_report(g: Dag, limits=None, cost_cap=None) -> GapReport:
     """
     from .search import Exhausted, exact_pcc
 
-    n = g.n
-    frac = fractional_pebbling_solution(g, horizon=staircase_horizon(n))
-    objective = sum(frac.values.values(), Fraction(0))
+    n, h = g.n, staircase_horizon(g.n)
+    rep = verify_solution(relax(build_pebbling_ip(g, h)), fractional_pebbling_solution(g, h))
+    if not rep.feasible:
+        raise RuntimeError(f"the staircase point violates {rep.violated[0][0]}")
+    objective = rep.objective
     try:
         res = exact_pcc(g, limits=limits, cost_cap=cost_cap)
         pcc, proven = res.optimum, True

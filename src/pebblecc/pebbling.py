@@ -148,7 +148,7 @@ def random_legal_pebbling(g: Dag, seed: int, mode: str = "parallel") -> Pebbling
             cur = cur | {avail[0]} if mode == "sequential" else cur | set(avail)
         rounds.append(frozenset(cur))
         satisfied |= cur & sinks
-    return Pebbling(rounds=tuple(tuple(sorted(r)) for r in rounds), mode=mode)
+    return Pebbling(rounds=tuple(rounds), mode=mode)
 
 
 def pebbling_to_json(p: Pebbling) -> str:

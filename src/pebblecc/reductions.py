@@ -176,20 +176,12 @@ def _canonical_groups(layout: ReductionLayout, w: B2lcWitness):
             f"not the instance's {inst.n_vars} variables"
         )
 
-    def satisfied_by(eq, row):
-        alpha, c_off, beta = eq
-        return row[alpha - 1] + c_off == row[beta - 1]
-
     group_of: list[int] = []
-    for i, eq in enumerate(inst.equations):
-        preferred = w.group_of[i]
-        candidates = [preferred] + [y for y in range(1, inst.m + 1) if y != preferred]
-        for y in candidates:
-            if 1 <= y <= inst.m and satisfied_by(eq, w.values[y - 1]):
-                group_of.append(y)
-                break
-        else:
+    for i, ((alpha, c_off, beta), claimed) in enumerate(zip(inst.equations, w.group_of)):
+        fits = [y for y, row in enumerate(w.values, start=1) if row[alpha - 1] + c_off == row[beta - 1]]
+        if not fits:
             raise InvalidWitness(f"equation {i} is satisfied by no assignment")
+        group_of.append(claimed if claimed in fits else fits[0])
 
     # a satisfying row exists for each equation, so every group is consistent
     canon = _assemble_witness(inst, tuple(group_of))
@@ -214,24 +206,19 @@ def reduction_pebbling(layout: ReductionLayout, w: B2lcWitness) -> Pebbling:
         InvalidWitness: if some equation is satisfied by no assignment row.
     """
     inst = layout.instance
-    c, tau, m, n = layout.c, layout.tau, inst.m, inst.n_vars
+    c, tau, m = layout.c, layout.tau, inst.m
     group_of, values = _canonical_groups(layout, w)
 
-    vmax = [max(row) for row in values]
-    start = [0] * (m + 1)  # start[y] = first round of pass y (1-based)
-    start[1] = 1
-    for y in range(2, m + 1):
-        lag_prev = [vmax[y - 2] - x for x in values[y - 2]]
-        lag_cur = [vmax[y - 1] - x for x in values[y - 1]]
-        d = max(lp - lc for lp, lc in zip(lag_prev, lag_cur))
-        start[y] = start[y - 1] + c + d
-
-    # a[y][i]: round at which variable i's chains place node 1 in pass y
-    a = [[0] * (n + 1) for _ in range(m + 1)]
-    for y in range(1, m + 1):
-        for i in range(1, n + 1):
-            a[y][i] = start[y] + vmax[y - 1] - values[y - 1][i - 1]
-    release = max(a[m][i] + c for i in range(1, n + 1))
+    # a[y - 1][i - 1]: round at which variable i's chains place node 1 in
+    # pass y, lag[i] rounds after the pass starts; pass y starts as early as
+    # it can while each variable's chains start it at least c rounds after
+    # they started pass y - 1
+    a: list[list[int]] = []
+    for row in values:
+        lag = [max(row) - x for x in row]
+        s = max(prev + c - d for prev, d in zip(a[-1], lag)) if a else 1
+        a.append([s + d for d in lag])
+    release = max(a[-1]) + c
 
     rounds: list[set[int]] = [set() for _ in range(release + 1)]
 
@@ -239,24 +226,23 @@ def reduction_pebbling(layout: ReductionLayout, w: B2lcWitness) -> Pebbling:
         for r in range(first, (last if last is not None else first) + 1):
             rounds[r - 1].add(node)
 
-    for y in range(1, m + 1):
-        for i in range(1, n + 1):
+    for y, starts in enumerate(a, start=1):
+        for i, first in enumerate(starts, start=1):
             for z in range(1, c + 1):
-                r = a[y][i] + z - 1
                 for j in range(1, tau + 1):
-                    put(layout.var_chain(i, j, z), r)
+                    put(layout.var_chain(i, j, z), first + z - 1)
             for p in range(1, c):
-                put(layout.path_node(i, (y - 1) * c + p), a[y][i] + p)
+                put(layout.path_node(i, (y - 1) * c + p), first + p)
             # the pass's last position is held until the next pass starts
-            put(layout.path_node(i, y * c), a[y][i] + c, a[y + 1][i] if y < m else release)
-    for i, (alpha, c_i, _beta) in enumerate(inst.equations, start=1):
-        y = group_of[i - 1]
+            put(layout.path_node(i, y * c), first + c, a[y][i - 1] if y < m else release)
+    for i, ((alpha, c_i, _beta), y) in enumerate(zip(inst.equations, group_of), start=1):
+        first = a[y - 1][alpha - 1]
         for e_pos in range(1, c - c_i):
-            put(layout.eq_chain(i, e_pos), a[y][alpha] + e_pos)
-        put(layout.eq_chain(i, c - c_i), a[y][alpha] + c - c_i, release)
+            put(layout.eq_chain(i, e_pos), first + e_pos)
+        put(layout.eq_chain(i, c - c_i), first + c - c_i, release)
     put(layout.sink_id, release + 1)
 
-    return Pebbling(rounds=tuple(tuple(sorted(r)) for r in rounds))
+    return Pebbling(rounds=tuple(rounds))
 
 
 def sync_normalize(layout: ReductionLayout, p: Pebbling) -> Pebbling:

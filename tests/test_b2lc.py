@@ -1,6 +1,7 @@
 import random
 import warnings
-from itertools import combinations_with_replacement, product
+from functools import cache
+from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 
@@ -262,6 +263,44 @@ def test_three_partition_witness_partitions_indices():
     assert seen == list(range(6))
     for t in triples:
         assert sum(inst.elements[i] for i in t) == inst.total // inst.n
+
+
+@cache
+def _triple_splits(indices):
+    """Every split of the indices into triples, each as a sorted tuple of
+    sorted triples. Any triple may be taken first, so each split is built
+    once per order of its triples, and the set keeps one copy."""
+    if not indices:
+        return frozenset({()})
+    splits = set()
+    for t in combinations(indices, 3):
+        rest = tuple(i for i in indices if i not in t)
+        splits.update(tuple(sorted((t, *s))) for s in _triple_splits(rest))
+    return frozenset(splits)
+
+
+def _reference_3partition(elems, n):
+    """Brute force: the smallest valid split, or (False, None)."""
+    total = sum(elems)
+    fit = {t for t in combinations(range(3 * n), 3) if n * sum(elems[i] for i in t) == total}
+    valid = [s for s in _triple_splits(tuple(range(3 * n))) if fit.issuperset(s)]
+    return (True, min(valid)) if valid else (False, None)
+
+
+def test_three_partition_matches_brute_force():
+    """The answer and the triples: every multiset over 1..5 with n <= 2,
+    then seeded random instances with n = 3 and n = 4."""
+    cases = [(elems, n) for n in (1, 2) for elems in combinations_with_replacement(range(1, 6), 3 * n)]
+    rng = random.Random(20261020)
+    cases += [(tuple(rng.randint(1, 6) for _ in range(3 * n)), n) for n in (3, 4) for _ in range(60)]
+    answers = {1: set(), 2: set(), 3: set(), 4: set()}
+    for elems, n in cases:
+        got = solve_3partition(ThreePartitionInstance(elements=elems, n=n))
+        assert got == _reference_3partition(elems, n), (elems, n)
+        answers[n].add(got[0])
+    assert len(cases) == 365
+    # one triple always fits at n = 1; both answers occur for every larger n
+    assert answers == {1: {True}, 2: {True, False}, 3: {True, False}, 4: {True, False}}
 
 
 def test_three_partition_too_large():

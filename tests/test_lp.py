@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from pebblecc import lp
 from pebblecc.graph import build_dag, chain, complete, layered_random, pyramid
 from pebblecc.lp import (
     FeasibilityReport,
@@ -438,6 +439,17 @@ def test_gap_report_uses_the_search_incumbent():
     gr = gap_report(counterexample_dag(), limits=SearchLimits(max_states=50))
     assert not gr.pcc_proven
     assert 27 <= gr.pcc < 16 * 17 // 2  # the dive's cost, not n(n+1)/2
+
+
+def test_gap_report_rejects_a_point_its_program_rejects(monkeypatch):
+    # the objective is read off verify_solution, so a point that the relaxed
+    # program rejects (here all zero, which pebbles no sink) is an error
+    def zero(g, horizon):
+        return LpSolution(dict.fromkeys(build_pebbling_ip(g, horizon).names, Fraction(0)))
+
+    monkeypatch.setattr(lp, "fractional_pebbling_solution", zero)
+    with pytest.raises(RuntimeError, match="the staircase point violates sink_3"):
+        gap_report(chain(3))
 
 
 # ------------------------------------------------------------------- pins

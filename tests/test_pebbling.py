@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import subprocess
@@ -246,6 +247,21 @@ def test_random_legal_pebbling_is_legal_and_deterministic():
                 p = random_legal_pebbling(g, seed=seed, mode=mode)
                 assert validate(g, p).legal
                 assert p == random_legal_pebbling(g, seed=seed, mode=mode)
+
+
+def test_random_legal_pebbling_outputs_are_pinned():
+    """One digest of seeded random pebblings in both modes, on small graphs
+    and a 31-node gadget."""
+    graphs = [
+        chain(6), pyramid(4), counterexample_dag(), layered_random(12, seed=5),
+        build_dag(4, [(1, 2), (1, 3)]), b2lc_to_graph(TINY, tau=2).graph,
+    ]
+    record = [
+        pebbling_to_json(random_legal_pebbling(g, seed=seed, mode=mode))
+        for g in graphs for mode in ("parallel", "sequential") for seed in range(10)
+    ]
+    digest = hashlib.sha256("\n".join(record).encode()).hexdigest()
+    assert digest == "22c5c49d5b7e7498572accc77968de94981aefdf016b6d50b561e33ac49c892f"
 
 
 def test_random_legal_pebbling_handles_isolated_sink():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import warnings
@@ -5,12 +6,19 @@ from itertools import combinations, combinations_with_replacement
 
 import pytest
 
-from pebblecc.b2lc import B2lcInstance, ThreePartitionInstance, solve_3partition, solve_b2lc
+from pebblecc.b2lc import (
+    B2lcInstance,
+    B2lcWitness,
+    ThreePartitionInstance,
+    solve_3partition,
+    solve_b2lc,
+)
 from pebblecc.graph import build_dag, chain, depth, pyramid
-from pebblecc.pebbling import Pebbling, random_legal_pebbling
+from pebblecc.pebbling import Pebbling, pebbling_to_json, random_legal_pebbling
 from pebblecc.reductions import (
     AmbiguousSink,
     DegenerateEquation,
+    InvalidWitness,
     NotDivisibleWarning,
     ReductionLayout,
     default_tau,
@@ -20,6 +28,7 @@ from pebblecc.reductions import (
     counterexample_dag,
     layout_to_json,
     reduce_indegree,
+    reduction_pebbling,
     sync_normalize,
     threepartition_to_b2lc,
     vc_to_reducible,
@@ -542,3 +551,43 @@ def test_gadget_errors_match_reference():
         with pytest.raises(ValueError) as want:
             reference(*args)
         assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+
+
+def test_reduction_pebbling_outputs_are_pinned():
+    """One digest of the schedules, or InvalidWitness messages, that
+    reduction_pebbling gives on the reduction-chain yes-instances (every
+    3-partition ladder over 1..4 with n <= 2 that solve_b2lc covers) at
+    tau = 1 and 2. Each instance runs its solver witness and four planted
+    ones: every claimed row moved to the next, claimed rows out of range
+    (0 and m + 1 in turn), row y shifted up by y, and all-zero rows, which
+    cover no equation of a ladder."""
+    record = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for n in (1, 2):
+            for elems in combinations_with_replacement(range(1, 5), 3 * n):
+                inst = threepartition_to_b2lc(ThreePartitionInstance(elements=elems, n=n))
+                covered, w = solve_b2lc(inst)
+                if not covered:
+                    continue
+                m = inst.m
+                planted = [
+                    w,
+                    B2lcWitness(tuple(y % m + 1 for y in w.group_of), w.values),
+                    B2lcWitness(tuple((0, m + 1)[i % 2] for i in range(inst.k)), w.values),
+                    B2lcWitness(w.group_of, tuple(
+                        tuple(x + y for x in row) for y, row in enumerate(w.values, start=1)
+                    )),
+                    B2lcWitness(w.group_of, ((0,) * inst.n_vars,) * m),
+                ]
+                for tau in (1, 2):
+                    layout = b2lc_to_graph(inst, tau=tau)
+                    for pw in planted:
+                        try:
+                            record.append(pebbling_to_json(reduction_pebbling(layout, pw)))
+                        except InvalidWitness as exc:
+                            record.append(f"InvalidWitness: {exc}")
+    assert len(record) == 590
+    assert sum(r.startswith("InvalidWitness") for r in record) == 118
+    digest = hashlib.sha256("\n".join(record).encode()).hexdigest()
+    assert digest == "b1d3069c8f21baef6c1edf2fc9abf997a54fe50d45de3f48dc3dad96ecb25234"

@@ -1130,12 +1130,34 @@ def test_time_budget_exhausts():
 
 
 def test_time_budget_holds_inside_one_expansion():
-    # the empty state of an 18-node edgeless graph has 2^18 - 1 children
+    """22 sources feed one sink, so the empty state has 2^22 - 1 new sets.
+    The cost search stops in its new-set loop, and the capped sweeps, which
+    start at cap 22, in their kept-set loop; without those clock reads the
+    first expansion takes seconds."""
+    g = build_dag(23, [(v, 23) for v in range(1, 23)])
+    for search_fn in (exact_pcc, exact_min_space, exact_min_st):
+        start = time.monotonic()
+        with pytest.raises(Exhausted, match="time budget hit") as info:
+            search_fn(g, limits=SearchLimits(time_budget=0.05))
+        assert time.monotonic() - start < 1.0
+        assert info.value.expanded == 1
+
+
+def test_time_budget_holds_inside_one_subset_walk():
+    """A* stops inside the subsets of one family. Node 1 feeds c_i and d_i
+    and each c_i feeds d_i (i = 1..10), two more sources z feed only the
+    sink 24, and all 23 other nodes feed the sink. The optimum, 36, places
+    1, then the c's, then the d's and z's, holding everything, then the
+    sink. The dive places the z's at once and costs 40, so A* runs: its
+    fourth pop holds all 23 parents of the sink, and the family that places
+    the sink has 2^23 subsets, which take about a second to walk. Without
+    the clock read in that walk the search returns the optimum instead."""
+    c, d, t = range(2, 12), range(12, 22), 24
+    edges = [(1, v) for v in (*c, *d)] + list(zip(c, d)) + [(v, t) for v in range(1, t)]
+    g = build_dag(t, edges)
     start = time.monotonic()
-    try:
-        exact_pcc(build_dag(18, []), limits=SearchLimits(time_budget=0.2))
-    except Exhausted:
-        pass
+    with pytest.raises(Exhausted, match="time budget hit"):
+        exact_pcc(g, limits=SearchLimits(time_budget=0.05))
     assert time.monotonic() - start < 1.0
 
 
