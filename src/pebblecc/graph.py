@@ -73,17 +73,17 @@ class Dag:
     @cached_property
     def parent_sets(self) -> tuple[frozenset[int], ...]:
         """parent_sets[v] is parents(v); index 0 is an unused placeholder."""
-        ps: list[set[int]] = [set() for _ in range(self.n + 1)]
+        ps: list[list[int]] = [[] for _ in range(self.n + 1)]
         for u, v in self.edges:
-            ps[v].add(u)
-        return tuple(frozenset(s) for s in ps)
+            ps[v].append(u)
+        return tuple(map(frozenset, ps))
 
     @cached_property
     def child_sets(self) -> tuple[frozenset[int], ...]:
-        cs: list[set[int]] = [set() for _ in range(self.n + 1)]
+        cs: list[list[int]] = [[] for _ in range(self.n + 1)]
         for u, v in self.edges:
-            cs[u].add(v)
-        return tuple(frozenset(s) for s in cs)
+            cs[u].append(v)
+        return tuple(map(frozenset, cs))
 
     @cached_property
     def parent_masks(self) -> tuple[int, ...]:
@@ -130,7 +130,8 @@ class Dag:
 
     @cached_property
     def sinks(self) -> tuple[int, ...]:
-        return tuple(v for v in range(1, self.n + 1) if not self.child_sets[v])
+        tails = {u for u, _ in self.edges}
+        return tuple(v for v in range(1, self.n + 1) if v not in tails)
 
     @cached_property
     def sources(self) -> tuple[int, ...]:
@@ -189,27 +190,32 @@ def nodes_of(mask: int) -> tuple[int, ...]:
 def build_dag(n: int, edges) -> Dag:
     """Validate and build a Dag on nodes 1..n.
 
+    Duplicates are dropped first, keeping the input order, so each edge is
+    checked once, in that order, and the sort meets the runs in which the
+    generators emit their edges.
+
     Args:
         n: node count, at least 1.
         edges: iterable of (u, v) pairs; each must satisfy 1 <= u < v <= n.
             Duplicates are dropped.
 
     Raises:
-        BackwardEdge: if some edge has u >= v.
-        OutOfRange: if some endpoint is outside [1, n].
+        OutOfRange: if an endpoint of the first bad edge in input order is
+            outside [1, n]; u is tested before v.
+        BackwardEdge: if the first bad edge has both endpoints in range and
+            u >= v.
         ValueError: if n < 1.
     """
     if n < 1:
         raise ValueError(f"need at least one node, got n={n}")
-    seen: set[tuple[int, int]] = set()
-    for u, v in edges:
-        for x in (u, v):
-            if not 1 <= x <= n:
-                raise OutOfRange(x, n)
-        if u >= v:
+    unique = dict.fromkeys(map(tuple, edges))
+    for u, v in unique:
+        if not 1 <= u < v <= n:
+            for x in (u, v):
+                if not 1 <= x <= n:
+                    raise OutOfRange(x, n)
             raise BackwardEdge(u, v)
-        seen.add((u, v))
-    return Dag(n=n, edges=tuple(sorted(seen)))
+    return Dag(n=n, edges=tuple(sorted(unique)))
 
 
 def levels(parent_masks, n: int, keep: int) -> list[int]:

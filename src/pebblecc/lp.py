@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 from math import lcm
 from operator import mul
 
@@ -147,8 +148,11 @@ class FeasibilityReport:
 
 
 def _xnames(n: int, horizon: int) -> tuple[str, ...]:
-    """The pebbling program's variable names; x_v_t has index (v-1)(horizon+1) + t."""
-    return tuple(f"x_{v}_{t}" for v in range(1, n + 1) for t in range(horizon + 1))
+    """The pebbling program's variable names; x_v_t has index (v-1)(horizon+1) + t.
+    Each is a node prefix x_v joined to a round suffix _t."""
+    nodes = [f"x_{v}" for v in range(1, n + 1)]
+    rounds = [f"_{t}" for t in range(horizon + 1)]
+    return tuple(map("".join, product(nodes, rounds)))
 
 
 def _unchecked(**columns) -> LpModel:

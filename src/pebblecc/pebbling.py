@@ -128,13 +128,16 @@ def random_legal_pebbling(g: Dag, seed: int, mode: str = "parallel") -> Pebbling
     """
     rng = random.Random(seed)
     sinks = set(g.sinks)
+    children = g.child_sets
+    # missing[v] counts the parents of v not held; ready holds the nodes
+    # with none missing, so the placeable nodes are ready - cur
+    missing = [len(ps) for ps in g.parent_sets]
+    ready = set(g.sources)
     satisfied: set[int] = set()
     cur: set[int] = set()
     rounds: list[frozenset[int]] = []
     while not sinks <= satisfied:
-        avail = [
-            v for v in range(1, g.n + 1) if v not in cur and g.parent_sets[v] <= cur
-        ]
+        avail = sorted(ready - cur)
         if len(rounds) < 3 * g.n:
             if mode == "sequential":
                 place = {rng.choice(avail)}
@@ -143,9 +146,19 @@ def random_legal_pebbling(g: Dag, seed: int, mode: str = "parallel") -> Pebbling
                 if not place:
                     place = {rng.choice(avail)}
             keep = {v for v in cur if rng.random() < 0.7}
-            cur = keep | place
+            nxt = keep | place
         else:
-            cur = cur | {avail[0]} if mode == "sequential" else cur | set(avail)
+            nxt = cur | {avail[0]} if mode == "sequential" else cur | set(avail)
+        for u in nxt - cur:
+            for c in children[u]:
+                missing[c] -= 1
+                if not missing[c]:
+                    ready.add(c)
+        for u in cur - nxt:
+            for c in children[u]:
+                ready.discard(c)
+                missing[c] += 1
+        cur = nxt
         rounds.append(frozenset(cur))
         satisfied |= cur & sinks
     return Pebbling(rounds=tuple(rounds), mode=mode)

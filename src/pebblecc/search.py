@@ -449,7 +449,12 @@ def exact_pcc(
     pebblings, so all stay admissible; each step of a pair is a round of
     its state, so all stay consistent. A child is kept only if the longest
     chain in its closure fits the rounds left, which removes only states
-    that cannot finish in time, and the drop rule and the idle rule hold
+    that cannot finish in time: each node of the closure is placed in a
+    later round, each node of a chain after its predecessor. In sequential
+    mode a round places at most one node, so the closure's nodes need
+    distinct rounds, and a child is kept only if its closure has no more
+    nodes than rounds left. Both cuts grow with the closure, so the family
+    lemma below holds for them. The drop rule and the idle rule hold
     under any horizon. So the first goal popped is the bounded optimum, and
     every popped key is a proven lower bound on it.
 
@@ -540,15 +545,19 @@ def _cost_search(
     bound = cache(partial(_seq_bound if sequential else _hold_bound, parent_masks))
     lower = bound(start)
     within = "" if t_max is None else f" within {t_max} rounds"
-    # A child in round nr must fit the longest chain of its closure into the
-    # `horizon - nr` rounds left; a closure no larger than that fits at
-    # once. Without a horizon nr stays 0 and every closure fits, as its size
-    # is at most n. The longest chain reads the closure alone, like the
-    # bound, so both are computed once per closure. A start bound above ub
-    # is a proof that nothing fits the caps.
+    # A child in round nr must fit the rounds its closure needs into the
+    # `horizon - nr` rounds left: the longest chain of the closure, or in
+    # sequential mode its size. A closure no larger than that fits at once.
+    # Without a horizon nr stays 0 and every closure fits, as its size is at
+    # most n. The rounds needed read the closure alone, like the bound, so
+    # both are computed once per closure. A start bound above ub is a proof
+    # that nothing fits the caps.
     rstep, horizon = (0, n) if t_max is None else (1, t_max)
-    longest = cache(lambda closure: max(levels(parent_masks, n, closure)))
-    if lower > ub or longest(start) > horizon:
+    if sequential:
+        needs = int.bit_count
+    else:
+        needs = cache(lambda closure: max(levels(parent_masks, n, closure)))
+    if lower > ub or needs(start) > horizon:
         raise _infeasible(within, cost_cap)
     expanded = 0
     # A search node, a state in round r (0 without a horizon), is keyed by
@@ -581,7 +590,7 @@ def _cost_search(
                 ng = gc + t_mask.bit_count()
                 child = closure & ~base
                 f = ng + child.bit_count()
-                if (step is None or (f, -ng) < step[:2]) and (f - ng <= left or longest(child) <= left):
+                if (step is None or (f, -ng) < step[:2]) and (f - ng <= left or needs(child) <= left):
                     step = (f, -ng, t_mask, ns, ng, child)
                     if f == ng == floor:
                         break  # no later child can beat it
@@ -651,7 +660,7 @@ def _cost_search(
                             continue
                     child = _child_closure(parents_of, closure, t_mask, feed) if feed & ~sub else known
                     size = child.bit_count()
-                    if ng + size > ub or size > left and longest(child) > left:
+                    if ng + size > ub or size > left and needs(child) > left:
                         continue  # cut by h1, which h never falls below, or by the horizon
                     h = bound(child)
                     if ng + h <= ub:

@@ -3,6 +3,8 @@ import random
 import networkx as nx
 import pytest
 
+from pebblecc import reductions
+from pebblecc.b2lc import B2lcInstance
 from pebblecc.graph import (
     BackwardEdge,
     OutOfRange,
@@ -190,3 +192,103 @@ def test_depth_is_linear_in_the_graph():
     assert depth(g, "nodes") == 200_000
     assert depth(g, "edges", excluding={100_000}) == 99_999
     assert "parent_masks" not in vars(g)
+
+
+# ---------------------------------------------------------------------------
+# Reference construction: build_dag and the Dag tables as they stood when
+# build_dag checked both ends of each edge in turn, then sorted a set, and
+# each table was filled one set.add per edge. They are the oracle for the
+# one check per edge and the sort in input order.
+
+
+def _reference_build_dag(n, edges):
+    """The sorted edge tuple of the Dag, or the exception the old build_dag
+    raised."""
+    if n < 1:
+        raise ValueError(f"need at least one node, got n={n}")
+    seen = set()
+    for u, v in edges:
+        for x in (u, v):
+            if not 1 <= x <= n:
+                raise OutOfRange(x, n)
+        if u >= v:
+            raise BackwardEdge(u, v)
+        seen.add((u, v))
+    return tuple(sorted(seen))
+
+
+def _reference_tables(n, edges):
+    """(parent_sets, child_sets, sinks, sources) of the Dag (n, edges)."""
+    ps = [set() for _ in range(n + 1)]
+    cs = [set() for _ in range(n + 1)]
+    for u, v in edges:
+        ps[v].add(u)
+        cs[u].add(v)
+    sinks = tuple(v for v in range(1, n + 1) if not cs[v])
+    sources = tuple(v for v in range(1, n + 1) if not ps[v])
+    return tuple(map(frozenset, ps)), tuple(map(frozenset, cs)), sinks, sources
+
+
+def _edge_corpus(count, seed):
+    """(n, edges) cases: forward edges with duplicates, in shuffled order,
+    some as lists; every third case also has bad edges (an endpoint out of
+    range, a backward edge or a loop) at random places, and a few n < 1."""
+    rng = random.Random(seed)
+    cases = [(0, []), (-2, [(1, 2)]), (1, []), (1, [(1, 1)]), (3, [(2, 1), (0, 4)])]
+    for i in range(count):
+        n = rng.randint(1, 30)
+        pairs = [(u, v) for v in range(2, n + 1) for u in range(1, v) if rng.random() < 0.3]
+        edges = pairs + rng.choices(pairs, k=len(pairs) // 3) if pairs else []
+        rng.shuffle(edges)
+        edges = [list(e) if rng.random() < 0.2 else e for e in edges]
+        if i % 3 == 0:
+            for _ in range(rng.randint(1, 3)):
+                u, v = rng.randint(1, n), rng.randint(1, n)
+                bad = rng.choice([(0, v), (u, n + 1), (-u, n + 5), (v, u), (u, u), (n + 2, 0)])
+                edges.insert(rng.randint(0, len(edges)), bad)
+        cases.append((n, edges))
+    return cases
+
+
+def _assert_build_matches_reference(n, edges):
+    try:
+        want = _reference_build_dag(n, edges)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            build_dag(n, edges)
+        assert (type(got.value), str(got.value)) == (type(exc), str(exc)), (n, edges)
+        return None
+    g = build_dag(n, edges)
+    assert (g.n, g.edges) == (n, want), (n, edges)
+    assert (g.parent_sets, g.child_sets, g.sinks, g.sources) == _reference_tables(n, edges)
+    return g
+
+
+def test_build_matches_reference_on_seeded_edge_lists():
+    cases = _edge_corpus(300, seed=11)
+    built = sum(_assert_build_matches_reference(n, edges) is not None for n, edges in cases)
+    assert 0 < built < len(cases)
+    # edges may be any iterable of pairs, a generator too
+    g = build_dag(4, ((u, u + 1) for u in (3, 1, 2, 1)))
+    assert g.edges == ((1, 2), (2, 3), (3, 4))
+
+
+def test_build_matches_reference_on_the_default_tau_gadget(monkeypatch):
+    """The 27,649 edges, in the order ReductionLayout emits them, shuffled
+    and reversed, with a bad edge near the end."""
+    emitted = []
+
+    def capture(n, edges):
+        emitted.append((n, list(edges)))
+        return build_dag(n, emitted[-1][1])
+
+    monkeypatch.setattr(reductions, "build_dag", capture)
+    inst = B2lcInstance(n_vars=4, m=2, equations=((1, 2, 2), (2, 1, 3), (3, 3, 4), (4, 1, 1)))
+    layout = reductions.b2lc_to_graph(inst)
+    [(n, edges)] = emitted
+    assert (n, len(edges)) == (6406, 27_649)
+    shuffled = edges[:]
+    random.Random(3).shuffle(shuffled)
+    for order in (edges, shuffled, edges[::-1]):
+        assert _assert_build_matches_reference(n, order) == layout.graph
+    _assert_build_matches_reference(n, edges[:-5] + [(n, n + 1)] + edges[-5:] + [(2, 1)])

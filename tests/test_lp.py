@@ -75,6 +75,15 @@ def test_pebbling_ip_objective_counts_every_variable():
     assert all(c == Fraction(1) for _, c in m.objective)
 
 
+def test_variable_names_match_the_formatted_form():
+    """_xnames joins node prefixes to round suffixes; the names, and so
+    their order, are those of one f-string per variable, horizon 0 included."""
+    for n in (1, 2, 7, 12, 64):
+        for horizon in (0, 1, 3, 10, 11, 100):
+            want = tuple(f"x_{v}_{t}" for v in range(1, n + 1) for t in range(horizon + 1))
+            assert lp._xnames(n, horizon) == want
+
+
 def test_pebbling_ip_rejects_degenerate_horizon():
     with pytest.raises(ValueError):
         build_pebbling_ip(chain(2), horizon=0)

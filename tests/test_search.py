@@ -312,7 +312,21 @@ def test_every_capped_interval_holds_the_optimum():
                         continue
                     assert r.optimum == opt, (g.edges, mode)
                     break
-    assert (intervals, closed) == (1403, 675)
+    assert (intervals, closed) == (1321, 593)
+
+
+def test_sequential_horizon_cuts_by_closure_size():
+    """A sequential round places one node, so a state needs as many rounds
+    as its closure has nodes. On the 22-node chain whose nodes all feed
+    node 23, 23 rounds place each node once, in label order, and round i
+    < 23 holds 1..i, as node 23 needs all of them: the optimum is 253 + 1.
+    Reading only the longest chain, the search made 513,372 expansions."""
+    g = build_dag(23, [(i, i + 1) for i in range(1, 22)] + [(i, 23) for i in range(1, 23)])
+    r = exact_pcc_bounded(g, 23, "sequential")
+    assert r.optimum == 254
+    assert r.witness.t == 23
+    assert r.expanded_states <= 100
+    assert_sound(g, r, "sequential")
 
 
 def _unfed_drops(g, pebbling):
