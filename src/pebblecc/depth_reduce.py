@@ -1,13 +1,14 @@
 """Depth reduction: find small node sets whose removal caps the longest path.
 
-Exact decisions run a hitting-set branch and bound over violating paths; the
-greedy heuristic strips nodes that lie on the most maximum-length paths. The
-length convention (nodes vs edges) is always an explicit argument here.
+Exact decisions run a hitting-set branch and bound over violating paths: at
+each search node one greedy walk of disjoint violating paths gives both the
+path to branch on and the lower bound. The greedy heuristic strips nodes
+that lie on the most maximum-length paths. The length convention (nodes vs
+edges) is always an explicit argument here.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .graph import CONVENTIONS, Dag, OutOfRange, TooLarge, depth, levels, mask_of, nodes_of
@@ -44,79 +45,37 @@ def _allowed_nodes(d: int, convention: str) -> int:
     return d + (convention == "edges")
 
 
-def _longest_path(g: Dag, keep: int, lvl: list[int]) -> list[int]:
-    """One maximum-node-count path inside keep, read off lvl = levels(keep).
+def _violations(g: Dag, keep: int, allowed: int, limit: int) -> tuple[list[list[int]], bool]:
+    """Up to limit vertex-disjoint paths inside keep of more than allowed
+    nodes, and whether the nodes they leave still hold such a path.
 
-    It ends at the smallest id of greatest level and steps back through the
-    smallest-id parent one level down, so it is deterministic.
+    Each path is a longest path of what the earlier ones leave. It ends at
+    the smallest id of greatest level and steps back through the smallest-id
+    parent one level down, so the walk is deterministic. Every removal set
+    must hit each path, so a set of limit nodes exists only if the flag is
+    False.
     """
-    v = lvl.index(max(lvl))
-    path = [v]
-    while lvl[v] > 1:
-        pm = g.parent_masks[v] & keep
-        u = (pm & -pm).bit_length()
-        while lvl[u] != lvl[v] - 1:
-            pm &= pm - 1
-            u = (pm & -pm).bit_length()
-        path.append(u)
-        v = u
-    path.reverse()
-    return path
-
-
-def _disjoint_violations(g: Dag, keep: int, allowed: int) -> int:
-    """Greedy count of vertex-disjoint paths inside keep longer than allowed nodes.
-
-    Every removal set must hit each of them, so the count lower-bounds the
-    remaining budget needed.
-    """
-    count = 0
+    paths = []
     while True:
         lvl = levels(g.parent_masks, g.n, keep)
-        if max(lvl) <= allowed:
-            return count
-        count += 1
-        keep &= ~mask_of(_longest_path(g, keep, lvl))
+        top = max(lvl)
+        if top <= allowed or len(paths) == limit:
+            return paths, top > allowed
+        v = lvl.index(top)
+        path = [v]
+        for want in range(top - 1, 0, -1):
+            pm = g.parent_masks[v] & keep
+            v = (pm & -pm).bit_length()
+            while lvl[v] != want:
+                pm &= pm - 1
+                v = (pm & -pm).bit_length()
+            path.append(v)
+        paths.append(path[::-1])
+        keep &= ~mask_of(path)
 
 
 # The search nodes one exact decision may visit before it raises TooLarge.
 _MAX_VISITS = 500_000
-
-
-def _search(
-    g: Dag,
-    removed: int,
-    banned: int,
-    budget: int,
-    allowed: int,
-    visits: Iterator[int],
-) -> int | None:
-    """A removal mask of at most budget more nodes that caps the depth, or
-    None; visits counts down the search nodes left."""
-    if next(visits, None) is None:
-        raise TooLarge("reducibility search exceeded its node-visit cap")
-    keep = ((1 << g.n) - 1) & ~removed
-    lvl = levels(g.parent_masks, g.n, keep)
-    if max(lvl) <= allowed:
-        return removed
-    if budget == 0:
-        return None
-    # path is the first violation the greedy count would find; count the rest
-    path = _longest_path(g, keep, lvl)
-    if _disjoint_violations(g, keep & ~mask_of(path), allowed) >= budget:
-        return None
-    # The window is itself a violating path, so any valid set hits it. Nodes
-    # banned by an earlier sibling branch cannot be chosen again; if the
-    # whole window is banned this subtree is infeasible.
-    for v in path[: allowed + 1]:
-        bit = 1 << (v - 1)
-        if banned & bit:
-            continue
-        found = _search(g, removed | bit, banned, budget - 1, allowed, visits)
-        if found is not None:
-            return found
-        banned |= bit
-    return None
 
 
 def is_reducible(g: Dag, e: int, d: int, convention: str) -> ReducibilityResult:
@@ -128,11 +87,37 @@ def is_reducible(g: Dag, e: int, d: int, convention: str) -> ReducibilityResult:
     if e < 0 or d < 0:
         raise ValueError("e and d must be nonnegative")
     allowed = _allowed_nodes(d, convention)
+    full = (1 << g.n) - 1
     visits = iter(range(_MAX_VISITS))
-    for size in range(0, min(e, g.n) + 1):
-        found = _search(g, 0, 0, size, allowed, visits)
+
+    def search(keep: int, banned: int, budget: int) -> int | None:
+        """A mask of kept nodes, at most budget fewer than keep, that caps
+        the depth, or None."""
+        if next(visits, None) is None:
+            raise TooLarge("reducibility search exceeded its node-visit cap")
+        paths, more = _violations(g, keep, allowed, budget)
+        if more:  # budget + 1 disjoint violations
+            return None
+        if not paths:
+            return keep
+        # The first path's window is itself a violating path, so any valid
+        # set hits it. Nodes banned by an earlier sibling branch cannot be
+        # chosen again; if the whole window is banned this subtree is
+        # infeasible.
+        for v in paths[0][: allowed + 1]:
+            bit = 1 << (v - 1)
+            if banned & bit:
+                continue
+            found = search(keep & ~bit, banned, budget - 1)
+            if found is not None:
+                return found
+            banned |= bit
+        return None
+
+    for size in range(min(e, g.n) + 1):
+        found = search(full, 0, size)
         if found is not None:
-            witness = frozenset(nodes_of(found))
+            witness = frozenset(nodes_of(full & ~found))
             return ReducibilityResult(
                 reducible=True,
                 witness_set=witness,

@@ -11,7 +11,7 @@ import json
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
+from typing import Callable, Sequence
 
 __all__ = [
     "BackwardEdge",
@@ -94,14 +94,6 @@ class Dag:
         return tuple(pm)
 
     @cached_property
-    def child_masks(self) -> tuple[int, ...]:
-        """child_masks[u] has bit v-1 set for each child v; index 0 is 0."""
-        cm = [0] * (self.n + 1)
-        for u, v in self.edges:
-            cm[u] |= 1 << (v - 1)
-        return tuple(cm)
-
-    @cached_property
     def parents_of(self) -> Callable[[int], int]:
         """parents_of(mask) is the set of parents of the nodes in mask: the
         nodes with a child in mask."""
@@ -112,7 +104,10 @@ class Dag:
         """children_of(mask) is the set of children of the nodes in mask.
         The nodes whose parents all lie in mask, sources included, are
         ~children_of(~mask) & full, full the mask of all n nodes."""
-        return _union_of(self.child_masks, self.n)
+        cm = [0] * (self.n + 1)
+        for u, v in self.edges:
+            cm[u] |= 1 << (v - 1)
+        return _union_of(cm, self.n)
 
     @cached_property
     def sink_mask(self) -> int:
@@ -138,7 +133,7 @@ class Dag:
         return tuple(v for v in range(1, self.n + 1) if not self.parent_sets[v])
 
 
-def _union_of(masks: tuple[int, ...], n: int) -> Callable[[int], int]:
+def _union_of(masks: Sequence[int], n: int) -> Callable[[int], int]:
     """The map mask -> OR of masks[v] over the nodes v in mask. Bits above
     n are ignored, so a complemented mask reads as the nodes outside it.
     It reads byte tables, one lookup per 8 nodes (3 at n <= 24): entry b of

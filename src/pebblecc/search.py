@@ -158,14 +158,12 @@ def _child_closure(parents_of, closure: int, t_mask: int, feed: int) -> int:
     that `_children` yields with it.
 
     No closure path runs through a placed node, so closure & ~t_mask is
-    closed but for the paths through dropped pebbles that feed it (seeds);
-    only their walk is new, and it stops at the nodes already known.
+    closed but for the paths through dropped pebbles that feed it (feed &
+    ~t_mask); only their walk is new, and it stops at the nodes already
+    known.
     """
     known = closure & ~t_mask
-    seeds = feed & ~t_mask
-    if not seeds:
-        return known
-    return known | _future_need(parents_of, t_mask | known, seeds)
+    return known | _future_need(parents_of, t_mask | known, feed & ~t_mask)
 
 
 def _hold_bound(parent_masks: tuple[int, ...], closure: int) -> int:
@@ -242,7 +240,9 @@ def _new_sets(avail: int, sequential: bool, cap: int | None):
     sequential mode each node alone, lowest id first; otherwise the subsets
     of at most cap nodes (any number with cap None), in descending numeric
     order. The next such subset below new is (new - 1) & avail with its
-    lowest bits cleared down to cap nodes, so no larger set is tried."""
+    lowest bits cleared down to cap nodes, so no larger set is tried. cap
+    must be at least 1: at cap 0 every subset clears to 0, and 0 is
+    yielded for ever."""
     if sequential:
         while avail:
             low = avail & -avail

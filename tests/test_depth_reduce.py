@@ -1,3 +1,5 @@
+import hashlib
+import random
 from itertools import combinations
 
 import pytest
@@ -12,6 +14,7 @@ from pebblecc.depth_reduce import (
 from pebblecc.graph import (
     OutOfRange,
     TooLarge,
+    build_dag,
     chain,
     complete,
     depth,
@@ -208,3 +211,84 @@ def test_visit_cap_raises(monkeypatch):
     monkeypatch.setattr(depth_reduce, "_MAX_VISITS", 5)
     with pytest.raises(TooLarge):
         min_reducing_set(complete(8), d=1, convention="nodes")
+
+
+def _visits(g, d, convention, monkeypatch):
+    """The exact search-node count of min_reducing_set: the smallest
+    _MAX_VISITS at which it does not raise, found by bisection."""
+
+    def fits(cap):
+        monkeypatch.setattr(depth_reduce, "_MAX_VISITS", cap)
+        try:
+            min_reducing_set(g, d, convention)
+        except TooLarge:
+            return False
+        return True
+
+    hi = 1
+    while not fits(hi):
+        hi *= 2
+    lo = hi // 2  # fits(lo) is False, or lo is 0
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if fits(mid):
+            hi = mid
+        else:
+            lo = mid
+    monkeypatch.undo()
+    return hi
+
+
+def depth_reduce_digest(graphs, ds, monkeypatch, visit_every=4):
+    """sha256 over min_reducing_set, is_reducible at e = 0, 1, 2 and k - 1,
+    greedy_reduce, and on every visit_every-th graph the exact visit count,
+    for each graph, convention and d in ds."""
+    parts = []
+    for i, g in enumerate(graphs):
+        for convention in ("nodes", "edges"):
+            for d in ds:
+                k, s = min_reducing_set(g, d, convention)
+                parts.append(f"{i} {convention} {d}: {k} {sorted(s)}")
+                for e in sorted({0, 1, 2, k - 1} - {-1}):
+                    r = is_reducible(g, e, d, convention)
+                    w = None if r.witness_set is None else sorted(r.witness_set)
+                    parts.append(f" e{e} {r.reducible} {w} {r.residual_depth}")
+                parts.append(f" greedy {sorted(greedy_reduce(g, d, convention))}")
+                if i % visit_every == 0:
+                    parts.append(f" visits {_visits(g, d, convention, monkeypatch)}")
+                parts.append("\n")
+    return hashlib.sha256("".join(parts).encode()).hexdigest()
+
+
+def vc_gadgets(max_v):
+    """Every vc_to_reducible gadget on at most max_v vertices, both conventions."""
+    out = []
+    for v in range(1, max_v + 1):
+        pairs = list(combinations(range(1, v + 1), 2))
+        for r in range(len(pairs) + 1):
+            for es in combinations(pairs, r):
+                for convention in ("nodes", "edges"):
+                    out.append(vc_to_reducible(v, es, convention)[0])
+    return out
+
+
+def seeded_dags(count, max_n, seed):
+    """count random DAGs of 2..max_n nodes, each edge u < v drawn with a
+    per-graph probability."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randint(2, max_n)
+        p = rng.choice((0.2, 0.35, 0.5, 0.7))
+        edges = [(u, v) for v in range(2, n + 1) for u in range(1, v) if rng.random() < p]
+        out.append(build_dag(n, edges))
+    return out
+
+
+def test_outputs_and_visit_counts_are_pinned(monkeypatch):
+    """Witnesses, decisions, greedy sets and exact visit counts on 64 graphs
+    at d = 0..4 in both conventions."""
+    graphs = vc_gadgets(3) + [chain(9), pyramid(4)] + seeded_dags(40, 12, seed=30)
+    assert len(graphs) == 64
+    digest = depth_reduce_digest(graphs, range(5), monkeypatch)
+    assert digest == "f6ad6726b83aa6edce4ab9532cc42112e62190b9735a8796feb2afbc0e6aadf9"
