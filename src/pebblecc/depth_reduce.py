@@ -2,9 +2,14 @@
 
 Exact decisions run a hitting-set branch and bound over violating paths: at
 each search node one greedy walk of disjoint violating paths gives both the
-path to branch on and the lower bound. The greedy heuristic strips nodes
-that lie on the most maximum-length paths. The length convention (nodes vs
-edges) is always an explicit argument here.
+path to branch on and the lower bound. The last removal (budget 1) is
+decided without branching: one forward and one backward longest-path pass
+give every single cut, a node whose removal alone caps the depth. Each
+single cut lies on every violating path, so it lies in the branching
+window, and the lowest one not banned is the leaf the branching would have
+found first. The greedy heuristic strips nodes that lie on the most
+maximum-length paths. The length convention (nodes vs edges) is always an
+explicit argument here.
 """
 
 from __future__ import annotations
@@ -74,7 +79,58 @@ def _violations(g: Dag, keep: int, allowed: int, limit: int) -> tuple[list[list[
         keep &= ~mask_of(path)
 
 
+def _tails(g: Dag, keep: int, f: list[int], allowed: int) -> tuple[list[int], int]:
+    """b and crossed, for f = levels over keep: b[v] is the node count of
+    the longest path inside keep that starts at v (0 outside keep), and
+    crossed is the mask of nodes strictly between x and y for the edges
+    (x, y) inside keep with f[x] + b[y] > allowed.
+
+    One backward pass over the label order. A node y is final once every
+    larger id is done, and it then pushes b[y] into its parents through
+    g.parent_masks; until x is final, b[x] holds the best tail among its
+    children.
+    """
+    b = [0] * (g.n + 1)
+    crossed = 0
+    for y in range(g.n, 0, -1):
+        if keep >> (y - 1) & 1:
+            b[y] = tail = b[y] + 1
+            pm = g.parent_masks[y] & keep
+            while pm:
+                low = pm & -pm
+                x = low.bit_length()
+                if b[x] < tail:
+                    b[x] = tail
+                if f[x] + tail > allowed:
+                    crossed |= (1 << (y - 1)) - (low << 1)
+                pm ^= low
+    return b, crossed
+
+
+def _single_cuts(g: Dag, keep: int, allowed: int) -> int | None:
+    """The mask of single cuts of keep, or None if keep holds no path of
+    more than allowed nodes.
+
+    A single cut is a node w of keep whose removal alone leaves no such
+    path. Ids are topological, so a path that avoids w lies wholly below
+    w, wholly above it, or crosses it by one edge (x, y) with x < w < y.
+    Hence w is a single cut iff no x < w has f[x] > allowed, no y > w has
+    b[y] > allowed, and w is not in crossed (see _tails).
+    """
+    f = levels(g.parent_masks, g.n, keep)
+    if max(f) <= allowed:
+        return None
+    b, crossed = _tails(g, keep, f, allowed)
+    lo = next(x for x, fx in enumerate(f) if fx > allowed)
+    hi = max(y for y, by in enumerate(b) if by > allowed)
+    return keep & ~crossed & ((1 << lo) - 1) & ~((1 << (hi - 1)) - 1)
+
+
 # The search nodes one exact decision may visit before it raises TooLarge.
+# A visit is one call of search. A node with budget 1 decides its last
+# removal from _single_cuts in two O(n + |E|) passes, with no budget-0
+# leaves below it, so only the size-0 root visits with budget 0; a node with
+# budget k >= 2 makes at most k + 1 such passes in _violations.
 _MAX_VISITS = 500_000
 
 
@@ -95,6 +151,12 @@ def is_reducible(g: Dag, e: int, d: int, convention: str) -> ReducibilityResult:
         the depth, or None."""
         if next(visits, None) is None:
             raise TooLarge("reducibility search exceeded its node-visit cap")
+        if budget == 1:  # the last removal: the lowest single cut not banned
+            cuts = _single_cuts(g, keep, allowed)
+            if cuts is None:
+                return keep
+            cuts &= ~banned
+            return keep & ~(cuts & -cuts) if cuts else None
         paths, more = _violations(g, keep, allowed, budget)
         if more:  # budget + 1 disjoint violations
             return None
@@ -157,27 +219,34 @@ def greedy_reduce(g: Dag, d: int, convention: str) -> frozenset[int]:
     keep = (1 << g.n) - 1
     while True:
         # f[v] is the forward reach of v inside keep, 0 for a removed node;
-        # removed nodes keep nf, b and nb at 0, so the sums below skip them.
+        # removed nodes keep nf and b at 0, so they add nothing to the sums
+        # below and are never critical.
         f = levels(g.parent_masks, g.n, keep)
         span = max(f)
         if span <= allowed:
             return frozenset(nodes_of(((1 << g.n) - 1) & ~keep))
         nf = [0] * (g.n + 1)
-        b = [0] * (g.n + 1)
-        nb = [0] * (g.n + 1)
         for v in range(1, g.n + 1):
             if f[v]:
                 nf[v] = sum(nf[u] for u in g.parent_sets[v] if f[u] == f[v] - 1) or 1
-        for v in range(g.n, 0, -1):
-            if f[v]:
-                b[v] = 1 + max((b[w] for w in g.child_sets[v]), default=0)
-                nb[v] = sum(nb[w] for w in g.child_sets[v] if b[w] == b[v] - 1) or 1
+        # No path passes span nodes, so with span as the bound no edge is
+        # crossed and _tails gives b alone.
+        b, _ = _tails(g, keep, f, span)
+        # nb[v] counts the longest paths from a critical v (f[v] + b[v] - 1
+        # == span). Its critical children w are those with f[w] == f[v] + 1,
+        # so each critical node pushes its count to such parents; descending
+        # ids with >= leave ties at the smallest id.
+        nb = [0] * (g.n + 1)
         busiest, key = 0, (0, 0)
-        for v in range(1, g.n + 1):
-            if f[v] and f[v] + b[v] - 1 == span:
+        for v in range(g.n, 0, -1):
+            if f[v] + b[v] - 1 == span:
+                nb[v] = nb[v] or 1
                 cand = (nf[v] * nb[v], min(f[v], b[v]))
-                if cand > key:
+                if cand >= key:
                     busiest, key = v, cand
+                for u in g.parent_sets[v]:
+                    if f[u] == f[v] - 1:
+                        nb[u] += nb[v]
         keep &= ~(1 << (busiest - 1))
 
 

@@ -239,25 +239,26 @@ def _visits(g, d, convention, monkeypatch):
     return hi
 
 
-def depth_reduce_digest(graphs, ds, monkeypatch, visit_every=4):
-    """sha256 over min_reducing_set, is_reducible at e = 0, 1, 2 and k - 1,
-    greedy_reduce, and on every visit_every-th graph the exact visit count,
-    for each graph, convention and d in ds."""
-    parts = []
+def depth_reduce_digests(graphs, ds, monkeypatch, visit_every=4):
+    """Two sha256 digests, for each graph, convention and d in ds: one over
+    the outputs (min_reducing_set, is_reducible at e = 0, 1, 2 and k - 1,
+    greedy_reduce), and one over the exact visit count of every
+    visit_every-th graph."""
+    outputs, visits = [], []
     for i, g in enumerate(graphs):
         for convention in ("nodes", "edges"):
             for d in ds:
                 k, s = min_reducing_set(g, d, convention)
-                parts.append(f"{i} {convention} {d}: {k} {sorted(s)}")
+                outputs.append(f"{i} {convention} {d}: {k} {sorted(s)}")
                 for e in sorted({0, 1, 2, k - 1} - {-1}):
                     r = is_reducible(g, e, d, convention)
                     w = None if r.witness_set is None else sorted(r.witness_set)
-                    parts.append(f" e{e} {r.reducible} {w} {r.residual_depth}")
-                parts.append(f" greedy {sorted(greedy_reduce(g, d, convention))}")
+                    outputs.append(f" e{e} {r.reducible} {w} {r.residual_depth}")
+                outputs.append(f" greedy {sorted(greedy_reduce(g, d, convention))}\n")
                 if i % visit_every == 0:
-                    parts.append(f" visits {_visits(g, d, convention, monkeypatch)}")
-                parts.append("\n")
-    return hashlib.sha256("".join(parts).encode()).hexdigest()
+                    count = _visits(g, d, convention, monkeypatch)
+                    visits.append(f"{i} {convention} {d}: {count}\n")
+    return tuple(hashlib.sha256("".join(p).encode()).hexdigest() for p in (outputs, visits))
 
 
 def vc_gadgets(max_v):
@@ -286,9 +287,39 @@ def seeded_dags(count, max_n, seed):
 
 
 def test_outputs_and_visit_counts_are_pinned(monkeypatch):
-    """Witnesses, decisions, greedy sets and exact visit counts on 64 graphs
-    at d = 0..4 in both conventions."""
+    """Witnesses, decisions and greedy sets, and apart from them the exact
+    visit counts, on 64 graphs at d = 0..4 in both conventions."""
     graphs = vc_gadgets(3) + [chain(9), pyramid(4)] + seeded_dags(40, 12, seed=30)
     assert len(graphs) == 64
-    digest = depth_reduce_digest(graphs, range(5), monkeypatch)
-    assert digest == "f6ad6726b83aa6edce4ab9532cc42112e62190b9735a8796feb2afbc0e6aadf9"
+    outputs, visits = depth_reduce_digests(graphs, range(5), monkeypatch)
+    assert outputs == "417f3aa1c9a58a7a610a5327fed90da467ff9eac97ae7c926928bc81603c311c"
+    assert visits == "163da0306657988bbaf00eb39215eee2c13e0c74461f1e562aeeacf2a98120a3"
+
+
+def test_single_cuts_match_brute_force():
+    """The single-cut mask against a recount from the edge list for each
+    node of keep, on random DAGs with random kept sets and on every vc
+    gadget up to 4 vertices, at every allowed from 0 to depth + 1. At
+    allowed = 0 only a one-node keep has a cut."""
+    rng = random.Random(31)
+    cases = 0
+    for g in seeded_dags(80, 12, seed=31) + vc_gadgets(4):
+        for keep in ((1 << g.n) - 1, rng.getrandbits(g.n), 1 << rng.randrange(g.n)):
+            kept = [v for v in range(1, g.n + 1) if keep >> (v - 1) & 1]
+            removed = set(range(1, g.n + 1)) - set(kept)
+            top = edge_list_depth(g, removed, "nodes")
+            for allowed in range(top + 2):
+                cuts = depth_reduce._single_cuts(g, keep, allowed)
+                if top <= allowed:
+                    assert cuts is None
+                    continue
+                expect = sum(
+                    1 << (w - 1)
+                    for w in kept
+                    if edge_list_depth(g, removed | {w}, "nodes") <= allowed
+                )
+                assert cuts == expect, (g.edges, keep, allowed)
+                if allowed == 0:
+                    assert bool(cuts) == (len(kept) == 1)
+                cases += 1
+    assert cases > 1000

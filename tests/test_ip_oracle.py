@@ -1,18 +1,21 @@
-"""The pebbling integer program, solved by an outside MILP solver, as an
-oracle for the bounded search and the capped sweep on graphs too large for
-the test-side enumerators (12 to 20 nodes).
+"""The pebbling and depth-reduction integer programs, solved by an outside
+MILP solver, as oracles for the bounded search, the capped sweep and the
+exact depth reduction on graphs too large for the test-side enumerators
+(12 to 21 nodes).
 
-It shares no pruning rule with the search: HiGHS (through SciPy) solves the
-model `build_pebbling_ip` builds, read from its stored columns, and the
-solution is checked as a pebbling in its own right. The package itself
-never imports SciPy; without it these tests skip.
+It shares no pruning rule with the searches: HiGHS (through SciPy) solves
+the model `build_pebbling_ip` or `build_reducible_ip` builds, read from its
+stored columns, and the solution is checked in its own right, as a
+pebbling or as a removal set. The package itself never imports SciPy;
+without it these tests skip.
 """
 
 import pytest
 
 from pebblecc.b2lc import B2lcInstance
-from pebblecc.graph import layered_random
-from pebblecc.lp import build_pebbling_ip
+from pebblecc.depth_reduce import min_reducing_set, verify_set
+from pebblecc.graph import layered_random, pyramid
+from pebblecc.lp import build_pebbling_ip, build_reducible_ip
 from pebblecc.pebbling import Pebbling, cost, validate
 from pebblecc.reductions import b2lc_to_graph, counterexample_dag
 from pebblecc.search import _sweep, exact_pcc_bounded
@@ -21,40 +24,50 @@ scipy_optimize = pytest.importorskip("scipy.optimize")
 scipy_sparse = pytest.importorskip("scipy.sparse")
 
 
-def _solve_ip(g, horizon, space=None):
-    """Solve build_pebbling_ip(g, horizon) with HiGHS; return the optimum
-    and the pebbling its x variables spell, trailing empty rounds dropped,
-    or None if the program is infeasible. With space set, each round t
-    gets one more row, sum over v of x_v_t <= space.
+def _milp(m, extra_rows=()):
+    """Solve the integer program m with HiGHS and return SciPy's result.
+    Each of extra_rows is a (vars, coeffs, hi) row read as
+    sum(coeffs[j] * x[vars[j]]) <= hi.
 
     Rows are read as stored, already scaled: row i is
     sum(row_coeffs[i][j] * x[row_vars[i][j]]) relations[i] rhs[i].
     """
-    m = build_pebbling_ip(g, horizon)
     nv = len(m.names)
     cost_vec = [0] * nv
     for i, c in zip(m.obj_vars, m.obj_coeffs):
         cost_vec[i] += c
-    row_vars, row_coeffs = list(m.row_vars), list(m.row_coeffs)
     inf = float("inf")
+    row_vars = [*m.row_vars, *(r[0] for r in extra_rows)]
+    row_coeffs = [*m.row_coeffs, *(r[1] for r in extra_rows)]
     lo = [-inf if rel == "<=" else b for rel, b in zip(m.relations, m.rhs)]
     hi = [inf if rel == ">=" else b for rel, b in zip(m.relations, m.rhs)]
-    if space is not None:  # x_v_t has index (v - 1)(horizon + 1) + t
-        for t in range(1, horizon + 1):
-            row_vars.append([(v - 1) * (horizon + 1) + t for v in range(1, g.n + 1)])
-            row_coeffs.append([1] * g.n)
-            lo.append(-inf)
-            hi.append(space)
+    lo += [-inf] * len(extra_rows)
+    hi += [r[2] for r in extra_rows]
     rows = [r for r, idx in enumerate(row_vars) for _ in idx]
     cols = [i for idx in row_vars for i in idx]
     vals = [c for coeffs in row_coeffs for c in coeffs]
     a = scipy_sparse.csr_array((vals, (rows, cols)), shape=(len(row_vars), nv))
-    res = scipy_optimize.milp(
+    return scipy_optimize.milp(
         cost_vec,
         constraints=scipy_optimize.LinearConstraint(a, lo, hi),
         integrality=[1] * m.n_integral + [0] * (nv - m.n_integral),
         bounds=scipy_optimize.Bounds(m.lower, m.upper),
     )
+
+
+def _solve_ip(g, horizon, space=None):
+    """Solve build_pebbling_ip(g, horizon) with HiGHS; return the optimum
+    and the pebbling its x variables spell, trailing empty rounds dropped,
+    or None if the program is infeasible. With space set, each round t
+    gets one more row, sum over v of x_v_t <= space.
+    """
+    m = build_pebbling_ip(g, horizon)
+    extra = []
+    if space is not None:  # x_v_t has index (v - 1)(horizon + 1) + t
+        for t in range(1, horizon + 1):
+            cols = [(v - 1) * (horizon + 1) + t for v in range(1, g.n + 1)]
+            extra.append((cols, [1] * g.n, space))
+    res = _milp(m, extra)
     if res.status == 2:
         return None
     assert res.success, res.message
@@ -114,3 +127,20 @@ def test_ip_rounds_match_the_capped_sweep(name):
         assert _solve_ip(g, rounds - 1, cap) is None, (name, cap, rounds)
         checked += 1
     assert checked >= 2, name
+
+
+@pytest.mark.parametrize(
+    ("name", "d"),
+    [(f"lr{n}-1", d) for n in (14, 16, 18) for d in (2, 4, 6)] + [("ce16", 3), ("pyramid6", 2)],
+)
+def test_reducible_ip_matches_min_reducing_set(name, d):
+    """build_reducible_ip(g, d) caps the edge count of every surviving path
+    at d, so its MILP optimum is the size min_reducing_set(g, d, "edges")
+    finds, and the nodes its s variables remove leave depth at most d."""
+    g = pyramid(6) if name == "pyramid6" else CORPUS[name]
+    res = _milp(build_reducible_ip(g, d))
+    assert res.success, res.message
+    removed = {v for v in range(1, g.n + 1) if round(res.x[v - 1])}  # s_v has index v - 1
+    assert len(removed) == round(res.fun)
+    assert verify_set(g, removed, d, "edges"), (name, d, removed)
+    assert min_reducing_set(g, d, "edges")[0] == round(res.fun), (name, d)
