@@ -1,7 +1,7 @@
 """The verify-paper acceptance suite: one check per published criterion.
 
-Checks return (passed, detail); run_acceptance adds timing and enforces each
-stated budget. `pebblecc verify-paper` and tests/test_acceptance.py both run
+Checks return (passed, detail), each at its first failure with a detail that
+names it; run_acceptance adds timing and enforces each stated budget. `pebblecc verify-paper` and tests/test_acceptance.py both run
 the checks through run_acceptance.
 """
 
@@ -11,7 +11,7 @@ import time
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import chain as iter_chain, combinations, combinations_with_replacement
 
 from .b2lc import B2lcInstance, ThreePartitionInstance, solve_3partition, solve_b2lc
 from .depth_reduce import is_reducible
@@ -191,18 +191,18 @@ def _check_vc_threshold() -> tuple[bool, str]:
         for v in range(1, 6):
             live = set(range(dmax + 1))
             pairs = list(combinations(range(1, v + 1), 2))
-            for r in range(len(pairs) + 1):
-                for es in combinations(pairs, r):
-                    if not live:
-                        break
-                    k = _min_vertex_cover(v, list(es))
-                    g, _ = vc_to_reducible(v, es, conv)
-                    for d in sorted(live):
-                        # is_reducible tries sizes in increasing order, so its
-                        # witness has k nodes iff k suffice and k - 1 do not
-                        res = is_reducible(g, k, d, conv)
-                        if not (res.reducible and len(res.witness_set) == k):
-                            live.discard(d)
+            edge_sets = (combinations(pairs, r) for r in range(len(pairs) + 1))
+            for es in iter_chain.from_iterable(edge_sets):
+                if not live:
+                    break
+                k = _min_vertex_cover(v, list(es))
+                g, _ = vc_to_reducible(v, es, conv)
+                for d in sorted(live):
+                    # is_reducible tries sizes in increasing order, so its
+                    # witness has k nodes iff k suffice and k - 1 do not
+                    res = is_reducible(g, k, d, conv)
+                    if not (res.reducible and len(res.witness_set) == k):
+                        live.discard(d)
             per_v[v] = sorted(live)
             if not live:
                 break
@@ -221,7 +221,6 @@ def _check_vc_threshold() -> tuple[bool, str]:
 def _check_sync_properties() -> tuple[bool, str]:
     tiny = B2lcInstance(n_vars=3, m=1, equations=((1, 1, 2), (2, 2, 3)))
     layout = b2lc_to_graph(tiny, tau=2)
-    broke_legality = first_break = None
     for seed in range(200):
         p = random_legal_pebbling(layout.graph, seed=seed)
         q = sync_normalize(layout, p)
@@ -230,31 +229,15 @@ def _check_sync_properties() -> tuple[bool, str]:
         if sync_normalize(layout, q) != q:
             return False, f"not idempotent at seed {seed}"
         verdict = validate(layout.graph, q)
-        if not verdict.legal and first_break is None:
-            broke_legality = seed
-            first_break = verdict.first_violation
+        if not verdict.legal:
+            return False, f"sync broke legality at seed {seed}, violation {verdict.first_violation}"
     spot_inst = B2lcInstance(n_vars=2, m=1, equations=((1, 1, 2), (2, 1, 1)))
     spot = b2lc_to_graph(spot_inst, tau=2)
     res = exact_pcc(spot.graph)
-    spot_ok = (
-        res.proven
-        and res.optimum == 19
-        and sync_normalize(spot, res.witness) == res.witness
-    )
-    if broke_legality is None and spot_ok:
-        return True, "sync preserved legality on all 200; optimal witness synchronized"
-    parts = []
-    if broke_legality is not None:
-        parts.append(
-            "sync broke legality on randomized pebblings (first at seed "
-            f"{broke_legality}, violation {first_break}): a placement in the "
-            "synchronized schedule lacks a parent in the previous round"
-        )
-    parts.append(
-        "cc never increased and the transform was idempotent on all 200; "
-        f"15-node layout optimum {res.optimum} with synchronized witness: {spot_ok}"
-    )
-    return False, "; ".join(parts)
+    synced = sync_normalize(spot, res.witness) == res.witness
+    if not (res.proven and res.optimum == 19 and synced):
+        return False, f"15-node layout: optimum {res.optimum}, proven={res.proven}, synced={synced}"
+    return True, "sync preserved legality on all 200; optimal witness synchronized"
 
 
 def _check_space_bounds() -> tuple[bool, str]:
@@ -304,11 +287,9 @@ def run_acceptance(names: list[str] | None = None) -> list[CheckOutcome]:
     A check passes only if its predicate holds and it finishes within the
     stated budget.
     """
-    known = {name for name, _, _ in ACCEPTANCE_CHECKS}
-    if names:
-        unknown = set(names) - known
-        if unknown:
-            raise ValueError(f"unknown checks: {sorted(unknown)}")
+    unknown = set(names or ()) - {name for name, _, _ in ACCEPTANCE_CHECKS}
+    if unknown:
+        raise ValueError(f"unknown checks: {sorted(unknown)}")
     outcomes = []
     for name, budget, fn in ACCEPTANCE_CHECKS:
         if names and name not in names:

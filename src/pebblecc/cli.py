@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 
 from .acceptance import run_acceptance
@@ -310,16 +311,7 @@ def _cmd_lp_gap(args):
 
 def _cmd_verify_paper(args):
     outcomes = run_acceptance(args.checks or None)
-    payload = [
-        {
-            "name": o.name,
-            "passed": o.passed,
-            "elapsed": round(o.elapsed, 3),
-            "budget": o.budget,
-            "detail": o.detail,
-        }
-        for o in outcomes
-    ]
+    payload = [{**asdict(o), "elapsed": round(o.elapsed, 3)} for o in outcomes]
     width = max(len(o.name) for o in outcomes)
     lines = [
         f"{'PASS' if o.passed else 'FAIL'}  {o.name:<{width}}  {o.elapsed:7.2f}s  {o.detail}"

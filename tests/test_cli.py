@@ -6,6 +6,7 @@ import json
 import shlex
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -302,6 +303,8 @@ def test_verify_paper_subset_passes(capsys):
     assert [d["name"] for d in data] == ["counterexample-upper", "space-bounds"]
     assert [d["budget"] for d in data] == [1.0, 120.0]
     assert all(d["passed"] for d in data)
+    assert [list(d) for d in data] == [[f.name for f in fields(acceptance.CheckOutcome)]] * 2
+    assert all(d["elapsed"] == round(d["elapsed"], 3) for d in data)
 
 
 def test_verify_paper_reports_failing_check(monkeypatch, capsys):
