@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from itertools import chain, groupby, product
 from math import lcm
 from operator import mul
 
@@ -87,7 +87,10 @@ class LpModel:
     """A minimization program, stored by columns; variable order is the
     emission order. The first n_integral variables are integral. Row i is
     sum(row_coeffs[i][j] * var[row_vars[i][j]]) relations[i] rhs[i], stored at
-    scale scales[i] (see LpConstraint); the objective is indexed the same way."""
+    scale scales[i] (see LpConstraint); the objective is indexed the same way.
+    Made directly, it checks that the columns fit together: one entry per
+    variable or row, as many coefficients as variables in each row, declared
+    indices, known relations and positive int scales."""
 
     names: tuple[str, ...]
     lower: tuple[int, ...]
@@ -103,15 +106,26 @@ class LpModel:
     obj_coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        nv = len(self.names)
+        nv, nr = len(self.names), len(self.row_names)
         if len(set(self.names)) != nv:
             raise ValueError("duplicate variable names")
         if not 0 <= self.n_integral <= nv:
             raise ValueError(f"n_integral {self.n_integral} outside 0..{nv}")
-        for name, rel in zip(self.row_names, self.relations):
+        columns = [("lower", nv, "variables"), ("upper", nv, "variables")]
+        columns += [(col, nr, "rows") for col in ("row_vars", "row_coeffs", "relations", "rhs", "scales")]
+        for col, want, of in columns:
+            got = len(getattr(self, col))
+            if got != want:
+                raise ValueError(f"{col} has {got} entries for {want} {of}")
+        for name, rel, scale in zip(self.row_names, self.relations, self.scales):
             if rel not in ("<=", ">=", "="):
                 raise ValueError(f"bad relation {rel!r} in {name}")
-        for name, idx in (*zip(self.row_names, self.row_vars), ("objective", self.obj_vars)):
+            if type(scale) is not int or scale < 1:
+                raise ValueError(f"{name} has scale {scale!r}, not a positive int")
+        rows = (*zip(self.row_names, self.row_vars, self.row_coeffs), ("objective", self.obj_vars, self.obj_coeffs))
+        for name, idx, co in rows:
+            if len(idx) != len(co):
+                raise ValueError(f"{name} has {len(idx)} variables but {len(co)} coefficients")
             for i in idx:
                 if not 0 <= i < nv:
                     raise ValueError(f"{name} uses undeclared variable index {i}")
@@ -155,6 +169,14 @@ def _xnames(n: int, horizon: int) -> tuple[str, ...]:
     return tuple(map("".join, product(nodes, rounds)))
 
 
+def _reducible_names(n: int) -> tuple[str, ...]:
+    """The depth-reduction program's variable names: s_v at index v - 1,
+    then d_u_v at index un + v - 1, joined from prefixes like _xnames."""
+    nodes = [str(v) for v in range(1, n + 1)]
+    pairs = product(map("d_".__add__, nodes), map("_".__add__, nodes))
+    return (*map("s_".__add__, nodes), *map("".join, pairs))
+
+
 def _unchecked(**columns) -> LpModel:
     """An LpModel made without running __post_init__, for columns that are
     valid by construction: the builders compute every index, and relax
@@ -183,11 +205,12 @@ def build_pebbling_ip(g: Dag, horizon: int | None = None) -> LpModel:
     row_names = [f"sink_{v}" for v in sinks]
     row_vars = [tuple(range((v - 1) * width, v * width)) for v in sinks]
     row_coeffs, scales = [(1,) * width] * len(sinks), [1] * len(sinks)
+    rounds = [f"_{t}" for t in range(horizon)]
     for v in range(1, g.n + 1):
         parents = sorted(g.parent_sets[v])
         if parents:
             k, at = len(parents), (v - 1) * width
-            row_names += [f"move_{v}_{t}" for t in range(horizon)]
+            row_names += map(f"move_{v}".__add__, rounds)
             starts = (at + 1, at, *((u - 1) * width for u in parents))
             row_vars += zip(*(range(s, s + horizon) for s in starts))
             row_coeffs += [(k, -k) + (-1,) * k] * horizon  # one shared tuple per node
@@ -213,12 +236,16 @@ def build_reducible_ip(g: Dag, d: int) -> LpModel:
     """
     if d < 0:
         raise ValueError("d must be nonnegative")
-    n, nodes, rows = g.n, range(1, g.n + 1), g.n * len(g.edges)
+    n, rows = g.n, g.n * len(g.edges)
+    tails, heads = [u for u, _ in g.edges], [v for _, v in g.edges]
+    tails0, heads0 = [u - 1 for u in tails], [v - 1 for v in heads]
+    edges = [f"_{u}_{v}" for u, v in g.edges]
+    paths = product([f"path_{w}" for w in range(1, n + 1)], edges)
+    # row w, (u, v) reads d_w_v, d_w_u, s_u, s_v; d_w_x has index (wn - 1) + x
+    per_w = (zip(map(at.__add__, heads), map(at.__add__, tails), tails0, heads0) for at in range(n - 1, n * n, n))
     return _unchecked(
-        names=(*(f"s_{v}" for v in nodes), *(f"d_{u}_{v}" for u in nodes for v in nodes)),
-        lower=(0,) * (n + n * n), upper=(1,) * n + (d,) * (n * n), n_integral=n,
-        row_names=tuple(f"path_{w}_{u}_{v}" for w in nodes for u, v in g.edges),
-        row_vars=tuple((w * n + v - 1, w * n + u - 1, u - 1, v - 1) for w in nodes for u, v in g.edges),
+        names=_reducible_names(n), lower=(0,) * (n + n * n), upper=(1,) * n + (d,) * (n * n), n_integral=n,
+        row_names=tuple(map("".join, paths)), row_vars=tuple(chain.from_iterable(per_w)),
         row_coeffs=((1, -1, d + 1, d + 1),) * rows, relations=(">=",) * rows,
         rhs=(1,) * rows, scales=(1,) * rows, obj_vars=tuple(range(n)), obj_coeffs=(1,) * n,
     )
@@ -278,23 +305,25 @@ def fractional_timed_solution(g: Dag) -> tuple[LpSolution, FeasibilityReport]:
 
     x_i_i = 1; for i < t, x_i_t = max(1/n, max over j >= 1 of
     2^(-dist(i, t+j) - j + 2)) with unreachable or out-of-range targets
-    skipped. Feasibility depends on the graph, so it is checked against the
-    relaxed n-horizon program and reported rather than assumed.
+    skipped. The inner max is 2^(2 - m) for m the least dist(i, k) + k - t
+    over reachable k in t+1..n, so one running minimum over k, from n
+    down, gives every t. Feasibility depends on the graph, so it is
+    checked against the relaxed n-horizon program and reported rather than
+    assumed.
     """
     n = g.n
-    floor = Fraction(1, n)
-    values: dict[str, Fraction] = dict.fromkeys(_xnames(n, n), 0)
-    dist_from = [None] + [_distances(g, i) for i in range(1, n + 1)]
+    floor, lg = Fraction(1, n), (n - 1).bit_length()  # 2^s < n iff s < lg
+    values: list[int | Fraction] = [0] * (n * (n + 1))
     for i in range(1, n + 1):
-        values[f"x_{i}_{i}"] = 1
-        for t in range(i + 1, n + 1):
-            best = floor
-            for j in range(1, n - t + 1):
-                d_ij = dist_from[i][t + j]
-                if d_ij is not None:
-                    best = max(best, Fraction(2) ** (-d_ij - j + 2))
-            values[f"x_{i}_{t}"] = best
-    solution = LpSolution(values)
+        dist, at = _distances(g, i), (i - 1) * (n + 1)
+        values[at + i] = 1
+        least = 3 * n  # min of dist(i, k) + k over reachable k > t, or 3n: past any 1/n
+        for t in range(n, i, -1):
+            s = least - t - 2
+            values[at + t] = Fraction(1, 1 << s) if s < lg else floor
+            if dist[t] is not None:
+                least = min(least, dist[t] + t)
+    solution = LpSolution(dict(zip(_xnames(n, n), values)))
     report = verify_solution(relax(build_pebbling_ip(g, horizon=n)), solution)
     return solution, report
 
@@ -303,10 +332,8 @@ def fractional_reducible_solution(g: Dag, d: int) -> LpSolution:
     """The uniform point x_v = 1/d, all path trackers zero; objective n/d."""
     if d < 1:
         raise ValueError("d must be at least 1")
-    nodes = range(1, g.n + 1)
-    values = dict.fromkeys((f"s_{v}" for v in nodes), Fraction(1, d))
-    values.update(dict.fromkeys((f"d_{u}_{v}" for u in nodes for v in nodes), 0))
-    return LpSolution(values)
+    n = g.n
+    return LpSolution(dict(zip(_reducible_names(n), [Fraction(1, d)] * n + [0] * (n * n))))
 
 
 def pebbling_to_solution(g: Dag, p: Pebbling, horizon: int | None = None) -> LpSolution:
@@ -323,11 +350,12 @@ def pebbling_to_solution(g: Dag, p: Pebbling, horizon: int | None = None) -> LpS
         raise IllegalPebbling(f"first violation: {verdict.first_violation}")
     if p.t > horizon:
         raise ValueError(f"pebbling has {p.t} rounds, horizon is {horizon}")
-    values = dict.fromkeys(_xnames(g.n, horizon), 0)
+    width = horizon + 1
+    values = [0] * (g.n * width)
     for t, rnd in enumerate(p.rounds, start=1):
         for v in rnd:
-            values[f"x_{v}_{t}"] = 1
-    return LpSolution(values)
+            values[(v - 1) * width + t] = 1
+    return LpSolution(dict(zip(_xnames(g.n, horizon), values)))
 
 
 def verify_solution(m: LpModel, s: LpSolution) -> FeasibilityReport:
@@ -372,19 +400,24 @@ def verify_solution(m: LpModel, s: LpSolution) -> FeasibilityReport:
     return FeasibilityReport(not violated, objective, tuple(violated))
 
 
-def _terms(pairs) -> str:
-    parts = []
-    for name, c in pairs:
-        if c == 0:
-            continue
-        sign = "-" if c < 0 else "+"
-        mag = abs(c)
-        term = name if mag == 1 else f"{mag} {name}"
-        if not parts:
-            parts.append(term if sign == "+" else f"- {term}")
-        else:
-            parts.append(f"{sign} {term}")
-    return " ".join(parts) if parts else "0"
+def _runs(column):
+    """(value, start, stop) for each maximal run of equal items in column."""
+    stop = 0
+    for value, run in groupby(column):
+        start, stop = stop, stop + len(list(run))
+        yield value, start, stop
+
+
+def _terms(names, coeffs) -> str:
+    """sum(c * name) in LP syntax: zero terms left out, unit coefficients
+    bare, "0" when nothing is left. A run of equal coefficients is one join."""
+    runs = []
+    for c, start, stop in _runs(coeffs):
+        if c:
+            sign = ("- " if c < 0 else "+ ") + ("" if abs(c) == 1 else f"{abs(c)} ")
+            runs.append(sign + (" " + sign).join(names[start:stop]))
+    text = " ".join(runs)
+    return text[2:] if text.startswith("+ ") else text or "0"
 
 
 def emit(m: LpModel) -> str:
@@ -393,22 +426,20 @@ def emit(m: LpModel) -> str:
     Rows are printed as stored, so every coefficient is an integer (a scaled
     row appears multiplied by its scale); integral variables go in a
     Generals section. Ordering follows the model, so output is deterministic.
-    A run of rows that share one coefficient tuple shares one %-format line.
+    A run of rows that share one coefficient tuple is printed with one
+    %-format template, and a run of variables with equal bounds likewise.
     """
     names = m.names
-    lines = ["Minimize", f" obj: {_terms(zip(map(names.__getitem__, m.obj_vars), m.obj_coeffs))}"]
-    lines.append("Subject To")
-    shape = None
-    for name, idx, co, rel, rhs in zip(m.row_names, m.row_vars, m.row_coeffs, m.relations, m.rhs):
-        if co is not shape:
-            shape, live = co, [j for j, c in enumerate(co) if c]
-            row = f" %s: {_terms(zip(['%s'] * len(co), co))} %s %s"
-        if len(live) < len(co):
-            idx = [idx[j] for j in live]
-        lines.append(row % (name, *[names[i] for i in idx], rel, rhs))
+    at = names.__getitem__
+    lines = ["Minimize", f" obj: {_terms(list(map(at, m.obj_vars)), m.obj_coeffs)}", "Subject To"]
+    for co, start, stop in _runs(m.row_coeffs):
+        row = f" %s: {_terms(['%s'] * len(co), co)} %s %s"
+        live = [map(at, col) for col, c in zip(zip(*m.row_vars[start:stop]), co) if c]
+        cells = zip(m.row_names[start:stop], *live, m.relations[start:stop], m.rhs[start:stop])
+        lines += map(row.__mod__, cells)
     lines.append("Bounds")
-    for name, lo, hi in zip(names, m.lower, m.upper):
-        lines.append(f" {name} = {lo}" if lo == hi else f" {lo} <= {name} <= {hi}")
+    for (lo, hi), start, stop in _runs(zip(m.lower, m.upper)):
+        lines += map((f" %s = {lo}" if lo == hi else f" {lo} <= %s <= {hi}").__mod__, names[start:stop])
     if m.n_integral:
         lines.append("Generals")
         lines += (" " + " ".join(names[i : min(i + 8, m.n_integral)]) for i in range(0, m.n_integral, 8))

@@ -29,7 +29,7 @@ from pebblecc.lp import (
     staircase_horizon,
     verify_solution,
 )
-from pebblecc.pebbling import Pebbling, trivial_pebbling
+from pebblecc.pebbling import Pebbling, random_legal_pebbling, trivial_pebbling
 from pebblecc.reductions import claim_c1_pebbling, counterexample_dag
 from pebblecc.search import Infeasible, SearchLimits
 
@@ -84,6 +84,28 @@ def test_variable_names_match_the_formatted_form():
             assert lp._xnames(n, horizon) == want
 
 
+# node 1 reaches 3, 5 and 6 in one edge, and 2 reaches 5 in one
+SKIP_EDGES = build_dag(6, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 3), (2, 5), (1, 6)])
+
+
+def test_row_and_reducible_names_match_the_formatted_form():
+    """The builders join name prefixes to shared suffixes; the names, and
+    so their order, are those of one f-string per row or variable."""
+    graphs = [chain(1), chain(5), pyramid(4), build_dag(3, []), SKIP_EDGES]
+    graphs += [layered_random(12, 3), counterexample_dag()]
+    for g in graphs:
+        nodes = range(1, g.n + 1)
+        for h in (1, 3, 10, 11):
+            want = [f"sink_{v}" for v in sorted(g.sinks)]
+            want += [f"move_{v}_{t}" for v in nodes if g.parent_sets[v] for t in range(h)]
+            assert build_pebbling_ip(g, horizon=h).row_names == tuple(want)
+        want = (*(f"s_{v}" for v in nodes), *(f"d_{u}_{v}" for u in nodes for v in nodes))
+        m = build_reducible_ip(g, 2)
+        assert m.names == want
+        assert tuple(fractional_reducible_solution(g, 2).values) == want
+        assert m.row_names == tuple(f"path_{w}_{u}_{v}" for w in nodes for u, v in g.edges)
+
+
 def test_pebbling_ip_rejects_degenerate_horizon():
     with pytest.raises(ValueError):
         build_pebbling_ip(chain(2), horizon=0)
@@ -135,6 +157,20 @@ def test_model_rejects_malformed_columns():
         ({"row_vars": ((0, 2), (1,))}, "r uses undeclared variable index 2"),
         ({"row_vars": ((0, 1), (-1,))}, "q uses undeclared variable index -1"),
         ({"obj_vars": (0, 2)}, "objective uses undeclared variable index 2"),
+        # unchecked, a short column let a violated bound pass verification
+        ({"lower": (0,)}, "lower has 1 entries for 2 variables"),
+        ({"upper": (1, 1, 1)}, "upper has 3 entries for 2 variables"),
+        ({"row_vars": ((0, 1),)}, "row_vars has 1 entries for 2 rows"),
+        ({"row_coeffs": ((1, -1), (2,), (3,))}, "row_coeffs has 3 entries for 2 rows"),
+        ({"relations": ("<=",)}, "relations has 1 entries for 2 rows"),
+        ({"rhs": ()}, "rhs has 0 entries for 2 rows"),
+        ({"scales": (1,)}, "scales has 1 entries for 2 rows"),
+        ({"row_coeffs": ((1,), (2,))}, "r has 2 variables but 1 coefficients"),
+        ({"row_vars": ((0, 1), (1, 0))}, "q has 2 variables but 1 coefficients"),
+        ({"obj_coeffs": (1,)}, "objective has 2 variables but 1 coefficients"),
+        ({"scales": (1, 0)}, "q has scale 0, not a positive int"),
+        ({"scales": (-1, 2)}, "r has scale -1, not a positive int"),
+        ({"scales": (1, 2.0)}, "q has scale 2.0, not a positive int"),
     ]
     for change, message in bad:
         with pytest.raises(ValueError, match=re.escape(message)):
@@ -515,3 +551,54 @@ def test_lp_outputs_are_pinned():
                 parts.append(str(exc.value))
     digest = hashlib.sha256("\n".join(parts).encode()).hexdigest()
     assert digest == "f884ceabc876d978f26b4d6047b36495a887f5b4e74bb862a92b52eab43a7706"
+
+
+def test_point_values_are_pinned():
+    # One digest over the (name, value) items, in dict order and with the
+    # values' types, of every point builder on assorted graphs.
+    graphs = [chain(n) for n in range(1, 9)] + [pyramid(k) for k in range(2, 6)]
+    graphs += [counterexample_dag(), SKIP_EDGES] + [layered_random(n, n) for n in range(9, 21)]
+    points = []
+    for g in graphs:
+        points.append(fractional_pebbling_solution(g, horizon=staircase_horizon(g.n)))
+        points.append(fractional_timed_solution(g)[0])
+        points += [fractional_reducible_solution(g, d) for d in (1, 2, 3)]
+        pebblings = [trivial_pebbling(g)]
+        pebblings += [random_legal_pebbling(g, s, mode) for s in (1, 2) for mode in ("parallel", "sequential")]
+        points += [pebbling_to_solution(g, p, horizon=p.t) for p in pebblings]
+        points.append(pebbling_to_solution(g, pebblings[0]))
+    text = "\n".join(repr(list(point.values.items())) for point in points)
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "a87104ccf984c90ce5a8331a48fb07ffe631e55927b5c2b0f29d19611ebc0164"
+
+
+def test_emit_corner_cases_are_pinned():
+    # Zero and negative coefficients, all-zero and empty rows, = rows, a
+    # negative rhs, equal coefficient tuples that are distinct objects in
+    # runs of one, a fixed bound lo = hi = 1, and ten integral variables,
+    # so the Generals section wraps after eight.
+    a, b = tuple([2, 0, -1]), tuple([2, 0, -1])
+    c, e = tuple([1, -3]), tuple([1, -3])
+    shared = (1, 1)
+    rows = [
+        ("r1", (0, 1, 2), a, "<=", -3), ("r2", (3, 4), c, "=", 0), ("r3", (5, 6, 7), b, ">=", 1),
+        ("r4", (8, 9), e, "=", -1), ("r5", (10, 11, 0), a, "<=", 2), ("r6", (), (), ">=", -1),
+        ("r7", (1, 2), (0, 0), "<=", 0), ("r8", (3, 4), (-1, 1), "<=", 4), ("r9", (5, 6, 7), (-2, 3, 1), "=", 7),
+        ("r10", (0, 1), shared, ">=", 1), ("r11", (2, 3), shared, ">=", 1), ("r12", (4, 5), shared, "<=", -2),
+    ]
+    names, vars_, coeffs, relations, rhs = map(tuple, zip(*rows))
+    m = LpModel(
+        names=tuple("abcdefghijkl"), lower=(0, 0, 0, 1, -2, -2, 0, 0, 0, 0, 0, 0),
+        upper=(1, 1, 1, 1, 3, 3, 1, 1, 1, 1, 7, 0), n_integral=10, row_names=names, row_vars=vars_,
+        row_coeffs=coeffs, relations=relations, rhs=rhs, scales=(1, 2) * 6,
+        obj_vars=tuple(range(12)), obj_coeffs=(1, 1, 0, -1, -1, 2, 2, 2, 0, 1, -3, 1),
+    )
+    text = emit(m) + emit(relax(m))
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "f44fcbb7cbed675aa9fc9ffd78a1247306b862d638602f918e88b9fb36c357c7"
+
+
+def test_emit_of_the_lr64_staircase_model_is_pinned():
+    m = relax(build_pebbling_ip(layered_random(64, 1), horizon=staircase_horizon(64)))
+    digest = hashlib.sha256(emit(m).encode()).hexdigest()
+    assert digest == "26777b24a53698a785f407aaf148bdeb0d80152e41dc526172d0a701664e3b32"
