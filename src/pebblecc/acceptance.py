@@ -98,7 +98,7 @@ def _check_staircase_corpus() -> tuple[bool, str]:
             return False, f"infeasible on n={g.n}: {rep.violated[:2]}"
         if rep.objective > 4 * g.n:
             return False, f"objective {rep.objective} > 4n on n={g.n}"
-        if g.n > 1 and rep.objective != _staircase_closed_form(g.n):
+        if rep.objective != _staircase_closed_form(g.n):
             return False, f"objective mismatch on n={g.n}"
     return True, f"{len(corpus)} dags: feasible, objective = closed form, <= 4n"
 

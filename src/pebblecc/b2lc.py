@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import combinations
 
 from .graph import TooLarge, _from_json
@@ -283,13 +283,7 @@ def solve_3partition(
 
 
 def b2lc_to_json(inst: B2lcInstance) -> str:
-    return json.dumps(
-        {
-            "n_vars": inst.n_vars,
-            "m": inst.m,
-            "equations": [list(eq) for eq in inst.equations],
-        }
-    )
+    return json.dumps(asdict(inst))
 
 
 def b2lc_from_json(text: str) -> B2lcInstance:

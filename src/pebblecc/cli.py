@@ -27,6 +27,7 @@ from .graph import (
     _GENERATORS, CONVENTIONS, Dag, TooLarge, _from_json, dag_from_json, dag_to_json, depth, generate,
 )
 from .lp import (
+    _fraction_str,
     build_pebbling_ip,
     build_reducible_ip,
     emit,
@@ -35,7 +36,6 @@ from .lp import (
     fractional_timed_solution,
     gap_report,
     relax,
-    report_to_json,
     staircase_horizon,
     verify_solution,
     LpSolution,
@@ -122,7 +122,7 @@ def _cmd_depth(args):
 
 def _cmd_pebble_check(args):
     verdict = validate(_load_graph(args.graph), pebbling_from_json(_read(args.pebbling)))
-    payload = {"legal": verdict.legal, "first_violation": verdict.first_violation}
+    payload = asdict(verdict)
     if verdict.legal:
         return OK, payload, "legal"
     rnd, node, reason = verdict.first_violation
@@ -131,7 +131,7 @@ def _cmd_pebble_check(args):
 
 def _cmd_cost(args):
     c = cost(pebbling_from_json(_read(args.pebbling)))
-    payload = {"cc": c.cc, "st": c.st, "t": c.t, "max_space": c.max_space}
+    payload = asdict(c)
     return OK, payload, "cc = {cc}  st = {st}  t = {t}  max_space = {max_space}".format(**payload)
 
 
@@ -157,12 +157,7 @@ def _cmd_b2lc_solve(args):
     covered, w = solve_b2lc(b2lc_from_json(_read(args.instance)))
     if not covered:
         return NO, {"covered": False}, "not coverable"
-    payload = {
-        "covered": True,
-        "group_of": list(w.group_of),
-        "values": [list(row) for row in w.values],
-    }
-    return OK, payload, f"coverable: groups {w.group_of}, assignments {w.values}"
+    return OK, {"covered": True, **asdict(w)}, f"coverable: groups {w.group_of}, assignments {w.values}"
 
 
 def _cmd_3part_solve(args):
@@ -188,7 +183,7 @@ def _cmd_reduce_vc(args):
     )
     g, originals = vc_to_reducible(n, edges, args.convention)
     payload = {
-        "dag": json.loads(dag_to_json(g)),
+        "dag": asdict(g),
         "originals": sorted(originals),
         "convention": args.convention,
     }
@@ -258,7 +253,7 @@ def _cmd_lp_emit(args):
 
 
 def _point_output(sol: LpSolution, rep, text: str):
-    payload = {"values": {k: str(v) for k, v in sol.values.items()}, **json.loads(report_to_json(rep))}
+    payload = {"values": {k: str(v) for k, v in sol.values.items()}, **asdict(rep)}
     return (OK if rep.feasible else NO), payload, text
 
 
@@ -290,20 +285,13 @@ def _cmd_lp_verify(args):
     rep = verify_solution(m, _load_solution(args.solution))
     lines = [f"feasible = {rep.feasible}, objective = {rep.objective}"]
     lines += [f"  violated {name} (slack {slack})" for name, slack in rep.violated[:10]]
-    return (OK if rep.feasible else NO), json.loads(report_to_json(rep)), "\n".join(lines)
+    return (OK if rep.feasible else NO), asdict(rep), "\n".join(lines)
 
 
 def _cmd_lp_gap(args):
     gr = gap_report(_load_graph(args.graph), limits=_limits(args), cost_cap=args.cost_cap)
-    payload = {
-        "n": gr.n,
-        "fractional_objective": str(gr.fractional_objective),
-        "pcc": gr.pcc,
-        "pcc_proven": gr.pcc_proven,
-        "ratio": str(gr.ratio),
-    }
     kind = "exact" if gr.pcc_proven else "upper bound, unproven"
-    return OK, payload, (
+    return OK, asdict(gr), (
         f"n = {gr.n}: fractional objective {gr.fractional_objective}, "
         f"pcc {gr.pcc} ({kind}), ratio {gr.ratio}"
     )
@@ -449,10 +437,10 @@ def main(argv: list[str] | None = None) -> int:
     except Infeasible as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return NO
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
-    print(json.dumps(payload, indent=2) if getattr(args, "json", False) else text)
+    print(json.dumps(payload, indent=2, default=_fraction_str) if getattr(args, "json", False) else text)
     return code
 
 

@@ -342,7 +342,7 @@ def generate(kind: str, *args, **kwargs) -> Dag:
 
 
 def dag_to_json(g: Dag) -> str:
-    return json.dumps({"n": g.n, "edges": [list(e) for e in g.edges]})
+    return json.dumps({"n": g.n, "edges": g.edges})
 
 
 def _from_json(text: str, what: str, build):

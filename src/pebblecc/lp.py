@@ -19,7 +19,7 @@ names, built on each access and never stored.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from itertools import chain, groupby, product
 from math import lcm
@@ -489,11 +489,13 @@ def gap_report(g: Dag, limits=None, cost_cap=None) -> GapReport:
     return GapReport(n, objective, pcc, proven, Fraction(pcc) / objective)
 
 
+def _fraction_str(x) -> str:
+    """json.dumps's default: a Fraction is written as its str; any other
+    type still raises TypeError."""
+    if isinstance(x, Fraction):
+        return str(x)
+    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+
+
 def report_to_json(r: FeasibilityReport) -> str:
-    return json.dumps(
-        {
-            "feasible": r.feasible,
-            "objective": str(r.objective),
-            "violated": [[name, str(slack)] for name, slack in r.violated],
-        }
-    )
+    return json.dumps(asdict(r), default=_fraction_str)

@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import accumulate, cycle
 
-from .b2lc import B2lcInstance, B2lcWitness, ThreePartitionInstance, _assemble_witness, b2lc_to_json
-from .graph import CONVENTIONS, Dag, build_dag, dag_to_json
+from .b2lc import B2lcInstance, B2lcWitness, ThreePartitionInstance, _assemble_witness
+from .graph import CONVENTIONS, Dag, build_dag
 from .pebbling import Pebbling
 
 __all__ = [
@@ -504,8 +504,8 @@ def claim_c1_pebbling() -> Pebbling:
 def layout_to_json(layout: ReductionLayout) -> str:
     return json.dumps(
         {
-            "graph": json.loads(dag_to_json(layout.graph)),
-            "instance": json.loads(b2lc_to_json(layout.instance)),
+            "graph": asdict(layout.graph),
+            "instance": asdict(layout.instance),
             "tau": layout.tau,
             "c": layout.c,
             "labels": layout.label_map,

@@ -54,13 +54,17 @@ class Exhausted(RuntimeError):
         lower_bound: int | None = None,
         upper_bound: int | None = None,
     ) -> None:
-        if lower_bound is not None:
-            hi = "?" if upper_bound is None else upper_bound
-            message += f"; optimum in [{lower_bound}, {hi}]"
         super().__init__(message)
         self.expanded = expanded
         self.lower_bound = lower_bound
         self.upper_bound = upper_bound
+
+    def __str__(self) -> str:
+        """The reason, then the proven interval if there is one."""
+        if self.lower_bound is None:
+            return self.args[0]
+        hi = "?" if self.upper_bound is None else self.upper_bound
+        return f"{self.args[0]}; optimum in [{self.lower_bound}, {hi}]"
 
 
 class Infeasible(RuntimeError):
@@ -777,9 +781,8 @@ def exact_min_st(
                 break
     except Exhausted as stop:  # its interval [c, ?] is min-space's
         floor = max(stop.lower_bound * rounds, g.n)
-        message = str(stop).partition(";")[0]
         hi = None if best is None else best[0]
-        raise Exhausted(message, stop.expanded, floor, hi) from None
+        raise Exhausted(stop.args[0], stop.expanded, floor, hi) from None
     assert best is not None, "cap n is always feasible"
     return SearchResult(best[0], best[1], True, expanded)
 

@@ -232,6 +232,10 @@ def test_instance_validation():
         B2lcInstance(n_vars=1, m=1, equations=((1, 1, 2),))
     with pytest.raises(ValueError):
         B2lcInstance(n_vars=2, m=1, equations=())
+    with pytest.raises(ValueError, match="n_vars >= 1"):
+        B2lcInstance(n_vars=0, m=1, equations=((1, 1, 2),))
+    with pytest.raises(ValueError, match="m >= 1"):
+        B2lcInstance(n_vars=2, m=0, equations=((1, 1, 2),))
     with pytest.warns(B2lcBudgetWarning):
         B2lcInstance(n_vars=2, m=3, equations=((1, 1, 2),))
 
@@ -320,6 +324,8 @@ def test_three_partition_validation():
         ThreePartitionInstance(elements=(1, 2), n=1)
     with pytest.raises(ValueError):
         ThreePartitionInstance(elements=(0, 1, 2), n=1)
+    with pytest.raises(ValueError, match="n >= 1"):
+        ThreePartitionInstance(elements=(), n=0)
 
 
 def test_json_round_trip():
@@ -344,4 +350,10 @@ def test_witness_checker_rejects_bad_tables():
     assert not check_witness(inst, B2lcWitness(group_of=(1,), values=((0, 0),)))
     assert not check_witness(inst, B2lcWitness(group_of=(2,), values=((0, 1),)))
     assert not check_witness(inst, B2lcWitness(group_of=(1,), values=((0, 1, 0),)))
+    # one group too many or one row too many; a negative value, though the
+    # equation holds; group index 0
+    assert not check_witness(inst, B2lcWitness(group_of=(1, 1), values=((0, 1),)))
+    assert not check_witness(inst, B2lcWitness(group_of=(1,), values=((0, 1), (0, 1))))
+    assert not check_witness(inst, B2lcWitness(group_of=(1,), values=((-1, 0),)))
+    assert not check_witness(inst, B2lcWitness(group_of=(0,), values=((0, 1),)))
     assert check_witness(inst, B2lcWitness(group_of=(1,), values=((3, 4),)))

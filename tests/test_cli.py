@@ -12,8 +12,14 @@ from pathlib import Path
 import pytest
 
 from pebblecc import acceptance
+from pebblecc.b2lc import B2lcInstance, B2lcWitness, b2lc_to_json
 from pebblecc.cli import build_parser, main
-from pebblecc.graph import chain, dag_to_json, layered_random, pyramid
+from pebblecc.graph import Dag, chain, dag_to_json, layered_random, pyramid
+from pebblecc.lp import (
+    FeasibilityReport, GapReport, LpSolution, build_pebbling_ip, relax, report_to_json,
+    verify_solution,
+)
+from pebblecc.pebbling import CostReport, LegalityVerdict
 from pebblecc.reductions import counterexample_dag
 
 
@@ -296,6 +302,40 @@ def test_lp_gap(tmp_path, capsys):
     assert data["ratio"] == "16/37"
 
 
+def field_names(cls):
+    return [f.name for f in fields(cls)]
+
+
+def test_writer_keys_are_the_dataclass_fields():
+    rep = verify_solution(
+        relax(build_pebbling_ip(chain(1), horizon=1)), LpSolution({"x_1_0": 0, "x_1_1": 0})
+    )
+    assert list(json.loads(dag_to_json(chain(3)))) == field_names(Dag)
+    assert list(json.loads(b2lc_to_json(B2lcInstance(2, 1, ((1, 1, 2),))))) == field_names(
+        B2lcInstance
+    )
+    assert list(json.loads(report_to_json(rep))) == field_names(FeasibilityReport)
+
+
+@pytest.mark.parametrize(
+    "command, text, keys",
+    [
+        (["cost", "{input}"], '{"rounds": [[1], [1, 2]]}', field_names(CostReport)),
+        (["pebble-check", "--graph", "{graph}", "{input}"], '{"rounds": [[1], [2]]}',
+         field_names(LegalityVerdict)),
+        (["pebble-check", "--graph", "{graph}", "{input}"], '{"rounds": [[2]]}',
+         field_names(LegalityVerdict)),
+        (["lp", "gap", "--graph", "{graph}"], "", field_names(GapReport)),
+        (["b2lc-solve", "{input}"], '{"n_vars": 2, "m": 1, "equations": [[1, 1, 2]]}',
+         ["covered", *field_names(B2lcWitness)]),
+    ],
+)
+def test_cli_json_keys_are_the_result_fields(tmp_path, capsys, command, text, keys):
+    paths = {"{graph}": graph_file(tmp_path, chain(2)), "{input}": write(tmp_path, "in.json", text)}
+    main([paths.get(arg, arg) for arg in command] + ["--json"])
+    assert list(json.loads(capsys.readouterr().out)) == keys
+
+
 def test_verify_paper_subset_passes(capsys):
     rc = main(["verify-paper", "counterexample-upper", "space-bounds", "--json"])
     assert rc == 0
@@ -380,6 +420,7 @@ PINNED_COMMANDS = [
     (["lp", "verify", "pebbling", "--graph", "{chain1}", "{sol_bad}", "--horizon", "1"], True),
     (["lp", "gap", "--graph", "{chain5}"], True),
     (["lp", "gap", "--graph", "{lr7}", "--seed", "40"], True),
+    (["lp", "gap", "--graph", "{ce16}", "--max-states", "50"], True),
 ]
 
 
@@ -414,7 +455,7 @@ def test_cli_output_is_pinned(tmp_path, capsys):
             out, err = capsys.readouterr()
             record.append(f"{argv}\n{rc}\n{out}\0{err}\0")
     digest = hashlib.sha256("".join(record).encode()).hexdigest()
-    assert digest == "dd3f5919459234c90d6ff404912407f2dc190ec8a304f373aec2cc6fb8d92ca2"
+    assert digest == "5beb1b34896e6377dc20c57b0b1e5e2af17cf20d303523a85895cfc3dc0f9d12"
 
 
 def test_pcc_bounded_seed_is_a_cost_cap(tmp_path, capsys):

@@ -54,6 +54,9 @@ def test_build_rejects_out_of_range():
         build_dag(2, [(1, 3)])
     with pytest.raises(OutOfRange):
         build_dag(2, [(0, 2)])
+    for v in (0, 3):
+        with pytest.raises(OutOfRange):
+            chain(2).parents(v)
 
 
 def test_build_dedupes_edges():
@@ -104,6 +107,16 @@ def test_generators_small():
     assert complete(4).edges == tuple(
         (u, v) for u in range(1, 5) for v in range(u + 1, 5)
     )
+
+
+@pytest.mark.parametrize(
+    "make", [chain, pyramid, complete, lambda n: layered_random(n, 0)],
+    ids=["chain", "pyramid", "complete", "layered_random"],
+)
+@pytest.mark.parametrize("size", [0, -1])
+def test_generators_reject_size_below_one(make, size):
+    with pytest.raises(ValueError, match=">= 1"):
+        make(size)
 
 
 def test_pyramid_shape_properties():

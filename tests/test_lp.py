@@ -311,6 +311,11 @@ def test_reducible_point_rejects_zero_d():
         fractional_reducible_solution(chain(3), 0)
 
 
+def test_reducible_ip_rejects_negative_d():
+    with pytest.raises(ValueError, match="nonnegative"):
+        build_reducible_ip(chain(3), -1)
+
+
 # ------------------------------------------------------------- embeddings
 
 
@@ -395,6 +400,23 @@ def test_verify_slack_is_in_source_units():
     assert rep.objective == Fraction(3, 2)
 
 
+def test_verify_equality_row_slack_is_minus_the_distance():
+    # the row 2a - b = 1 at scale 2 is a - b/2 = 1/2; the values' common
+    # denominator is 3, so a violated row's slack is -|lhs - rhs| / (3 * 2)
+    # in integers scaled by 3
+    m = LpModel(
+        names=("a", "b"), lower=(0, 0), upper=(4, 4), n_integral=0, row_names=("eq",),
+        row_vars=((0, 1),), row_coeffs=((2, -1),), relations=("=",), rhs=(1,), scales=(2,),
+        obj_vars=(0, 1), obj_coeffs=(1, 1),
+    )
+    third = Fraction(1, 3)
+    met = verify_solution(m, LpSolution({"a": 2 * third, "b": third}))
+    assert met.feasible and met.violated == ()
+    for a in (3 * third, third):  # lhs 5/3 exceeds rhs 1, lhs 1/3 falls short
+        rep = verify_solution(m, LpSolution({"a": a, "b": third}))
+        assert rep.violated == (("eq", Fraction(-2, 3 * 2)),)
+
+
 def test_report_json_round_trips_rationals():
     import json
 
@@ -405,6 +427,9 @@ def test_report_json_round_trips_rationals():
         "objective": "7/2",
         "violated": [["move_1_0", "-1/3"]],
     }
+    # only a Fraction is written as text; any other unknown type still fails
+    with pytest.raises(TypeError, match="complex"):
+        report_to_json(FeasibilityReport(True, 1j, ()))
 
 
 # ---------------------------------------------------------------- emission

@@ -1220,3 +1220,8 @@ def test_every_limit_binds_every_search(monkeypatch):
 def test_bad_mode():
     with pytest.raises(ValueError):
         exact_pcc(chain(3), mode="fast")
+
+
+def test_negative_round_budget_rejected():
+    with pytest.raises(ValueError, match="t_max"):
+        exact_pcc_bounded(chain(3), t_max=-1)
