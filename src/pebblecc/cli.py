@@ -24,7 +24,7 @@ from .b2lc import (
 )
 from .depth_reduce import is_reducible, min_reducing_set
 from .graph import (
-    _GENERATORS, CONVENTIONS, Dag, TooLarge, _from_json, dag_from_json, dag_to_json, depth, generate,
+    _GENERATORS, CONVENTIONS, Dag, TooLarge, _dag_fields, _from_json, dag_from_json, dag_to_json, depth,
 )
 from .lp import (
     _fraction_str,
@@ -112,7 +112,7 @@ def _cmd_gen(args):
     params = [int(args.params[0])]
     if args.kind == "layered_random":
         params.append(args.seed if args.seed is not None else 0)
-    return OK, None, dag_to_json(generate(args.kind, *params))
+    return OK, None, dag_to_json(_GENERATORS[args.kind](*params))
 
 
 def _cmd_depth(args):
@@ -183,7 +183,7 @@ def _cmd_reduce_vc(args):
     )
     g, originals = vc_to_reducible(n, edges, args.convention)
     payload = {
-        "dag": asdict(g),
+        "dag": _dag_fields(g),
         "originals": sorted(originals),
         "convention": args.convention,
     }

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import CONVENTIONS, Dag, OutOfRange, TooLarge, depth, levels, mask_of, nodes_of
+from .graph import Dag, OutOfRange, TooLarge, _edge_offset, depth, levels, mask_of, nodes_of
 
 __all__ = [
     "ReducibilityResult",
@@ -41,13 +41,6 @@ class ReducibilityResult:
     witness_set: frozenset[int] | None
     residual_depth: int
     convention: str
-
-
-def _allowed_nodes(d: int, convention: str) -> int:
-    """Max node count of a permitted path: depth <= d translated to nodes."""
-    if convention not in CONVENTIONS:
-        raise ValueError(f"unknown depth convention {convention!r}")
-    return d + (convention == "edges")
 
 
 def _violations(g: Dag, keep: int, allowed: int, limit: int) -> tuple[list[list[int]], bool]:
@@ -142,7 +135,7 @@ def is_reducible(g: Dag, e: int, d: int, convention: str) -> ReducibilityResult:
     """
     if e < 0 or d < 0:
         raise ValueError("e and d must be nonnegative")
-    allowed = _allowed_nodes(d, convention)
+    allowed = d + _edge_offset(convention)
     full = (1 << g.n) - 1
     visits = iter(range(_MAX_VISITS))
 
@@ -215,7 +208,7 @@ def greedy_reduce(g: Dag, d: int, convention: str) -> frozenset[int]:
     """
     if d < 0:
         raise ValueError("d must be nonnegative")
-    allowed = _allowed_nodes(d, convention)
+    allowed = d + _edge_offset(convention)
     keep = (1 << g.n) - 1
     while True:
         # f[v] is the forward reach of v inside keep, 0 for a removed node;

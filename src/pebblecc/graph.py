@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -27,7 +27,6 @@ __all__ = [
     "pyramid",
     "complete",
     "layered_random",
-    "generate",
     "dag_to_json",
     "dag_from_json",
 ]
@@ -88,10 +87,7 @@ class Dag:
     @cached_property
     def parent_masks(self) -> tuple[int, ...]:
         """parent_masks[v] has bit u-1 set for each parent u; index 0 is 0."""
-        pm = [0] * (self.n + 1)
-        for u, v in self.edges:
-            pm[v] |= 1 << (u - 1)
-        return tuple(pm)
+        return tuple(map(mask_of, self.parent_sets))
 
     @cached_property
     def parents_of(self) -> Callable[[int], int]:
@@ -104,10 +100,7 @@ class Dag:
         """children_of(mask) is the set of children of the nodes in mask.
         The nodes whose parents all lie in mask, sources included, are
         ~children_of(~mask) & full, full the mask of all n nodes."""
-        cm = [0] * (self.n + 1)
-        for u, v in self.edges:
-            cm[u] |= 1 << (v - 1)
-        return _union_of(cm, self.n)
+        return _union_of(tuple(map(mask_of, self.child_sets)), self.n)
 
     @cached_property
     def sink_mask(self) -> int:
@@ -234,6 +227,14 @@ def levels(parent_masks, n: int, keep: int) -> list[int]:
     return lvl
 
 
+def _edge_offset(convention: str) -> int:
+    """The length convention as the count of a path's nodes minus its
+    length: 0 for "nodes", 1 for "edges". The one check of a convention."""
+    if convention not in CONVENTIONS:
+        raise ValueError(f"unknown length convention {convention!r}")
+    return CONVENTIONS.index(convention)
+
+
 def depth(g: Dag, convention: str = "nodes", excluding=frozenset()) -> int:
     """Length of the longest directed path, by DP over the label order.
 
@@ -251,17 +252,13 @@ def depth(g: Dag, convention: str = "nodes", excluding=frozenset()) -> int:
     Returns:
         The longest-path length; 0 if every node is excluded.
     """
-    if convention not in CONVENTIONS:
-        raise ValueError(f"unknown depth convention {convention!r}")
+    offset = _edge_offset(convention)
     skip = frozenset(excluding)
     lvl = [0] * (g.n + 1)  # lvl[v]: node count of the longest path ending at v
     for v in range(1, g.n + 1):
         if v not in skip:
             lvl[v] = 1 + max(map(lvl.__getitem__, g.parent_sets[v]), default=0)
-    best = max(lvl)
-    if convention == "edges":
-        return max(best - 1, 0)
-    return best
+    return max(max(lvl) - offset, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -328,21 +325,18 @@ _GENERATORS = {
 }
 
 
-def generate(kind: str, *args, **kwargs) -> Dag:
-    """Dispatch to a named generator: chain, pyramid, complete, layered_random."""
-    try:
-        fn = _GENERATORS[kind]
-    except KeyError:
-        raise ValueError(f"unknown generator {kind!r}") from None
-    return fn(*args, **kwargs)
-
-
 # ---------------------------------------------------------------------------
 # I/O
 
 
+def _dag_fields(g: Dag) -> dict:
+    """g's fields by name, in order: the JSON form of a Dag. Unlike asdict,
+    it shares the edge tuple instead of copying every edge."""
+    return {f.name: getattr(g, f.name) for f in fields(g)}
+
+
 def dag_to_json(g: Dag) -> str:
-    return json.dumps({"n": g.n, "edges": g.edges})
+    return json.dumps(_dag_fields(g))
 
 
 def _from_json(text: str, what: str, build):

@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, field
 from itertools import accumulate, cycle
 
 from .b2lc import B2lcInstance, B2lcWitness, ThreePartitionInstance, _assemble_witness
-from .graph import CONVENTIONS, Dag, build_dag
+from .graph import Dag, _dag_fields, _edge_offset, build_dag
 from .pebbling import Pebbling
 
 __all__ = [
@@ -374,8 +374,7 @@ def vc_to_reducible(
         (dag, originals) where originals marks the ids of the n input
         vertices inside the decorated DAG.
     """
-    if convention not in CONVENTIONS:
-        raise ValueError(f"unknown length convention {convention!r}")
+    extra = _edge_offset(convention)
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     undirected: set[tuple[int, int]] = set()
@@ -384,7 +383,6 @@ def vc_to_reducible(
             raise ValueError(f"bad undirected edge ({a}, {b})")
         undirected.add((min(a, b), max(a, b)))
 
-    extra = 1 if convention == "edges" else 0
     span = n + 2 * extra
     vertex_id = [(i - 1) * span + n - i + extra + 1 for i in range(1, n + 1)]
     out_edges = [(v, v + 1) for v in range(1, n * span) if v % span]
@@ -504,7 +502,7 @@ def claim_c1_pebbling() -> Pebbling:
 def layout_to_json(layout: ReductionLayout) -> str:
     return json.dumps(
         {
-            "graph": asdict(layout.graph),
+            "graph": _dag_fields(layout.graph),
             "instance": asdict(layout.instance),
             "tau": layout.tau,
             "c": layout.c,

@@ -51,7 +51,7 @@ class Exhausted(RuntimeError):
         self,
         message: str,
         expanded: int,
-        lower_bound: int | None = None,
+        lower_bound: int,
         upper_bound: int | None = None,
     ) -> None:
         super().__init__(message)
@@ -60,9 +60,7 @@ class Exhausted(RuntimeError):
         self.upper_bound = upper_bound
 
     def __str__(self) -> str:
-        """The reason, then the proven interval if there is one."""
-        if self.lower_bound is None:
-            return self.args[0]
+        """The reason, then the proven interval."""
         hi = "?" if self.upper_bound is None else self.upper_bound
         return f"{self.args[0]}; optimum in [{self.lower_bound}, {hi}]"
 
@@ -84,7 +82,8 @@ class SearchLimits:
 
     max_states caps the states expanded, the dive's steps included; it
     must be an int, and a bool or a float raises TypeError. time_budget is
-    in seconds of wall clock; 0.0 stops at the first check. A negative or
+    None or seconds of wall clock, an int or a float, and a bool or any
+    other type raises TypeError; 0.0 stops at the first check. A negative or
     NaN cap raises ValueError. Every search also refuses a graph of more
     than 24 nodes, a built-in cap.
     """
@@ -95,6 +94,8 @@ class SearchLimits:
     def __post_init__(self) -> None:
         if not isinstance(self.max_states, int) or isinstance(self.max_states, bool):
             raise TypeError(f"max_states must be an int, got {self.max_states!r}")
+        if not isinstance(self.time_budget, (int, float, type(None))) or isinstance(self.time_budget, bool):
+            raise TypeError(f"time_budget must be None or a number, got {self.time_budget!r}")
         for name in ("max_states", "time_budget"):
             value = getattr(self, name)
             if value is not None and not value >= 0:  # NaN fails too

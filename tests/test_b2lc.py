@@ -119,6 +119,7 @@ def test_solve_b2lc_budget_at_least_k_is_yes():
             inst = B2lcInstance(n_vars=n_vars, m=k + 1, equations=tuple(eqs))
         yes, w = solve_b2lc(inst)
         assert yes and check_witness(inst, w)
+        assert w.group_of == tuple(range(1, k + 1))  # each equation its own assignment
 
 
 def test_solve_b2lc_monotone_in_m():

@@ -5,6 +5,7 @@ import pytest
 
 from pebblecc import reductions
 from pebblecc.b2lc import B2lcInstance
+from pebblecc.depth_reduce import greedy_reduce, is_reducible, min_reducing_set, verify_set
 from pebblecc.graph import (
     BackwardEdge,
     OutOfRange,
@@ -14,13 +15,12 @@ from pebblecc.graph import (
     dag_from_json,
     dag_to_json,
     depth,
-    generate,
     layered_random,
     mask_of,
     nodes_of,
     pyramid,
 )
-from pebblecc.reductions import counterexample_dag
+from pebblecc.reductions import counterexample_dag, vc_to_reducible
 
 
 def test_mask_codec_round_trips():
@@ -92,8 +92,19 @@ def test_depth_excluding():
 
 
 def test_depth_rejects_unknown_convention():
-    with pytest.raises(ValueError):
-        depth(chain(2), "hops")
+    # every reader of a length convention checks it by one rule, with one message
+    g = chain(2)
+    readers = (
+        lambda c: depth(g, c),
+        lambda c: is_reducible(g, 1, 1, c),
+        lambda c: min_reducing_set(g, 1, c),
+        lambda c: greedy_reduce(g, 1, c),
+        lambda c: verify_set(g, {1}, 1, c),
+        lambda c: vc_to_reducible(2, [(1, 2)], c),
+    )
+    for read in readers:
+        with pytest.raises(ValueError, match="unknown length convention 'hops'"):
+            read("hops")
 
 
 def test_generators_small():
@@ -137,12 +148,6 @@ def test_layered_random_deterministic():
     for i in range(2, 21):
         assert i - 1 in a.parents(i)
         assert len(a.parents(i)) <= 2
-
-
-def test_generate_dispatch():
-    assert generate("chain", 4) == chain(4)
-    with pytest.raises(ValueError):
-        generate("torus", 4)
 
 
 def test_json_export_round_trip():

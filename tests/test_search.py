@@ -1193,10 +1193,14 @@ def test_negative_limits_rejected():
             SearchLimits(**{field: -1})
     with pytest.raises(ValueError, match="time_budget"):
         SearchLimits(time_budget=float("nan"))  # would never expire
-    # a float cap would fail mid-search, and True would cap at 1 state
-    for value in (1e6, True):
-        with pytest.raises(TypeError, match="max_states"):
-            SearchLimits(max_states=value)
+    # a float cap would fail mid-search, and True would cap at 1 state; a
+    # True budget would run 1 s, and "1" would fail in a comparison naming
+    # no field
+    for field, value in (
+        ("max_states", 1e6), ("max_states", True), ("time_budget", True), ("time_budget", "1"),
+    ):
+        with pytest.raises(TypeError, match=field):
+            SearchLimits(**{field: value})
     assert SearchLimits(time_budget=0.0).time_budget == 0.0
 
 
